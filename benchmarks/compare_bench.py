@@ -1,27 +1,28 @@
 #!/usr/bin/env python
-"""Fail when replay events/sec regresses against a committed baseline.
+"""Fail when calibrated replay queries/sec regresses against a committed baseline.
 
 Used by the CI ``perf_smoke`` job: the smoke benchmark writes a fresh
-``BENCH_smoke.json`` and this script compares it to the committed one.
+``bench-out/BENCH_smoke.json`` and this script compares it to the committed
+``BENCH_smoke.json``.
 
-Raw events/sec numbers are machine-dependent (CI runners differ wildly), so
-the compared quantity is the fast:naive events/sec ratio — the naive
-reference path, measured interleaved in the same process on the same
-machine, calibrates machine speed away.  A >``--max-regression`` drop in
-that ratio means the optimised path genuinely lost ground relative to the
-reference semantics, not that the runner was slow.
+Raw queries/sec numbers are machine-dependent (CI runners differ wildly), so
+the compared quantity is ``calibrated_qps``: replay queries/sec multiplied by
+the time of a fixed pure-Python calibration loop measured in the same
+process (``perfbench.harness.calibration_s``).  The loop runs no ``repro``
+code, so a slow runner slows both factors alike and its speed cancels; a
+>``--max-regression`` drop means the replay itself lost ground.
 
-A relative gate alone can drift: if the naive path slows down too, the
-ratio survives while absolute throughput quietly erodes.  The
-``--min-events-per-sec`` floor pins an absolute lower bound on the fresh
-run's raw fast-path events/sec — deliberately far below any healthy
-machine's figure, so it only trips on order-of-magnitude losses (an
-accidentally-disabled fast path, a quadratic slip), never on runner speed.
+A relative gate alone can drift when the calibration loop and the replay
+shift together (an interpreter upgrade, say).  The ``--min-queries-per-sec``
+floor pins an absolute lower bound on the fresh run's raw queries/sec —
+deliberately far below any healthy machine's figure (19 000 queries/s is the
+former 100 000 events/s floor at the smoke trace's 5.15 events per query),
+so it only trips on order-of-magnitude losses, never on runner speed.
 
 Usage::
 
     python benchmarks/compare_bench.py FRESH.json BASELINE.json \
-        [--max-regression 0.20] [--min-events-per-sec 100000]
+        [--max-regression 0.20] [--min-queries-per-sec 19000]
 
 Exits non-zero on regression (or unreadable/mismatched inputs).
 """
@@ -34,18 +35,15 @@ import sys
 from pathlib import Path
 
 
-def normalized_events_per_sec(payload: dict, path: str) -> float:
-    """The machine-calibrated events/sec figure: fast relative to naive."""
+def field(payload: dict, name: str, path: str) -> float:
+    """A positive numeric field of a replay benchmark payload."""
     try:
-        fast = float(payload["events_per_sec_fast"])
-        naive = float(payload["events_per_sec_naive"])
-    except KeyError as missing:
-        raise SystemExit(
-            f"{path}: missing field {missing} — not a replay benchmark"
-        ) from None
-    if naive <= 0:
-        raise SystemExit(f"{path}: non-positive naive events/sec")
-    return fast / naive
+        value = float(payload[name])
+    except KeyError:
+        raise SystemExit(f"{path}: missing field '{name}' — not a replay benchmark") from None
+    if value <= 0:
+        raise SystemExit(f"{path}: non-positive {name}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -56,41 +54,39 @@ def main(argv=None) -> int:
         "--max-regression",
         type=float,
         default=0.20,
-        help="maximum tolerated fractional drop in normalised events/sec",
+        help="maximum tolerated fractional drop in calibrated queries/sec",
     )
     parser.add_argument(
-        "--min-events-per-sec",
+        "--min-queries-per-sec",
         type=float,
-        default=100_000.0,
-        help="absolute floor on the fresh run's raw fast-path events/sec "
-        "(0 disables the floor)",
+        default=19_000.0,
+        help="absolute floor on the fresh run's raw queries/sec (0 disables the floor)",
     )
     args = parser.parse_args(argv)
 
     fresh = json.loads(Path(args.fresh).read_text())
     baseline = json.loads(Path(args.baseline).read_text())
-    current = normalized_events_per_sec(fresh, args.fresh)
-    reference = normalized_events_per_sec(baseline, args.baseline)
+    current = field(fresh, "calibrated_qps", args.fresh)
+    reference = field(baseline, "calibrated_qps", args.baseline)
     change = current / reference - 1.0
 
     print(
-        f"normalised events/sec (fast/naive): current {current:.2f}x, "
-        f"baseline {reference:.2f}x, change {change:+.1%} "
-        f"(tolerance -{args.max_regression:.0%})"
+        f"calibrated queries/sec: current {current:,.1f}, baseline {reference:,.1f}, "
+        f"change {change:+.1%} (tolerance -{args.max_regression:.0%})"
     )
+    raw = field(fresh, "queries_per_sec", args.fresh)
     print(
-        f"  raw fast: {fresh['events_per_sec_fast']:,.0f} ev/s now vs "
-        f"{baseline['events_per_sec_fast']:,.0f} ev/s at baseline "
-        "(raw numbers are machine-dependent; the ratio above is the gate)"
+        f"  raw: {raw:,.0f} queries/s now vs "
+        f"{field(baseline, 'queries_per_sec', args.baseline):,.0f} queries/s at baseline "
+        "(raw numbers are machine-dependent; the calibrated figure above is the gate)"
     )
     if change < -args.max_regression:
-        print("FAIL: optimised replay path regressed past the tolerance")
+        print("FAIL: replay speed regressed past the tolerance")
         return 1
-    raw_fast = float(fresh["events_per_sec_fast"])
-    if args.min_events_per_sec > 0 and raw_fast < args.min_events_per_sec:
+    if args.min_queries_per_sec > 0 and raw < args.min_queries_per_sec:
         print(
-            f"FAIL: raw fast-path throughput {raw_fast:,.0f} ev/s is below "
-            f"the absolute floor of {args.min_events_per_sec:,.0f} ev/s"
+            f"FAIL: raw replay throughput {raw:,.0f} queries/s is below "
+            f"the absolute floor of {args.min_queries_per_sec:,.0f} queries/s"
         )
         return 1
     print("OK")

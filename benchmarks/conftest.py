@@ -10,9 +10,15 @@ the experiment scale; raise ``num_queries`` for smoother tail-latency
 estimates at the cost of runtime.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings
+
+#: Where benchmarks write their fresh ``BENCH_*.json`` payloads (git-ignored;
+#: the committed copies at the repository root are the baselines).
+BENCH_OUT = Path(__file__).resolve().parent.parent / "bench-out"
 
 
 def pytest_configure(config):
@@ -29,3 +35,10 @@ def pytest_configure(config):
 def settings():
     """Experiment scale used by every figure benchmark."""
     return ExperimentSettings(num_queries=600, search_iterations=7, seed=0)
+
+
+@pytest.fixture(scope="session")
+def bench_out():
+    """The directory fresh benchmark payloads are written to."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    return BENCH_OUT

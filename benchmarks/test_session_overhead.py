@@ -5,13 +5,12 @@ layer; with no observers attached the emission is skipped entirely, and with
 observers the pre-resolved dispatch table only constructs events somebody
 listens to.  This benchmark pins the contract: a run with the session's
 default observer (WindowedMetrics) costs at most 10% more than the bare
-replay loop, and emits a ``BENCH_session.json`` trajectory file recording
-the timings and the hooked run's windowed throughput series.
+replay loop, and writes a ``bench-out/BENCH_session.json`` trajectory file
+recording the timings and the hooked run's windowed throughput series.
 """
 
 import json
 import time
-from pathlib import Path
 
 from repro.sim.hooks import WindowedMetrics
 from repro.workload.generator import QueryGenerator, WorkloadConfig
@@ -26,8 +25,6 @@ ATTEMPTS = 3
 MAX_OVERHEAD = 0.10
 #: absolute slack absorbing scheduler jitter on loaded CI machines
 NOISE_FLOOR_S = 0.003
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_session.json"
 
 
 def _time_once(fn):
@@ -45,7 +42,7 @@ def _measure_pair(run_plain, run_hooked, rounds=ROUNDS):
     return min(plain_times), min(hooked_times)
 
 
-def test_event_hook_overhead(benchmark, settings):
+def test_event_hook_overhead(benchmark, settings, bench_out):
     deployment = settings.build("mobilenet", "paris", "elsa")
     workload = WorkloadConfig(
         model="mobilenet",
@@ -82,7 +79,7 @@ def test_event_hook_overhead(benchmark, settings):
     overhead = hooked_s / plain_s - 1.0
 
     windows = windowed_holder["windowed"].series()
-    BENCH_PATH.write_text(
+    (bench_out / "BENCH_session.json").write_text(
         json.dumps(
             {
                 "benchmark": "session_event_hook_overhead",

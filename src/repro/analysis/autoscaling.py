@@ -12,8 +12,8 @@ fleet control plane with one deterministic, seeded scenario:
    :class:`~repro.autoscale.autoscaler.Autoscaler` grow/shrink the fleet
    through the run, paying only for capacity it holds.
 
-The claim checked by CI (``scripts/autoscale_smoke.py`` against the
-committed ``BENCH_autoscale.json``): the autoscaled fleet **meets the same
+The claim checked by CI (``python -m repro.pipeline check autoscale``
+against the committed ``BENCH_autoscale.json``): the autoscaled fleet **meets the same
 SLA bar at strictly lower total $-cost** than the best static fleet.
 
 Everything is seeded; re-running the experiment reproduces the artifact

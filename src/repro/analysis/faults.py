@@ -16,8 +16,8 @@ seeded sweep:
 3. per point, the payload records mean availability, failed/retried query
    counts, crash counts and MTTR.
 
-The claims checked by CI (``scripts/fault_smoke.py`` against the committed
-``BENCH_faults.json``): the baseline is fully available with zero failures,
+The claims checked by CI (``python -m repro.pipeline check fault`` against
+the committed ``BENCH_faults.json``): the baseline is fully available with zero failures,
 every point conserves queries (completed + failed == submitted), and the
 highest fault rate measurably degrades availability below the baseline.
 

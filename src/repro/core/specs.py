@@ -327,8 +327,6 @@ class ClusterSpec:
         gpc_budget: GPCs the partitioner may use (``None`` = full server).
         architecture: reconfigurable GPU architecture.
         frontend_capacity_qps: dispatch capacity of the serving frontend.
-        fast_path: run simulators on the optimised (bit-identical) replay
-            loop; disable only to time the naive reference path.
         fleet: optional mixed-architecture fleet description (a sequence of
             :class:`~repro.gpu.fleet.FleetServerSpec` or ``(num_gpus,
             architecture[, gpc_budget])`` tuples).  When set it supersedes
@@ -341,7 +339,6 @@ class ClusterSpec:
     gpc_budget: Optional[int] = None
     architecture: GPUArchitecture = A100
     frontend_capacity_qps: Optional[float] = None
-    fast_path: bool = True
     fleet: Optional[Sequence[Any]] = None
 
     def flat_overrides(self) -> Dict[str, Any]:
@@ -350,7 +347,6 @@ class ClusterSpec:
             "gpc_budget": self.gpc_budget,
             "architecture": self.architecture,
             "frontend_capacity_qps": self.frontend_capacity_qps,
-            "fast_path": self.fast_path,
         }
         if self.fleet is not None:
             overrides["fleet"] = tuple(self.fleet)

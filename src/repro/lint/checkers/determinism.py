@@ -1,7 +1,7 @@
 """Determinism checkers: DET001 (entropy sources), DET002 (set-order
 consumption), DET003 (identity/hash ordering).
 
-Every headline claim in this repo is a bit-identity proof (fast ≡ naive,
+Every headline claim in this repo is a bit-identity proof (replay ≡ corpus,
 columnar ≡ event-driven, tenant ≡ standalone, ...).  These checkers forbid
 the three source-level patterns that silently break such proofs: reading
 ambient entropy (wall clocks, unseeded RNG), consuming the arbitrary

@@ -1,7 +1,7 @@
 """HOOK001 — lifecycle-event exhaustiveness in ``sim/hooks.py``.
 
 The simulator's dispatch is pre-resolved from the ``_HANDLERS`` table, and
-the fast path replaces per-query event delivery for columnar-capable
+the simulator replaces per-query event delivery for columnar-capable
 observers with lazy columnar digestion.  Adding an event class without a
 table entry silently drops it from every observer; overriding a new
 ``on_*`` handler on a columnar-capable observer without accounting for it
@@ -119,7 +119,7 @@ class HookExhaustivenessChecker(Checker):
                 yield module.finding(
                     node,
                     self.code,
-                    f"{name}.{handler} is overridden but the fast path never "
+                    f"{name}.{handler} is overridden but the simulator never "
                     "delivers it: not forwarded by "
                     f"{_RECONFIG_VIEW} and not declared in "
                     f"{name}.columnar_covered — columnar runs would silently "

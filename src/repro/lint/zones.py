@@ -9,7 +9,7 @@ relative to the ``repro`` package root (``"sim/cluster.py"``,
 The zones and what they protect:
 
 * ``determinism`` — everything whose outputs feed a bit-identity proof
-  (fast ≡ naive, columnar ≡ event-driven, tenant ≡ standalone, ...): no
+  (replay ≡ corpus, columnar ≡ event-driven, tenant ≡ standalone, ...): no
   wall clocks, no unseeded RNG, no hash-order-dependent logic.
 * ``hot-path`` — the replay loop and the policies it consults: iteration
   order is dispatch order here, so bare ``set`` iteration is forbidden.

@@ -1,10 +1,10 @@
 """The shared structural comparator behind every artifact gate.
 
 Every committed-artifact check in this repo used to carry its own copy of a
-``_match`` structural diff (``scripts/autoscale_smoke.py`` and
-``scripts/fault_smoke.py`` were literal copy-pastes; the figure experiments
-had nothing at all).  This module is the single implementation: a recursive
-structural diff between a *fresh* payload and a *pinned* baseline with
+``_match`` structural diff (the autoscale and fault smoke scripts were
+literal copy-pastes; the figure experiments had nothing at all).  This
+module is the single implementation: a recursive structural diff between a
+*fresh* payload and a *pinned* baseline with
 
 * **shape checks** — dict key sets and list lengths must match exactly,
   with both missing and unexpected keys reported;

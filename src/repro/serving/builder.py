@@ -175,7 +175,6 @@ class ServerBuilder:
         gpc_budget: Optional[int] = None,
         architecture: Optional[GPUArchitecture] = None,
         frontend_capacity_qps: Optional[float] = None,
-        fast_path: Optional[bool] = None,
     ) -> "ServerBuilder":
         """Configure the physical server shape; omitted knobs keep their
         :class:`~repro.core.specs.ClusterSpec` defaults."""
@@ -186,7 +185,6 @@ class ServerBuilder:
                 ("gpc_budget", gpc_budget),
                 ("architecture", architecture),
                 ("frontend_capacity_qps", frontend_capacity_qps),
-                ("fast_path", fast_path),
             )
             if value is not None
         }
@@ -216,8 +214,8 @@ class ServerBuilder:
         The fleet supersedes the flat cluster shape: combining it with
         ``.cluster(num_gpus=...)``, ``.cluster(gpc_budget=...)`` or
         ``.cluster(architecture=...)`` raises (those fields are derived
-        from the fleet); ``.cluster(fast_path=...)`` and
-        ``.cluster(frontend_capacity_qps=...)`` still compose.
+        from the fleet); ``.cluster(frontend_capacity_qps=...)`` still
+        composes.
         """
         if not servers:
             raise ValueError(".fleet() requires at least one server")

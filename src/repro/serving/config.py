@@ -137,10 +137,6 @@ class ServerConfig:
         frontend_capacity_qps: maximum dispatch rate of the server frontend
             in queries/second; ``None`` means the frontend is never the
             bottleneck.
-        fast_path: run simulators for this design on the optimised replay
-            loop (memoized latency estimator, indexed idle set, incremental
-            queued-work totals).  Simulated outcomes are bit-identical
-            either way; disable only to time the naive reference path.
         partitioner_spec: per-policy spec object handed to the partitioner
             factory (overrides the flat fields above when set).
         scheduler_spec: per-policy spec object handed to the scheduler
@@ -171,7 +167,6 @@ class ServerConfig:
     random_seed: int = 0
     architecture: GPUArchitecture = A100
     frontend_capacity_qps: Optional[float] = None
-    fast_path: bool = True
     extra_models: Tuple[str, ...] = ()
     sla_reference_gpcs: int = 7
     partitioner_spec: Any = None

@@ -127,16 +127,12 @@ class Deployment:
         self,
         execution_noise_std: float = 0.0,
         seed: int = 0,
-        fast_path: Optional[bool] = None,
     ) -> InferenceServerSimulator:
         """Build a fresh simulator for this deployment.
 
         Args:
             execution_noise_std: relative log-normal execution noise.
             seed: RNG seed for the noise term.
-            fast_path: override the config's ``fast_path`` knob (``None``
-                keeps it).  Both settings simulate identical outcomes; the
-                naive path exists for reference timing.
         """
         return InferenceServerSimulator(
             instances=self.instances,
@@ -145,7 +141,6 @@ class Deployment:
             execution_noise_std=execution_noise_std,
             seed=seed,
             frontend_capacity_qps=self.config.frontend_capacity_qps,
-            fast_path=self.config.fast_path if fast_path is None else fast_path,
             arch_profiles=(
                 {name: dict(tables) for name, tables in self.arch_profiles.items()}
                 if self.arch_profiles is not None

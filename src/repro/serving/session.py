@@ -689,29 +689,14 @@ class ServingSession:
             )
         simulator = self._sim
         assert simulator is not None
-        if not self.triggers and not self._has_control and not self._has_faults:
-            return simulator.run_until(time)
         interval = self.trigger_interval
-        if not self._has_control and not self._has_faults:
-            assert interval is not None
-            assert self._next_checkpoint is not None
-            while simulator.pending_events:
-                checkpoint = self._next_checkpoint
-                if time is not None and checkpoint > time:
-                    # advance the remainder without crossing the next checkpoint
-                    simulator.run_until(time)
-                    break
-                simulator.run_until(checkpoint)
-                if not simulator.reconfiguring:
-                    self._evaluate_triggers(checkpoint)
-                self._next_checkpoint = checkpoint + interval
-            return simulator.now
-        # Fleet control plane: interleave the trigger checkpoint grid with
-        # the control plane's own due times (commission arrivals, preemption
-        # notices, pending removals).  Due mutations are deferred to the end
-        # of an in-flight reconfiguration — the simulator supports one
-        # staged reconfiguration at a time — by flooring them at its online
-        # time, which guarantees forward progress.
+        # Interleave the trigger checkpoint grid with the control plane's own
+        # due times (fault events, commission arrivals, preemption notices,
+        # pending removals).  With neither, the loop advances straight to
+        # ``time``.  Due mutations are deferred to the end of an in-flight
+        # reconfiguration — the simulator supports one staged
+        # reconfiguration at a time — by flooring them at its online time,
+        # which guarantees forward progress.
         while simulator.pending_events:
             checkpoint = self._next_checkpoint
             due = self._next_control_due()

@@ -4,7 +4,7 @@ This package is the reproduction's stand-in for the paper's at-scale serving
 runtime (a heavily modified DeepRecInfra on real A100s):
 
 * :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a minimal, deterministic
-  discrete-event engine (priority queue over timestamped events).
+  discrete-event engine (tuple-keyed priority queue over timestamped events).
 * :mod:`repro.sim.worker` — a GPU partition worker: local FIFO scheduling
   queue, the currently executing query and the profiled execution model.
 * :mod:`repro.sim.scheduler_api` — the scheduler interface the simulator
@@ -18,8 +18,8 @@ runtime (a heavily modified DeepRecInfra on real A100s):
   (p95 tail latency, SLA violation rate, latency-bounded throughput inputs).
 """
 
-from repro.sim.events import Event, EventKind
-from repro.sim.engine import EventQueue, SimulationClock, TupleEventQueue
+from repro.sim.events import EventKind
+from repro.sim.engine import SimulationClock, TupleEventQueue
 from repro.sim.columnar import QueryColumns
 from repro.sim.worker import PartitionWorker
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
@@ -33,7 +33,6 @@ from repro.sim.hooks import (
     QueryArrived,
     QueryCompleted,
     QueryDispatched,
-    QueryDropped,
     QueryRequeued,
     ReconfigFinished,
     ReconfigStarted,
@@ -56,10 +55,8 @@ from repro.sim.metrics import (
 
 __all__ = [
     "CompletedArrays",
-    "Event",
     "EventKind",
     "EventLog",
-    "EventQueue",
     "InferenceServerSimulator",
     "LatencyStatistics",
     "PartitionWorker",
@@ -67,7 +64,6 @@ __all__ = [
     "QueryColumns",
     "QueryCompleted",
     "QueryDispatched",
-    "QueryDropped",
     "QueryRequeued",
     "ReconfigFinished",
     "ReconfigStarted",

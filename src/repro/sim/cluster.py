@@ -30,16 +30,15 @@ Both surfaces publish typed lifecycle events (:mod:`repro.sim.hooks`) to any
 registered observers; with no observers attached the event layer is skipped
 entirely, so the one-shot replay loop costs the same as before it existed.
 
-With ``fast_path=True`` (the default) the replay loop is columnar: events
-live in a tuple-keyed heap (:class:`~repro.sim.engine.TupleEventQueue` — no
-:class:`~repro.sim.events.Event` objects, C-level comparisons), per-query
-runtime state lives in a struct-of-arrays store
+The replay loop is columnar: events live in a tuple-keyed heap
+(:class:`~repro.sim.engine.TupleEventQueue`, C-level comparisons, no event
+objects), per-query runtime state lives in a struct-of-arrays store
 (:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
-zero-copy, and one reused :class:`~repro.sim.scheduler_api.SchedulingContext`
-plus a live idle-worker view replace the per-event snapshot copies.  The
-naive path keeps the original object-per-event machinery as the reference
-both semantics (bit-identical results, pinned by the identity property
-tests) and timing (the replay-speed benchmark) are measured against.
+zero-copy, execution and wait estimates go through one memoized
+:class:`~repro.perf.lookup.CachedEstimator`, and one reused
+:class:`~repro.sim.scheduler_api.SchedulingContext` plus a live idle-worker
+view stand in for per-event snapshots.  Simulated outcomes are pinned by the
+committed replay corpus (``baselines/replay_corpus.json``).
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ import numpy as np
 from repro.gpu.partition import PartitionInstance
 from repro.perf.lookup import CachedEstimator, ProfileTable
 from repro.sim.columnar import NAN, QueryColumns
-from repro.sim.engine import EventQueue, SimulationClock, TupleEventQueue
-from repro.sim.events import Event, EventKind
+from repro.sim.engine import SimulationClock, TupleEventQueue
+from repro.sim.events import EventKind
 from repro.sim.hooks import (
     QueryArrived,
     QueryCompleted,
@@ -89,19 +88,21 @@ from repro.sim.hooks import (
 from repro.sim.metrics import (
     ServerStatistics,
     completed_arrays_from_columns,
-    compute_statistics,
     compute_statistics_from_arrays,
 )
+
+# Re-exported: the layer tracer (``perfbench/layers.py``) patches
+# ``compute_statistics`` under this module's name.
+from repro.sim.metrics import compute_statistics  # noqa: F401
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
 from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
 
-#: EventKind values as plain ints: the fast loop compares heap-entry kinds
+#: EventKind values as plain ints: the replay loop compares heap-entry kinds
 #: against these without touching the enum machinery.
 _ARRIVAL = int(EventKind.ARRIVAL)
 _COMPLETION = int(EventKind.COMPLETION)
-_RECONFIG = int(EventKind.RECONFIG)
 
 
 class RetryPolicyLike(Protocol):
@@ -117,7 +118,7 @@ class RetryPolicyLike(Protocol):
 
 
 class _IdleWorkersView:
-    """Live, read-only sequence view over the fast path's idle-worker index.
+    """Live, read-only sequence view over the simulator's idle-worker index.
 
     Handed to schedulers as ``SchedulingContext.idle``: building it costs
     nothing per event (the keys/map are the simulator's own index), and
@@ -253,14 +254,6 @@ class InferenceServerSimulator:
             GPU workers outpace it; ``None`` disables the limit.
         observers: lifecycle-event observers (:mod:`repro.sim.hooks`); more
             can be attached later with :meth:`add_observer`.
-        fast_path: enable the columnar replay core — tuple-keyed event heap,
-            struct-of-arrays runtime state with zero-copy digestion, memoized
-            :class:`~repro.perf.lookup.CachedEstimator`, incrementally
-            maintained queued-work totals, a live idle-worker view and a
-            reused scheduling context.  Simulated outcomes are bit-identical
-            either way (pinned by the replay benchmark and the identity
-            property tests); the naive path exists as the reference for that
-            contract and for speed comparisons.
         arch_profiles: per-architecture per-model lookup tables
             (``architecture name -> model name -> table``) for
             mixed-architecture fleets.  With two or more architectures every
@@ -281,7 +274,6 @@ class InferenceServerSimulator:
         seed: int = 0,
         frontend_capacity_qps: Optional[float] = None,
         observers: Sequence[SimulationObserver] = (),
-        fast_path: bool = True,
         arch_profiles: Optional[Dict[str, Dict[str, ProfileTable]]] = None,
     ) -> None:
         if not instances:
@@ -297,17 +289,12 @@ class InferenceServerSimulator:
         self._noise = execution_noise_std
         self._seed = seed
         self._observers: List[SimulationObserver] = list(observers)
-        self._fast = bool(fast_path)
-        self._columns: Optional[QueryColumns] = QueryColumns() if self._fast else None
+        self._columns = QueryColumns()
         self._rebind_handlers()
-        self._estimator: Optional[CachedEstimator] = (
-            CachedEstimator(self.profiles) if self._fast else None
-        )
         #: The latency oracle handed to workers and scheduling contexts; one
         #: persistent object so the workers' queued-work caches can key on it.
-        self._latency_fn = self._estimator if self._fast else self.estimate_latency
-        #: Mixed fleets: one persistent memoized oracle per architecture
-        #: (both paths — the oracle is semantics here, not an optimisation).
+        self._estimator = CachedEstimator(self.profiles)
+        #: Mixed fleets: one persistent memoized oracle per architecture.
         self._arch_estimators: Optional[Dict[str, CachedEstimator]] = None
         if arch_profiles is not None and len(arch_profiles) > 1:
             self._arch_estimators = {
@@ -339,7 +326,7 @@ class InferenceServerSimulator:
         on mixed fleets, the shared oracle otherwise)."""
         if self._arch_estimators is not None:
             return self._arch_estimators[instance.partition.architecture.name]
-        return self._latency_fn
+        return self._estimator
 
     def _build_workers(self) -> None:
         self.workers = [
@@ -348,7 +335,6 @@ class InferenceServerSimulator:
                 latency_fn=self._worker_latency_fn(instance),
                 noise_std=self._noise,
                 seed=self._seed + idx,
-                queued_work_cache=self._fast,
                 columns=self._columns,
                 write_through=self._write_through,
             )
@@ -358,21 +344,18 @@ class InferenceServerSimulator:
 
     def _reset_run_state(self) -> None:
         self._clock = SimulationClock()
-        self._events: Union[EventQueue, TupleEventQueue] = (
-            TupleEventQueue() if self._fast else EventQueue()
-        )
+        self._events = TupleEventQueue()
         self._central_queue: Deque[Query] = deque()
         self._events_processed = 0
-        # Indexed idle-worker set (fast path): sorted (gpcs, instance_id)
-        # keys mirror the workers-list ordering, so idle views match what a
-        # full scan would produce.
+        # Indexed idle-worker set: sorted (gpcs, instance_id) keys mirror the
+        # workers-list ordering, so idle views match what a full scan would
+        # produce.
         self._idle_keys: List[Tuple[int, int]] = []
         self._idle_map: Dict[Tuple[int, int], PartitionWorker] = {}
         self._idle_view = _IdleWorkersView(self._idle_keys, self._idle_map)
         self._context: Optional[SchedulingContext] = None
-        if self._fast:
-            for worker in self.workers:
-                self._mark_idle(worker)
+        for worker in self.workers:
+            self._mark_idle(worker)
         self._frontend_gap = (
             1.0 / self.frontend_capacity_qps if self.frontend_capacity_qps else 0.0
         )
@@ -382,7 +365,6 @@ class InferenceServerSimulator:
         self._draining_ids: Set[int] = set()
         self._held: List[Query] = []
         self._staged: Optional[_StagedReconfig] = None
-        self._announced: Set[int] = set()
         self._reconfig_log: List[ReconfigurationRecord] = []
         self._next_instance_id = 1 + max(i.instance_id for i in self._instances)
         # Fault-injection state: crashed workers by instance id (insertion =
@@ -403,17 +385,14 @@ class InferenceServerSimulator:
 
         Columnar-capable observers (``columnar_capable`` attribute, e.g.
         :class:`~repro.sim.hooks.WindowedMetrics`) are bound to the run's
-        columnar store on the fast path and subscribed through a
-        reconfiguration-only view: their per-query events are never
-        constructed — they digest the columns lazily instead.
+        columnar store and subscribed through a reconfiguration-only view:
+        their per-query events are never constructed — they digest the
+        columns lazily instead.
         """
         delivered: List[SimulationObserver] = []
         for observer in self._observers:
-            if (
-                self._fast
-                and self._columns is not None
-                and getattr(observer, "columnar_capable", False)
-                and observer.attach_columns(self._columns, self)
+            if getattr(observer, "columnar_capable", False) and observer.attach_columns(
+                self._columns, self
             ):
                 delivered.append(ReconfigEventsOnly(observer))
             else:
@@ -431,8 +410,8 @@ class InferenceServerSimulator:
         self._h_failed = get(QueryFailed, ())
         self._h_crashed = get(WorkerCrashed, ())
         self._h_recovered = get(WorkerRecovered, ())
-        #: With per-query handlers attached, columnar workers also write the
-        #: query objects so handlers can read e.g. ``query.finish_time`` the
+        #: With per-query handlers attached, workers also write the query
+        #: objects so handlers can read e.g. ``query.finish_time`` the
         #: moment the event fires.
         self._write_through = bool(
             self._h_arrived
@@ -447,47 +426,32 @@ class InferenceServerSimulator:
         """Attach a lifecycle-event observer."""
         self._observers.append(observer)
         self._rebind_handlers()
-        if self._fast and self._write_through:
+        if self._write_through:
             staged = self._staged.new_workers if self._staged is not None else ()
             for worker in (*self.workers, *self._retired_workers, *staged):
                 worker.enable_write_through()
             # queries already dispatched before write-through turned on have
             # runtime state only in the columns; materialise it so the new
-            # handlers read current timestamps, exactly like the naive path
+            # handlers read current timestamps
             self._columns.write_back()
 
     # ------------------------------------------------------------------ #
-    # indexed idle-worker set (fast path)
+    # indexed idle-worker set
     # ------------------------------------------------------------------ #
     def _mark_idle(self, worker: PartitionWorker) -> None:
-        if not self._fast:
-            return
         key = (worker.gpcs, worker.instance_id)
         if key not in self._idle_map:
             self._idle_map[key] = worker
             insort(self._idle_keys, key)
 
     def _mark_busy(self, worker: PartitionWorker) -> None:
-        if not self._fast:
-            return
         key = (worker.gpcs, worker.instance_id)
         if self._idle_map.pop(key, None) is not None:
             keys = self._idle_keys
             del keys[bisect_left(keys, key)]
 
-    def _make_context(self, now: float) -> SchedulingContext:
-        """Naive-path context: fresh snapshot copies per scheduling moment."""
-        return SchedulingContext(
-            now=now,
-            workers=self.workers,
-            central_queue=tuple(self._central_queue),
-            estimator=self._latency_fn,
-            idle=None,
-            estimators=self._arch_estimators,
-        )
-
-    def _fast_context(self, now: float) -> SchedulingContext:
-        """Fast-path context: one reused object over live (read-only) views.
+    def _context_at(self, now: float) -> SchedulingContext:
+        """The scheduling context: one reused object over live (read-only) views.
 
         The central queue and idle view are the simulator's own structures —
         documented read-only for schedulers — and only ``now`` changes
@@ -500,7 +464,7 @@ class InferenceServerSimulator:
                 now=now,
                 workers=self.workers,
                 central_queue=self._central_queue,
-                estimator=self._latency_fn,
+                estimator=self._estimator,
                 idle=self._idle_view,
                 estimators=self._arch_estimators,
             )
@@ -508,25 +472,13 @@ class InferenceServerSimulator:
             object.__setattr__(context, "now", now)
         return context
 
-    def _handlers(self, event_type: type) -> Tuple:
-        """Bound handlers subscribed to ``event_type`` (empty tuple = skip
-        constructing the event at all)."""
-        return self._dispatch_table.get(event_type, ())
-
     def estimate_latency(self, model: str, batch: int, gpcs: int) -> float:
         """Profiled execution latency of (model, batch) on ``GPU(gpcs)``.
 
         Raises:
             KeyError: if the model was not profiled.
         """
-        if self._estimator is not None:
-            return self._estimator(model, batch, gpcs)
-        if model not in self.profiles:
-            raise KeyError(
-                f"model {model!r} has no profile table; profiled models: "
-                f"{sorted(self.profiles)}"
-            )
-        return self.profiles[model].latency(gpcs, batch)
+        return self._estimator(model, batch, gpcs)
 
     # ------------------------------------------------------------------ #
     # one-shot surface
@@ -569,11 +521,6 @@ class InferenceServerSimulator:
         return self._events_processed
 
     @property
-    def fast_path(self) -> bool:
-        """Whether the optimised replay loop is enabled."""
-        return self._fast
-
-    @property
     def reconfiguring(self) -> bool:
         """True while the partition set is offline mid-reconfiguration."""
         return self._staged is not None
@@ -599,11 +546,10 @@ class InferenceServerSimulator:
     def submitted_queries(self) -> Sequence[Query]:
         """Every query submitted to the open (or just-finished) run.
 
-        On the fast path the columnar runtime state is materialised onto the
-        query objects first, so callers always see current timestamps.
+        The columnar runtime state is materialised onto the query objects
+        first, so callers always see current timestamps.
         """
-        if self._fast:
-            self._columns.write_back()
+        self._columns.write_back()
         return tuple(self._submitted)
 
     def begin(self) -> None:
@@ -615,8 +561,7 @@ class InferenceServerSimulator:
         if self._active:
             raise RuntimeError("a streaming run is already open; call finish() first")
         self.scheduler.reset()
-        if self._fast:
-            self._columns = QueryColumns()
+        self._columns = QueryColumns()
         # re-attach columnar-bound observers to the fresh store
         self._rebind_handlers()
         self._build_workers()
@@ -634,17 +579,16 @@ class InferenceServerSimulator:
                 f"before the current simulation time {self._clock.now}"
             )
         self._submitted.append(query)
-        if self._fast:
-            self._columns.add(query)
+        self._columns.add(query)
         self._events.push(query.arrival_time, EventKind.ARRIVAL, query)
 
     def submit_trace(self, trace: QueryTrace) -> None:
         """Inject every query of ``trace`` (not copied — pass a fresh copy).
 
-        On the fast path a whole-trace submission into an empty event queue
-        is bulk-loaded: traces are sorted by arrival time, and a sorted batch
-        of same-kind events is already a valid heap, so the per-query
-        ``heappush`` walks disappear.
+        A whole-trace submission into an empty event queue is bulk-loaded:
+        traces are sorted by arrival time, and a sorted batch of same-kind
+        events is already a valid heap, so the per-query ``heappush`` walks
+        disappear.
         """
         if not self._active:
             raise RuntimeError("submit() requires an open run; call begin() first")
@@ -654,8 +598,7 @@ class InferenceServerSimulator:
         # QueryTrace guarantees sortedness, but duck-typed trace objects may
         # not, and a partial registration would leave phantom queries.
         bulk = (
-            self._fast
-            and queries
+            queries
             and not self._events
             and all(a <= b for a, b in zip(times, times[1:]))
         )
@@ -686,14 +629,7 @@ class InferenceServerSimulator:
         """
         if not self._active:
             raise RuntimeError("run_until() requires an open run; call begin() first")
-        if self._fast:
-            return self._run_fast(time)
-        events = self._events
-        while events:
-            if time is not None and events.peek().time > time:
-                break
-            self._process(events.pop())
-        return self._clock.now
+        return self._replay(time)
 
     def finish(self, offered_load_qps: Optional[float] = None) -> SimulationResult:
         """Drain every remaining event and close the run.
@@ -733,24 +669,15 @@ class InferenceServerSimulator:
         all_workers = (
             self._retired_workers + list(self._crashed.values()) + self.workers
         )
-        if self._fast:
-            self._columns.write_back()
-            statistics = compute_statistics_from_arrays(
-                completed_arrays_from_columns(self._columns),
-                all_workers,
-                makespan,
-                total_queries=len(self._submitted),
-                offered_load_qps=offered_load_qps,
-                failed=len(self._failed),
-            )
-        else:
-            statistics = compute_statistics(
-                self._submitted,
-                all_workers,
-                makespan,
-                offered_load_qps=offered_load_qps,
-                failed=len(self._failed),
-            )
+        self._columns.write_back()
+        statistics = compute_statistics_from_arrays(
+            completed_arrays_from_columns(self._columns),
+            all_workers,
+            makespan,
+            total_queries=len(self._submitted),
+            offered_load_qps=offered_load_qps,
+            failed=len(self._failed),
+        )
         per_instance = {
             worker.instance_id: len(worker.completed) for worker in all_workers
         }
@@ -766,26 +693,17 @@ class InferenceServerSimulator:
         """Digest the run *so far* (at the current simulation time).
 
         Unlike :meth:`finish` this leaves the run open; use it for live
-        metrics mid-run.  On the fast path the digestion reads the columnar
-        store directly — no object materialisation, no Python re-scan.
+        metrics mid-run.  The digestion reads the columnar store directly —
+        no object materialisation, no Python re-scan.
         """
-        makespan = self._clock.now
         all_workers = (
             self._retired_workers + list(self._crashed.values()) + self.workers
         )
-        if self._fast:
-            return compute_statistics_from_arrays(
-                completed_arrays_from_columns(self._columns),
-                all_workers,
-                makespan,
-                total_queries=len(self._submitted),
-                offered_load_qps=self._observed_arrival_rate(),
-                failed=len(self._failed),
-            )
-        return compute_statistics(
-            self._submitted,
+        return compute_statistics_from_arrays(
+            completed_arrays_from_columns(self._columns),
             all_workers,
-            makespan,
+            self._clock.now,
+            total_queries=len(self._submitted),
             offered_load_qps=self._observed_arrival_rate(),
             failed=len(self._failed),
         )
@@ -793,22 +711,13 @@ class InferenceServerSimulator:
     def _observed_arrival_rate(self) -> float:
         # submit() only forbids arrivals in the simulation's past, so the
         # submission order need not be arrival order — span over min/max.
-        if self._fast:
-            arrivals = np.frombuffer(self._columns.arrival, dtype=np.float64)
-            if arrivals.size < 2:
-                return 0.0
-            span = float(arrivals.max()) - float(arrivals.min())
-            if span <= 0:
-                return 0.0
-            return (arrivals.size - 1) / span
-        queries = self._submitted
-        if len(queries) < 2:
+        arrivals = np.frombuffer(self._columns.arrival, dtype=np.float64)
+        if arrivals.size < 2:
             return 0.0
-        times = [query.arrival_time for query in queries]
-        span = max(times) - min(times)
+        span = float(arrivals.max()) - float(arrivals.min())
         if span <= 0:
             return 0.0
-        return (len(queries) - 1) / span
+        return (arrivals.size - 1) / span
 
     # ------------------------------------------------------------------ #
     # live reconfiguration
@@ -875,7 +784,6 @@ class InferenceServerSimulator:
 
         # Pull back every query that has not started executing.
         requeue_handlers = self._h_requeued
-        materialise_objects = not self._fast or self._write_through
         requeued: List[Query] = []
         for query in self._central_queue:
             for handler in requeue_handlers:
@@ -885,9 +793,8 @@ class InferenceServerSimulator:
         drain_deadline = now
         for worker in self.workers:
             for query in worker.drain_queue():
-                if self._fast:
-                    self._columns.clear_dispatch(query.index)
-                if materialise_objects:
+                self._columns.clear_dispatch(query.index)
+                if self._write_through:
                     query.dispatch_time = None
                     query.instance_id = None
                 for handler in requeue_handlers:
@@ -919,7 +826,6 @@ class InferenceServerSimulator:
                 latency_fn=self._worker_latency_fn(instance),
                 noise_std=self._noise,
                 seed=self._seed + instance.instance_id,
-                queued_work_cache=self._fast,
                 columns=self._columns,
                 write_through=self._write_through,
             )
@@ -1039,7 +945,7 @@ class InferenceServerSimulator:
             raise RuntimeError("cannot crash the last live worker")
         now = self._clock.now
         self._mark_busy(worker)  # drop from the idle index
-        self.workers.remove(worker)  # in place: the fast context view stays live
+        self.workers.remove(worker)  # in place: the context view stays live
         self._crashed[instance_id] = worker
         worker.retired_at = now
         handlers = self._h_crashed
@@ -1058,24 +964,20 @@ class InferenceServerSimulator:
         displaced.extend(worker.drain_queue())
 
         columns = self._columns
-        materialise = not self._fast or self._write_through
+        materialise = self._write_through
         requeued = failed = 0
         for query in displaced:
-            if self._fast:
-                index = query.index
-                columns.start[index] = NAN
-                columns.clear_dispatch(index)
-                retries = int(columns.retries[index])
-            else:
-                retries = query.retries
+            index = query.index
+            columns.start[index] = NAN
+            columns.clear_dispatch(index)
+            retries = int(columns.retries[index])
             if materialise:
                 query.dispatch_time = None
                 query.start_time = None
                 query.instance_id = None
             if retries >= retry_policy.max_retries:
                 failed += 1
-                if self._fast:
-                    columns.fail_time[query.index] = now
+                columns.fail_time[index] = now
                 if materialise:
                     query.fail_time = now
                 self._failed.append(query)
@@ -1086,8 +988,7 @@ class InferenceServerSimulator:
                         handler(failed_event)
                 continue
             attempt = retries + 1
-            if self._fast:
-                columns.retries[query.index] = attempt
+            columns.retries[index] = attempt
             if materialise:
                 query.retries = attempt
             requeued += 1
@@ -1134,8 +1035,7 @@ class InferenceServerSimulator:
         # Offer the recovered worker backlog from the central queue, exactly
         # like the post-completion idle path.
         if self._central_queue:
-            context = self._fast_context(now) if self._fast else self._make_context(now)
-            pulled = self.scheduler.on_worker_idle(worker, context)
+            pulled = self.scheduler.on_worker_idle(worker, self._context_at(now))
             if pulled is not None:
                 queue = self._central_queue
                 if queue[0] is pulled:
@@ -1177,13 +1077,13 @@ class InferenceServerSimulator:
             handler(event)
 
     # ------------------------------------------------------------------ #
-    # the fast (columnar) replay loop
+    # the replay loop
     # ------------------------------------------------------------------ #
-    def _run_fast(self, until: Optional[float]) -> float:
+    def _replay(self, until: Optional[float]) -> float:
         """Drain the tuple-keyed heap up to ``until`` with the hot logic inline.
 
         Heap entries are ``(time, kind, seq, query, worker)`` tuples; the
-        loop unpacks them directly — no Event objects, no per-event method
+        loop unpacks them directly — no event objects, no per-event method
         dispatch, one clock write per event.  The heap's total order makes
         popped times non-decreasing, so the clock can be assigned without
         the monotonicity guard (push sites validate against the clock).
@@ -1237,7 +1137,7 @@ class InferenceServerSimulator:
                             events.push(available, _ARRIVAL, query)
                             continue
                         self._frontend_available = now + gap
-                    worker = scheduler.on_arrival(query, self._fast_context(now))
+                    worker = scheduler.on_arrival(query, self._context_at(now))
                     if worker is None:
                         central.append(query)
                     else:
@@ -1255,16 +1155,16 @@ class InferenceServerSimulator:
                             else:
                                 tombstones[key] = count - 1
                             continue
-                    self._complete_fast(entry[4], now)
+                    self._complete(entry[4], now)
                 else:
                     self._complete_reconfigure(now)
         finally:
             self._events_processed = processed
         return now
 
-    def _complete_fast(self, worker: PartitionWorker, now: float) -> None:
-        """Completion handling for the fast loop (worker comes straight off
-        the heap entry — no id -> worker map lookup)."""
+    def _complete(self, worker: PartitionWorker, now: float) -> None:
+        """Completion handling (the worker comes straight off the heap
+        entry — no id -> worker map lookup)."""
         query = worker.complete_current(now)
         handlers = self._h_completed
         if handlers:
@@ -1294,7 +1194,7 @@ class InferenceServerSimulator:
 
         # Otherwise offer the idle worker a query from the central queue.
         if self._central_queue:
-            pulled = self.scheduler.on_worker_idle(worker, self._fast_context(now))
+            pulled = self.scheduler.on_worker_idle(worker, self._context_at(now))
             if pulled is not None:
                 queue = self._central_queue
                 if queue[0] is pulled:
@@ -1309,109 +1209,6 @@ class InferenceServerSimulator:
         if handlers:
             idle = WorkerIdle(now, worker.instance_id)
             for handler in handlers:
-                handler(idle)
-
-    # ------------------------------------------------------------------ #
-    # naive-path event handlers (the reference semantics)
-    # ------------------------------------------------------------------ #
-    def _process(self, event: Event) -> None:
-        self._clock.advance_to(event.time)
-        self._events_processed += 1
-        now = self._clock.now
-        kind = event.kind
-        if kind is EventKind.ARRIVAL:
-            arrival_handlers = self._h_arrived
-            if arrival_handlers:
-                key = id(event.query)
-                if key not in self._announced:
-                    self._announced.add(key)
-                    arrived = QueryArrived(now, event.query)
-                    for handler in arrival_handlers:
-                        handler(arrived)
-            if self._staged is not None:
-                # The server is draining/reconfiguring: buffer at the frontend.
-                self._held.append(event.query)
-                return
-            if self._frontend_gap > 0:
-                # The frontend dispatches queries serially; an arrival that
-                # finds it busy is retried when it becomes free.
-                if self._frontend_available > now + 1e-15:
-                    self._events.push(
-                        self._frontend_available, EventKind.ARRIVAL, event.query
-                    )
-                    return
-                self._frontend_available = now + self._frontend_gap
-            self._handle_arrival(event.query, self._make_context(now), now)
-        elif kind is EventKind.COMPLETION:
-            self._handle_completion(event, now)
-        else:
-            self._complete_reconfigure(now)
-
-    def _handle_arrival(
-        self,
-        query: Query,
-        context: SchedulingContext,
-        now: float,
-    ) -> None:
-        worker = self.scheduler.on_arrival(query, context)
-        if worker is None:
-            self._central_queue.append(query)
-            return
-        self._dispatch(worker, query, now)
-
-    def _handle_completion(self, event: Event, now: float) -> None:
-        tombstones = self._tombstones
-        if tombstones:
-            # A crash aborted this completion's query mid-flight: discard.
-            key = (event.time, event.query.query_id, event.instance_id)
-            count = tombstones.get(key)
-            if count:
-                if count == 1:
-                    del tombstones[key]
-                else:
-                    tombstones[key] = count - 1
-                return
-        worker = self._workers_by_id[event.instance_id]
-        query = worker.complete_current(now)
-        completed_handlers = self._h_completed
-        if completed_handlers:
-            completed = QueryCompleted(now, query, worker.instance_id)
-            for handler in completed_handlers:
-                handler(completed)
-        violated_handlers = self._h_sla
-        if violated_handlers and query.sla_violated:
-            violated = SlaViolated(now, query, worker.instance_id)
-            for handler in violated_handlers:
-                handler(violated)
-
-        if worker.instance_id in self._draining_ids:
-            # A draining partition takes no further work; its local queue was
-            # already requeued, so finishing the in-flight query empties it.
-            return
-
-        # Start the next locally queued query, if any.
-        finish = worker.start_next(now)
-        if finish is not None:
-            self._events.push(
-                finish, EventKind.COMPLETION, worker.current_query, worker.instance_id
-            )
-            return
-
-        # Otherwise offer the idle worker a query from the central queue.
-        if self._central_queue:
-            pulled = self.scheduler.on_worker_idle(worker, self._make_context(now))
-            if pulled is not None:
-                queue = self._central_queue
-                if queue[0] is pulled:
-                    queue.popleft()
-                else:
-                    queue.remove(pulled)
-                self._dispatch(worker, pulled, now)
-                return
-        idle_handlers = self._h_idle
-        if idle_handlers:
-            idle = WorkerIdle(now, worker.instance_id)
-            for handler in idle_handlers:
                 handler(idle)
 
     def _dispatch(
@@ -1429,12 +1226,4 @@ class InferenceServerSimulator:
                 handler(dispatched)
         finish = worker.start_next(now)
         if finish is not None:
-            if self._fast:
-                self._events.push(finish, _COMPLETION, worker.current_query, worker)
-            else:
-                self._events.push(
-                    finish,
-                    EventKind.COMPLETION,
-                    worker.current_query,
-                    worker.instance_id,
-                )
+            self._events.push(finish, _COMPLETION, worker.current_query, worker)

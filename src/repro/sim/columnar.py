@@ -1,24 +1,19 @@
-"""Columnar (struct-of-arrays) per-query runtime state for the fast path.
+"""Columnar (struct-of-arrays) per-query runtime state of a replay.
 
-The naive reference path records a query's runtime state — dispatch, start,
-finish, executing instance — as attributes on the :class:`~repro.workload.query.Query`
-object itself.  That is the right representation for inspection and for the
-reference semantics, but it makes the replay hot loop touch thousands of
-Python objects and forces statistics digestion to re-scan every object in
-Python.
-
-When ``fast_path=True`` the simulator instead keeps that state here, as flat
-``array('d')`` / ``array('q')`` columns indexed by submission order:
+A query's runtime state — dispatch, start, finish, executing instance,
+retries, failure — is kept here during a replay rather than as attributes on
+each :class:`~repro.workload.query.Query` object, as flat ``array('d')`` /
+``array('q')`` columns indexed by submission order:
 
 * the replay loop writes plain array slots instead of object attributes;
 * statistics digestion (:func:`repro.sim.metrics.completed_arrays_from_columns`)
   wraps the columns in numpy views via the buffer protocol — zero copies, no
-  per-query Python loop — and produces results bit-identical to the object
-  scan (same IEEE operations over the same float64 values in the same,
-  submission, order);
+  per-query Python loop — and produces results bit-identical to an object
+  scan (:func:`repro.sim.metrics.compute_statistics`: same IEEE operations
+  over the same float64 values in the same, submission, order);
 * :meth:`QueryColumns.write_back` materialises the columns onto the Query
-  objects once at the end of a run, so ``SimulationResult.queries`` is
-  indistinguishable from a naive replay.
+  objects once at the end of a run, so ``SimulationResult.queries`` carries
+  every timestamp.
 
 ``NaN`` marks an unset timestamp (and a query without an SLA deadline);
 ``-1`` marks an unset instance id.  The ``announced`` flags replace the
@@ -106,7 +101,7 @@ class QueryColumns:
 
         Idempotent; called once when a run finishes (and by introspection
         surfaces that hand out the query objects mid-run) so the objects
-        carry exactly the values a naive replay would have written.
+        carry exactly the runtime state recorded in the columns.
         """
         dispatch = self.dispatch
         start = self.start

@@ -3,25 +3,14 @@
 The engine is intentionally tiny: a priority queue of events and a
 monotonically advancing clock.  The interesting behaviour (queueing,
 scheduling, execution) lives in :mod:`repro.sim.cluster`; keeping the engine
-separate makes it independently testable and reusable (the scheduling
-timeline examples drive it directly).
+separate makes it independently testable.
 
-Two queue implementations share one contract:
-
-* :class:`EventQueue` — the reference queue of :class:`Event` dataclass
-  instances, used by the naive replay path and by anything that wants rich,
-  inspectable event objects;
-* :class:`TupleEventQueue` — the fast path's heap of plain
-  ``(time, kind, seq, query, worker)`` tuples.  Tuples compare element-wise
-  in C, so the O(log n) comparisons of every heap operation never enter
-  Python, and no :class:`Event` object is ever constructed in the hot loop —
-  :meth:`TupleEventQueue.materialize` builds one lazily on the rare occasion
-  a caller wants the dataclass view of an entry.
-
-Both order events by ``(time, kind, sequence)`` — the same total order as
-:class:`Event` itself — which is what keeps the fast and naive replays
-bit-identical: completions still beat arrivals at equal timestamps, and
-reconfigurations still come last.
+:class:`TupleEventQueue` is a heap of plain ``(time, kind, seq, query,
+worker)`` tuples.  Tuples compare element-wise in C, so the O(log n)
+comparisons of every heap operation never enter Python and no event object
+is ever constructed in the replay loop.  Entries order by ``(time, kind,
+sequence)``: completions beat arrivals at equal timestamps, and
+reconfigurations come last (see :class:`~repro.sim.events.EventKind`).
 """
 
 from __future__ import annotations
@@ -29,10 +18,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-from repro.sim.events import Event, EventKind
 from repro.workload.query import Query
 
-#: A fast-path heap entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
+#: A heap entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
 #: unique per queue, so comparisons never reach the non-comparable payload
 #: slots; completions carry the worker object directly (no id -> worker map
 #: lookup when the event fires).
@@ -52,80 +40,12 @@ class SimulationClock:
         """Current simulation time in seconds."""
         return self._now
 
-    def advance_to(self, time: float) -> None:
-        """Advance the clock to ``time``.
-
-        Raises:
-            ValueError: if ``time`` is in the past — the simulator never
-                rewinds, so a violation indicates an event-ordering bug.
-        """
-        if time < self._now - 1e-12:
-            raise ValueError(
-                f"cannot move clock backwards from {self._now} to {time}"
-            )
-        self._now = max(self._now, time)
-
-
-class EventQueue:
-    """A deterministic priority queue of simulation events."""
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._sequence = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(
-        self,
-        time: float,
-        kind: EventKind,
-        query: Optional[Query] = None,
-        instance_id: Optional[int] = None,
-    ) -> Event:
-        """Create and enqueue an event, assigning it the next sequence number."""
-        event = Event(
-            time=time,
-            kind=kind,
-            sequence=self._sequence,
-            query=query,
-            instance_id=instance_id,
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event.
-
-        Raises:
-            IndexError: if the queue is empty.
-        """
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Event:
-        """Return (without removing) the earliest event.
-
-        Drain loops that only need the next event *time* should peek instead
-        of popping and re-pushing: a peek is one C-level index, a pop +
-        re-push is two O(log n) heap walks.
-        """
-        if not self._heap:
-            raise IndexError("peek into empty event queue")
-        return self._heap[0]
-
 
 class TupleEventQueue:
-    """The fast path's tuple-keyed event heap.
+    """The simulator's tuple-keyed event heap.
 
-    Same deterministic ``(time, kind, sequence)`` total order as
-    :class:`EventQueue`, but entries are plain tuples: no dataclass
-    construction per event, and heap comparisons run entirely in C.
+    A deterministic ``(time, kind, sequence)`` total order over plain tuples:
+    no object construction per event, and heap comparisons run entirely in C.
     """
 
     __slots__ = ("_heap", "_sequence")
@@ -196,20 +116,3 @@ class TupleEventQueue:
         if not self._heap:
             raise IndexError("peek into empty event queue")
         return self._heap[0]
-
-    @staticmethod
-    def materialize(entry: TupleEvent) -> Event:
-        """Lazily build the :class:`Event` dataclass view of ``entry``.
-
-        The hot loop never calls this; it exists for callers (tests,
-        debugging, observers of raw engine events) that want the rich object.
-        """
-        time, kind, sequence, query, worker = entry
-        instance_id = getattr(worker, "instance_id", worker)
-        return Event(
-            time=time,
-            kind=EventKind(kind),
-            sequence=sequence,
-            query=query,
-            instance_id=instance_id,
-        )

@@ -1,12 +1,8 @@
-"""Event types for the discrete-event simulator."""
+"""Event kinds for the discrete-event simulator."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.workload.query import Query
 
 
 class EventKind(enum.IntEnum):
@@ -23,29 +19,3 @@ class EventKind(enum.IntEnum):
     COMPLETION = 0
     ARRIVAL = 1
     RECONFIG = 2
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """A timestamped simulation event.
-
-    Events order by (time, kind, sequence), giving the simulator a total,
-    deterministic order even when timestamps collide.
-
-    Attributes:
-        time: simulation time in seconds.
-        kind: event kind (arrival, completion or reconfiguration).
-        sequence: monotonically increasing tie-breaker assigned by the queue.
-        query: the query this event concerns (``None`` for reconfigurations).
-        instance_id: for completions, the partition instance that finished.
-    """
-
-    time: float
-    kind: EventKind
-    sequence: int
-    query: Optional[Query] = field(default=None, compare=False)
-    instance_id: Optional[int] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("event time must be non-negative")

@@ -21,8 +21,6 @@ Events published per run:
 * :class:`WorkerIdle` — a partition finished with nothing left to do;
 * :class:`QueryRequeued` — a mid-run reconfiguration pulled a not-yet-started
   query back off a partition's local queue;
-* :class:`QueryDropped` — reserved for load-shedding policies (the built-in
-  simulator never drops work);
 * :class:`ReconfigStarted` / :class:`ReconfigFinished` — a live MIG
   repartition began draining / came back online;
 * :class:`ServerScaledOut` / :class:`ServerScaledIn` /
@@ -119,19 +117,6 @@ class QueryRequeued(SimEvent):
 
     query: Query
     instance_id: Optional[int]
-
-
-@dataclass(slots=True)
-class QueryDropped(SimEvent):
-    """A query was explicitly dropped (never executed).
-
-    Reserved for load-shedding policies: the built-in simulator never drops
-    work (every arrival completes — the conservation property the test suite
-    pins), so only custom schedulers/session logic emit this today.
-    """
-
-    query: Query
-    reason: str
 
 
 @dataclass(slots=True)
@@ -245,7 +230,6 @@ _HANDLERS = {
     SlaViolated: "on_sla_violated",
     WorkerIdle: "on_worker_idle",
     QueryRequeued: "on_query_requeued",
-    QueryDropped: "on_query_dropped",
     ReconfigStarted: "on_reconfig_started",
     ReconfigFinished: "on_reconfig_finished",
     ServerScaledOut: "on_server_scaled_out",
@@ -290,9 +274,6 @@ class SimulationObserver:
 
     def on_query_requeued(self, event: QueryRequeued) -> None:
         """A reconfiguration requeued an undispatched query."""
-
-    def on_query_dropped(self, event: QueryDropped) -> None:
-        """A query was explicitly dropped."""
 
     def on_reconfig_started(self, event: ReconfigStarted) -> None:
         """A live repartition started."""
@@ -427,7 +408,7 @@ class StatisticsCollector(SimulationObserver):
 class ReconfigEventsOnly(SimulationObserver):
     """Delivery view forwarding only reconfiguration events to ``target``.
 
-    The fast-path simulator wraps columnar-bound observers
+    The simulator wraps columnar-bound observers
     (:meth:`WindowedMetrics.attach_columns`) in this view: per-query events
     are neither delivered nor constructed for them, while the rare
     reconfiguration and fault lifecycle still flows (downtime and crash
@@ -510,15 +491,15 @@ class WindowStats:
 class WindowedMetrics(SimulationObserver):
     """Per-time-window latency / throughput / violation series.
 
-    Two operating modes, chosen by the simulator when the observer is
-    attached:
+    Two operating modes:
 
-    * **event-driven** (naive path, or any simulator without a columnar
-      store): every event updates exactly one window bucket, so the
-      observer's cost is O(1) per event and :meth:`series` digests each
-      completion exactly once — no O(n) re-scan per window;
-    * **columnar** (the fast path): :meth:`attach_columns` binds the
-      observer to the run's struct-of-arrays store, per-query events are
+    * **event-driven** (events delivered by any source without a columnar
+      store, e.g. replayed from an :class:`EventLog` or driven directly):
+      every event updates exactly one window bucket, so the observer's cost
+      is O(1) per event and :meth:`series` digests each completion exactly
+      once — no O(n) re-scan per window;
+    * **columnar** (what the simulator binds): :meth:`attach_columns` binds
+      the observer to the run's struct-of-arrays store, per-query events are
       *never delivered* (or even constructed), and every view —
       :meth:`series`, :meth:`observed_batch_histogram`,
       :meth:`recent_violation_stats` — digests the columns vectorised on
@@ -530,8 +511,8 @@ class WindowedMetrics(SimulationObserver):
       differs.
 
     The columnar mode is what keeps the lifecycle-hook overhead of a
-    session's default observer within budget on the fast path: the replay
-    loop never pays a Python callback per query.
+    session's default observer within budget: the replay loop never pays a
+    Python callback per query.
 
     One observer describes **one run at a time**: binding to a new run's
     store resets it (:meth:`attach_columns`), whereas an event-driven
@@ -567,7 +548,7 @@ class WindowedMetrics(SimulationObserver):
         # same bucket the previous event touched.
         self._cached_index = -1
         self._cached_bucket: Optional[_Bucket] = None
-        # Columnar binding (fast path): the run's struct-of-arrays store and
+        # Columnar binding: the run's struct-of-arrays store and
         # a clock source exposing ``.now``.
         self._columns: Optional["QueryColumns"] = None
         self._source: Any = None
@@ -576,7 +557,7 @@ class WindowedMetrics(SimulationObserver):
     # columnar binding
     # ------------------------------------------------------------------ #
     def attach_columns(self, columns: "QueryColumns", source: Any) -> bool:
-        """Bind this observer to a run's columnar store (fast path only).
+        """Bind this observer to a run's columnar store.
 
         ``source`` is anything exposing the current simulation time as
         ``.now`` (the simulator).  Binding resets the observer — it now

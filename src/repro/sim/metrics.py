@@ -91,7 +91,7 @@ class CompletedArrays:
 
 
 def completed_arrays_from_columns(columns: Any) -> CompletedArrays:
-    """Digest a fast-path columnar store into :class:`CompletedArrays`.
+    """Digest a simulator's columnar store into :class:`CompletedArrays`.
 
     ``columns`` is a :class:`repro.sim.columnar.QueryColumns` (duck-typed to
     avoid an import cycle).  The ``array('d')`` columns are wrapped in numpy
@@ -264,7 +264,7 @@ def compute_statistics_from_arrays(
 ) -> ServerStatistics:
     """:func:`compute_statistics` over pre-built digestion columns.
 
-    The fast simulator path hands its columnar store straight here (via
+    The simulator hands its columnar store straight here (via
     :func:`completed_arrays_from_columns`) so digestion never re-scans the
     query objects.
     """

@@ -40,7 +40,7 @@ class SchedulingContext:
             then instance id (the iteration order ELSA's Step A expects).
         central_queue: read-only view of the queries currently parked in the
             server-wide FIFO (relevant to central-queue policies).  Must not
-            be mutated — the fast-path simulator shares its live queue here
+            be mutated — the simulator shares its live queue here
             instead of copying it per event.
         estimator: the profiled latency oracle (model, batch, gpcs) -> seconds,
             i.e. the ``T_estimated`` lookup of Section IV-C.  On a
@@ -48,7 +48,7 @@ class SchedulingContext:
             oracle; use :meth:`oracle_for` to resolve the right oracle per
             worker.
         idle: the completely idle workers in ``workers`` order, maintained
-            incrementally by the fast-path simulator so policies need not
+            incrementally by the simulator so policies need not
             rescan every worker per event; ``None`` when the caller did not
             precompute it (``Scheduler.idle_workers`` then falls back to a
             scan, which yields the same list).

@@ -10,12 +10,12 @@ Execution times come from the model's :class:`~repro.perf.lookup.ProfileTable`
 — the same table ELSA's estimator reads — with an optional multiplicative
 noise term to model run-to-run variance of real hardware.
 
-Runtime state can live in two places: on the :class:`~repro.workload.query.Query`
-objects themselves (the naive/reference representation) or in the fast path's
-columnar store (:class:`~repro.sim.columnar.QueryColumns`), in which case the
-worker writes array slots instead of object attributes and the objects are
-materialised from the columns when the run finishes (or eagerly, per query,
-when lifecycle observers need to read them mid-run).
+Runtime state lives in the simulator's columnar store
+(:class:`~repro.sim.columnar.QueryColumns`) when one is given: the worker
+writes array slots instead of :class:`~repro.workload.query.Query` attributes,
+and the objects are materialised from the columns when the run finishes (or
+eagerly, per query, when lifecycle observers need to read them mid-run).
+Without a store (standalone use) the worker writes the query objects.
 """
 
 from __future__ import annotations
@@ -44,15 +44,10 @@ class PartitionWorker:
             noise applied to execution times (0 = deterministic, the default;
             DNN inference latency is close to deterministic, Section IV-C).
         seed: RNG seed for the noise term.
-        queued_work_cache: cache the summed queued-work estimate between
-            queue mutations, so schedulers that poll every worker per arrival
-            (ELSA, least-loaded) pay O(1) instead of re-walking the queue.
-            The cached value is always a fresh left-to-right sum over the
-            queue, so it is bit-identical to an uncached scan.
         created_at: simulation time this worker came online (0 for the
             initial partition set; the reconfiguration completion time for
             workers added by a live repartition).
-        columns: the fast path's columnar runtime-state store.  When given,
+        columns: the simulator's columnar runtime-state store.  When given,
             dispatch/start/finish timestamps are written to array slots
             (``Query.index`` addresses the row) instead of query attributes.
         write_through: with ``columns``, *also* write the query attributes —
@@ -66,7 +61,6 @@ class PartitionWorker:
         latency_fn: LatencyFn,
         noise_std: float = 0.0,
         seed: Optional[int] = None,
-        queued_work_cache: bool = True,
         created_at: float = 0.0,
         columns: Optional[QueryColumns] = None,
         write_through: bool = False,
@@ -105,7 +99,11 @@ class PartitionWorker:
         self._write_objects = columns is None or write_through
         self._current_start = 0.0
 
-        self._qw_cache_enabled = queued_work_cache
+        #: The queued-work estimate is cached between queue mutations, so
+        #: schedulers that poll every worker per arrival (ELSA, least-loaded)
+        #: pay O(1) instead of re-walking the queue.  The cached value is
+        #: always a fresh left-to-right sum over the queue, so it equals an
+        #: uncached scan bit for bit.
         self._qw_estimator: Optional[LatencyFn] = None
         #: Per-query estimates (same order as ``queue``) under the current
         #: estimator, so a recompute is a pure float sum with no lookups.
@@ -166,7 +164,7 @@ class PartitionWorker:
         if self._write_objects:
             query.dispatch_time = now
             query.instance_id = self.instance_id
-        if self._qw_cache_enabled and self._qw_estimator is not None:
+        if self._qw_estimator is not None:
             # Estimate before mutating, so an estimator error cannot leave
             # the queue and its estimate cache out of sync.
             estimate = self._qw_estimator(query.model, query.batch, self.gpcs)
@@ -242,16 +240,10 @@ class PartitionWorker:
     def queued_work(self, estimator: LatencyFn) -> float:
         """Summed estimated execution time of every queued (not started) query.
 
-        With the queued-work cache enabled (the default) the sum is
-        recomputed only after the queue changed or when queried with a
-        different estimator object; schedulers that poll every worker per
-        arrival with one persistent estimator therefore pay O(1) here.
+        The sum is recomputed only after the queue changed or when queried
+        with a different estimator object; schedulers that poll every worker
+        per arrival with one persistent estimator therefore pay O(1) here.
         """
-        if not self._qw_cache_enabled:
-            total = sum(
-                estimator(query.model, query.batch, self.gpcs) for query in self.queue
-            )
-            return total * self.slow_factor if self.slow_factor != 1.0 else total
         if estimator is not self._qw_estimator:
             gpcs = self.gpcs
             self._qw_estimates = deque(
@@ -276,11 +268,7 @@ class PartitionWorker:
         clean-cache case is answered inline instead of through two further
         method calls; the arithmetic is identical either way.
         """
-        if (
-            self._qw_cache_enabled
-            and estimator is self._qw_estimator
-            and not self._qw_dirty
-        ):
+        if estimator is self._qw_estimator and not self._qw_dirty:
             queued = self._qw_total
             if self.slow_factor != 1.0:
                 queued *= self.slow_factor

@@ -17,12 +17,11 @@ from typing import Optional
 class Query:
     """One inference request.
 
-    The runtime fields (``dispatch_time`` … ``instance_id``) are authoritative
-    on the naive/reference simulator path.  The fast path keeps them in the
-    columnar store (:mod:`repro.sim.columnar`) instead — ``index`` is the
-    query's row there — and this object becomes a thin view: the columns are
-    materialised onto it when the run finishes, or eagerly while observers
-    are attached.
+    During a replay the simulator keeps the runtime fields
+    (``dispatch_time`` … ``fail_time``) in its columnar store
+    (:mod:`repro.sim.columnar`) — ``index`` is the query's row there — and
+    this object is a thin view: the columns are materialised onto it when the
+    run finishes, or eagerly while observers are attached.
 
     Attributes:
         query_id: unique id within a trace.
@@ -35,8 +34,8 @@ class Query:
         start_time: when execution began on the partition.
         finish_time: when execution completed.
         instance_id: partition instance that executed the query.
-        index: row index in the current run's columnar store (fast path
-            only; assigned at submission).
+        index: row index in the current run's columnar store (assigned at
+            submission).
         retries: times the query was displaced by a worker crash and
             requeued (0 without fault injection).
         fail_time: when the query exhausted its retry budget and failed

@@ -1,7 +1,8 @@
 """The committed iso-SLA experiment artifact and its claim checker.
 
 The heavy regeneration path (``run_iso_sla_experiment``) is exercised by
-``scripts/autoscale_smoke.py`` in its own CI job; here we pin the cheap
+``python -m repro.pipeline check autoscale`` in its own CI step; here we
+pin the cheap
 invariants: the committed artifact exists, its claims hold, and the
 experiment's building blocks construct deterministically.
 """

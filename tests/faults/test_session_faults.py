@@ -3,8 +3,9 @@
 The contracts under test, in order of importance:
 
 * an empty (or beyond-horizon) schedule leaves the session **bit-identical**
-  to one constructed without ``faults=`` — on the fast and the naive path,
-  chunked or one-shot;
+  to one constructed without ``faults=``, chunked or one-shot (a fixed
+  crash/straggler/restart schedule is also a replay-corpus case, so its
+  exact outcome is pinned in ``baselines/replay_corpus.json``);
 * a crash requeues the victim's displaced queries (bounded by the
   :class:`RetryPolicy`) and budget-exhausted queries surface as first-class
   failures, conserving every arrival;
@@ -12,8 +13,6 @@ The contracts under test, in order of importance:
   to the old shapes with the planning PDF untouched;
 * availability / MTTR accounting lands on the result and its summary.
 """
-
-import dataclasses
 
 import pytest
 
@@ -106,23 +105,6 @@ class TestBitIdentity:
         chunked = _run(config, profiler, faults=schedule, chunk=0.17)
         assert _signature(oneshot) == _signature(chunked)
         assert oneshot.fault_events == chunked.fault_events
-
-    def test_fast_equals_naive_under_faults(self, config, profiler):
-        schedule = FaultSchedule(
-            [
-                WorkerCrash(time=0.1, worker=0),
-                StragglerStart(time=0.2, worker=1, multiplier=3.0),
-                WorkerRestart(time=0.35, worker=0),
-            ]
-        )
-        fast = _run(config, profiler, faults=schedule)
-        naive = _run(
-            dataclasses.replace(config, fast_path=False),
-            profiler,
-            faults=schedule,
-        )
-        assert _signature(fast) == _signature(naive)
-        assert fast.fault_events == naive.fault_events
 
 
 class TestConstruction:

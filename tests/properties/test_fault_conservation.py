@@ -1,13 +1,11 @@
-"""Property: fault injection conserves every query, on both sim paths.
+"""Property: fault injection conserves every query.
 
 Whatever crash/restart/straggler schedule is injected and whatever the
 retry budget, every submitted query must end the run in exactly one of two
 terminal states — *completed* (a finish time, no fail time) or *failed*
-(a fail time, no finish time) — and the fast columnar path must reproduce
-the naive object path bit-for-bit, retries and failures included.
+(a fail time, no finish time).  Exact outcomes under seeded fault schedules
+are pinned by the replay corpus (``tests/sim/test_replay_corpus.py``).
 """
-
-import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -91,33 +89,3 @@ def test_every_arrival_completes_or_fails_exactly_once(schedule, policy, seed):
     assert completed == stats.completed_queries
     assert failed == stats.failed_queries
     assert completed + failed == stats.total_queries
-
-
-@settings(max_examples=10, deadline=None)
-@given(schedule=fault_schedules(), policy=retry_policies(), seed=st.integers(0, 50))
-def test_fast_path_reproduces_naive_path_under_faults(schedule, policy, seed):
-    fast = _run(CONFIG, schedule, policy, seed)
-    naive = _run(
-        dataclasses.replace(CONFIG, fast_path=False), schedule, policy, seed
-    )
-    assert fast.fault_events == naive.fault_events
-
-    def signature(result):
-        return [
-            (
-                q.query_id,
-                q.dispatch_time,
-                q.start_time,
-                q.finish_time,
-                q.instance_id,
-                q.retries,
-                q.fail_time,
-            )
-            for q in result.simulation.queries
-        ]
-
-    assert signature(fast) == signature(naive)
-    assert (
-        fast.simulation.statistics.failed_queries
-        == naive.simulation.statistics.failed_queries
-    )

@@ -3,8 +3,8 @@ bit-identical to the classic MultiGPUServer path.
 
 ``Fleet([A100 x 8])`` must reproduce today's results *exactly* — the same
 PARIS plan, the same MIG placement and instance ids, the same ELSA/FIFS
-schedules and the same metrics — under ``fast_path=True`` and ``False``,
-and across a live mid-run repartition.  The fleet layer adds capability
+schedules and the same metrics — on one-shot replays and across a live
+mid-run repartition.  The fleet layer adds capability
 (mixed architectures), never drift.
 """
 
@@ -67,8 +67,7 @@ def test_single_arch_fleet_plans_and_instances_identical(pdf):
 
 
 @pytest.mark.parametrize("scheduler", ["elsa", "fifs", "least-loaded"])
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_single_arch_fleet_replay_bit_identical(scheduler, fast_path):
+def test_single_arch_fleet_replay_bit_identical(scheduler):
     pdf = {1: 0.4, 4: 0.3, 8: 0.2, 32: 0.1}
     d_flat = build_deployment(_flat_config(scheduler=scheduler), pdf)
     d_fleet = build_deployment(_fleet_config(scheduler=scheduler), pdf)
@@ -81,8 +80,8 @@ def test_single_arch_fleet_replay_bit_identical(scheduler, fast_path):
             sla_target=d_flat.sla_target,
         )
     ).generate()
-    r_flat = d_flat.simulator(fast_path=fast_path).run(trace)
-    r_fleet = d_fleet.simulator(fast_path=fast_path).run(trace)
+    r_flat = d_flat.simulator().run(trace)
+    r_fleet = d_fleet.simulator().run(trace)
     assert _signature(r_flat) == _signature(r_fleet)
     assert r_flat.statistics == r_fleet.statistics
     assert r_flat.per_instance_queries == r_fleet.per_instance_queries
@@ -99,8 +98,7 @@ def test_single_arch_fleet_replan_identical():
     assert list(d_fleet.instances) == list(d_flat.instances)
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_single_arch_fleet_session_with_live_repartition_identical(fast_path):
+def test_single_arch_fleet_session_with_live_repartition_identical():
     """The full streaming loop — windowed metrics, a drift trigger firing, a
     live MIG repartition with downtime — replays identically on a
     single-architecture fleet and on the flat server."""
@@ -108,10 +106,7 @@ def test_single_arch_fleet_session_with_live_repartition_identical(fast_path):
         model="resnet", rate_qps=2500.0, num_queries=1200, seed=3, sigma=1.4
     )
     results = []
-    for config in (
-        _flat_config(fast_path=fast_path),
-        _fleet_config(fast_path=fast_path),
-    ):
+    for config in (_flat_config(), _fleet_config()):
         session = ServingSession(
             config,
             batch_pdf={1: 0.8, 2: 0.2},  # deliberately stale prior

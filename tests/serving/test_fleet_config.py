@@ -79,11 +79,10 @@ class TestFleetBuilder:
         config = (
             ServerBuilder("resnet")
             .fleet((2, "a100"), (2, "a30"))
-            .cluster(fast_path=False, frontend_capacity_qps=500.0)
+            .cluster(frontend_capacity_qps=500.0)
             .build()
         )
         assert config.fleet is not None
-        assert config.fast_path is False
         assert config.frontend_capacity_qps == 500.0
 
     def test_empty_fleet_step_rejected(self):

@@ -159,10 +159,6 @@ class TestFastPathBookkeeping:
         simulator.run(trace)
         assert simulator.events_processed == 6  # 3 arrivals + 3 completions
 
-    def test_fast_path_flag_exposed(self):
-        assert make_simulator().fast_path is True
-        assert make_simulator(fast_path=False).fast_path is False
-
     def test_reconfigured_utilization_uses_active_spans(self):
         """Fully busy worker retired halfway through the run reports ~1.0."""
         simulator = make_simulator(sizes=(7,), latencies={7: 1.0})

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import EventQueue, SimulationClock
-from repro.sim.events import Event, EventKind
+from repro.sim.engine import SimulationClock, TupleEventQueue
+from repro.sim.events import EventKind
 from repro.workload.query import Query
 
 
@@ -12,67 +12,62 @@ def make_query(qid=0):
 
 
 class TestSimulationClock:
-    def test_advances_forward(self):
-        clock = SimulationClock()
-        clock.advance_to(1.5)
-        assert clock.now == 1.5
-        clock.advance_to(1.5)
-        assert clock.now == 1.5
-
-    def test_rejects_going_backwards(self):
-        clock = SimulationClock(start=2.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(1.0)
-
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             SimulationClock(start=-1.0)
 
 
 class TestEvent:
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Event(time=-1.0, kind=EventKind.ARRIVAL, sequence=0, query=make_query())
+    """Events are plain ``(time, kind, seq, query, worker)`` heap tuples."""
 
     def test_completion_sorts_before_arrival_at_same_time(self):
-        completion = Event(
-            time=1.0, kind=EventKind.COMPLETION, sequence=5, query=make_query()
-        )
-        arrival = Event(time=1.0, kind=EventKind.ARRIVAL, sequence=1, query=make_query())
+        queue = TupleEventQueue()
+        arrival = queue.push(1.0, EventKind.ARRIVAL, make_query())
+        completion = queue.push(1.0, EventKind.COMPLETION, make_query(), worker="w")
+        # the completion's later sequence number loses to the kind tie-break
+        assert completion[2] > arrival[2]
         assert completion < arrival
 
 
 class TestEventQueue:
+    """The event-queue contract: time order, FIFO ties, peek, pop, emptiness."""
+
     def test_orders_by_time(self):
-        queue = EventQueue()
+        queue = TupleEventQueue()
         queue.push(2.0, EventKind.ARRIVAL, make_query(0))
         queue.push(1.0, EventKind.ARRIVAL, make_query(1))
         queue.push(3.0, EventKind.ARRIVAL, make_query(2))
-        times = [queue.pop().time for _ in range(3)]
+        times = [queue.pop()[0] for _ in range(3)]
         assert times == [1.0, 2.0, 3.0]
 
     def test_fifo_within_same_timestamp_and_kind(self):
-        queue = EventQueue()
+        queue = TupleEventQueue()
         first = queue.push(1.0, EventKind.ARRIVAL, make_query(0))
         second = queue.push(1.0, EventKind.ARRIVAL, make_query(1))
+        queue.push(1.0, EventKind.RECONFIG)
         assert queue.pop() is first
         assert queue.pop() is second
+        assert queue.pop()[1] == int(EventKind.RECONFIG)  # reconfigurations last
 
     def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(1.0, EventKind.ARRIVAL, make_query())
-        assert queue.peek().time == 1.0
-        assert len(queue) == 1
+        queue = TupleEventQueue()
+        queue.push(2.0, EventKind.ARRIVAL, make_query(0))
+        queue.push(1.0, EventKind.ARRIVAL, make_query(1))
+        earliest = queue.peek()
+        assert earliest[0] == 1.0
+        assert queue.peek() is earliest
+        assert len(queue) == 2
+        assert queue.pop() is earliest
 
     def test_pop_and_peek_empty_raise(self):
-        queue = EventQueue()
+        queue = TupleEventQueue()
         with pytest.raises(IndexError):
             queue.pop()
         with pytest.raises(IndexError):
             queue.peek()
 
     def test_len_and_truthiness(self):
-        queue = EventQueue()
+        queue = TupleEventQueue()
         assert not queue
         queue.push(0.0, EventKind.ARRIVAL, make_query())
         assert queue
@@ -81,8 +76,6 @@ class TestEventQueue:
 
 class TestTupleEventQueue:
     def make(self):
-        from repro.sim.engine import TupleEventQueue
-
         return TupleEventQueue()
 
     def test_orders_by_time_kind_sequence(self):
@@ -91,33 +84,12 @@ class TestTupleEventQueue:
         queue.push(1.0, EventKind.ARRIVAL, make_query(1))
         queue.push(1.0, EventKind.COMPLETION, make_query(2), worker="w")
         order = [queue.pop() for _ in range(3)]
-        # completion beats arrival at t=1.0 (same tie-break as Event)
+        # completion beats arrival at t=1.0 (EventKind tie-break)
         assert [(e[0], e[1]) for e in order] == [
             (1.0, int(EventKind.COMPLETION)),
             (1.0, int(EventKind.ARRIVAL)),
             (2.0, int(EventKind.ARRIVAL)),
         ]
-
-    def test_total_order_matches_event_queue(self):
-        """Same pushes into both queues drain in the same order."""
-        pushes = [
-            (2.0, EventKind.ARRIVAL),
-            (1.0, EventKind.RECONFIG),
-            (1.0, EventKind.COMPLETION),
-            (1.0, EventKind.ARRIVAL),
-            (0.5, EventKind.ARRIVAL),
-            (2.0, EventKind.COMPLETION),
-        ]
-        reference, tuples = EventQueue(), self.make()
-        for index, (time, kind) in enumerate(pushes):
-            query = make_query(index)
-            reference.push(time, kind, query)
-            tuples.push(time, kind, query)
-        while reference:
-            event = reference.pop()
-            entry = tuples.pop()
-            assert (event.time, int(event.kind), event.sequence) == entry[:3]
-            assert entry[3] is event.query
 
     def test_peek_does_not_remove(self):
         queue = self.make()
@@ -146,19 +118,3 @@ class TestTupleEventQueue:
         queue.push(0.0, EventKind.ARRIVAL, make_query())
         with pytest.raises(ValueError):
             queue.extend_sorted([1.0], EventKind.ARRIVAL, [make_query(1)])
-
-    def test_materialize_builds_the_event_view_lazily(self):
-        from repro.sim.engine import TupleEventQueue
-
-        queue = self.make()
-
-        class FakeWorker:
-            instance_id = 7
-
-        queue.push(1.0, EventKind.COMPLETION, make_query(3), worker=FakeWorker())
-        event = TupleEventQueue.materialize(queue.peek())
-        assert isinstance(event, Event)
-        assert event.time == 1.0
-        assert event.kind is EventKind.COMPLETION
-        assert event.instance_id == 7
-        assert event.query.query_id == 3

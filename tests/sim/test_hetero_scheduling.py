@@ -39,12 +39,11 @@ def mixed_instances():
     ]
 
 
-def build_simulator(scheduler, instances=None, fast_path=True):
+def build_simulator(scheduler, instances=None):
     return InferenceServerSimulator(
         instances=instances or mixed_instances(),
         profiles={MODEL: SLOW_TABLE},
         scheduler=scheduler,
-        fast_path=fast_path,
         arch_profiles={k: dict(v) for k, v in ARCH_PROFILES.items()},
     )
 
@@ -58,12 +57,11 @@ def make_elsa(**kwargs):
 
 
 class TestPerArchitectureExecution:
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_workers_execute_through_their_own_tables(self, fast_path):
+    def test_workers_execute_through_their_own_tables(self):
         # one query lands on each instance (ELSA Step A fills the slow one
         # first, the 1.5 s SLA pushes the second onto the fast one); their
         # service times must come from different tables
-        simulator = build_simulator(make_elsa(), fast_path=fast_path)
+        simulator = build_simulator(make_elsa())
         trace = make_trace([(0.0, 1), (0.0, 1)], sla=1.5)
         result = simulator.run(trace)
         finish_by_instance = {
@@ -127,23 +125,6 @@ class TestHeteroElsa:
             profile=SLOW_TABLE, arch_profiles={SLOW.name: {MODEL: SLOW_TABLE}}
         )
         assert not scheduler.estimator.heterogeneous
-
-    @pytest.mark.parametrize("sla", [None, 0.5, 1.5, 10.0])
-    def test_fast_and_naive_hetero_replays_identical(self, sla):
-        trace = make_trace(
-            [(0.05 * i, 1 + (i % 2)) for i in range(40)], sla=sla
-        )
-        results = [
-            build_simulator(make_elsa(), fast_path=fast).run(trace)
-            for fast in (True, False)
-        ]
-        fast_result, naive_result = results
-        assert [
-            (q.query_id, q.instance_id, q.finish_time) for q in fast_result.queries
-        ] == [
-            (q.query_id, q.instance_id, q.finish_time) for q in naive_result.queries
-        ]
-        assert fast_result.statistics == naive_result.statistics
 
 
 class TestHeteroLeastLoaded:

@@ -342,7 +342,7 @@ class TestLiveReconfiguration:
 
 
 class TestColumnarWindowedMetrics:
-    """Fast-path (columnar-bound) WindowedMetrics behaviours."""
+    """Columnar-bound WindowedMetrics behaviours."""
 
     def _simulator(self, windowed):
         from repro.core.schedulers import FifsScheduler
@@ -354,7 +354,6 @@ class TestColumnarWindowedMetrics:
             profiles={MODEL: constant_profile({1: 0.4, 3: 0.2, 7: 0.1})},
             scheduler=FifsScheduler(),
             observers=[windowed],
-            fast_path=True,
         )
 
     def test_mid_run_add_observer_keeps_reconfiguration_history(self):
@@ -406,26 +405,23 @@ class TestColumnarWindowedMetrics:
     def test_mid_run_observer_sees_materialised_runtime_state(self):
         """Attaching an event-driven observer mid-run flips the columnar
         workers to write-through AND back-fills already-recorded state, so
-        its statistics match the naive path exactly."""
+        its statistics match those of the finished result exactly."""
         from repro.core.schedulers import FifsScheduler
         from repro.sim.cluster import InferenceServerSimulator
         from repro.sim.hooks import StatisticsCollector
         from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
 
-        digests = {}
-        for fast in (True, False):
-            simulator = InferenceServerSimulator(
-                instances=make_instances((1, 7)),
-                profiles={MODEL: constant_profile({1: 0.5, 7: 0.5})},
-                scheduler=FifsScheduler(),
-                fast_path=fast,
-            )
-            simulator.begin()
-            simulator.submit_trace(make_trace([(0.0, 1), (0.2, 2), (0.4, 4)], sla=2.0))
-            simulator.run_until(0.25)
-            collector = StatisticsCollector()
-            simulator.add_observer(collector)
-            simulator.run_until(None)
-            simulator.finish()
-            digests[fast] = collector.latency_statistics()
-        assert digests[True] == digests[False]
+        simulator = InferenceServerSimulator(
+            instances=make_instances((1, 7)),
+            profiles={MODEL: constant_profile({1: 0.5, 7: 0.5})},
+            scheduler=FifsScheduler(),
+        )
+        simulator.begin()
+        simulator.submit_trace(make_trace([(0.0, 1), (0.2, 2), (0.4, 4)], sla=2.0))
+        simulator.run_until(0.25)
+        collector = StatisticsCollector()
+        simulator.add_observer(collector)
+        simulator.run_until(None)
+        result = simulator.finish()
+        assert collector.completed == result.statistics.completed_queries == 3
+        assert collector.latency_statistics() == result.statistics.latency

@@ -1,0 +1,470 @@
+"""The replay corpus: committed reference outputs of small seeded replays.
+
+Every case below replays a small, fully seeded input through the simulator
+(directly, through a deployment, or through a :class:`ServingSession`) and
+reduces the outcome to a record:
+
+* ``sha256`` over the per-query rows ``(query_id, dispatch_time,
+  start_time, finish_time, instance_id, retries, fail_time)``;
+* the :class:`~repro.sim.metrics.ServerStatistics` fields;
+* ``per_instance_queries`` and the live ``reconfigurations``;
+* ``fault_events`` for the fault-injected session cases.
+
+``baselines/replay_corpus.json`` holds the expected records.  It was first
+recorded from the original object-per-event replay loop and is reproduced
+exactly by the columnar replay core, so any change to simulated outcomes —
+scheduling decisions, tie-breaking, float arithmetic — fails here, naming
+the case and the first field that differs.
+
+Regenerate the file (only when a change of simulated outcomes is intended)
+from the repository root with::
+
+    PYTHONPATH=src python -m tests.sim.test_replay_corpus
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Tuple
+
+import numpy as np
+import pytest
+
+from repro.core.elsa import ElsaScheduler
+from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
+from repro.faults import (
+    FaultSchedule,
+    RetryPolicy,
+    StragglerEnd,
+    StragglerStart,
+    WorkerCrash,
+    WorkerRestart,
+)
+from repro.gpu.architecture import A30, A100
+from repro.gpu.partition import GPUPartition, PartitionInstance
+from repro.perf.lookup import ProfileEntry, ProfileTable
+from repro.perf.profiler import Profiler
+from repro.serving.config import ServerConfig
+from repro.serving.deployment import build_deployment
+from repro.serving.session import ServingSession
+from repro.sim.cluster import InferenceServerSimulator
+from repro.workload.generator import QueryGenerator, WorkloadConfig
+from repro.workload.query import Query
+from repro.workload.trace import QueryTrace
+from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
+
+CORPUS_PATH = Path(__file__).resolve().parents[2] / "baselines" / "replay_corpus.json"
+
+#: Record fields in check order: the first one that differs is reported.
+FIELDS = (
+    "queries",
+    "sha256",
+    "statistics",
+    "per_instance_queries",
+    "reconfigurations",
+    "fault_events",
+)
+
+
+# --------------------------------------------------------------------------- #
+# records
+# --------------------------------------------------------------------------- #
+def _plain(value: Any) -> Any:
+    """JSON-ready copy of a result value (dataclasses, numpy scalars, ...)."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def query_rows(queries) -> List[Tuple[Any, ...]]:
+    return [
+        (
+            q.query_id,
+            q.dispatch_time,
+            q.start_time,
+            q.finish_time,
+            q.instance_id,
+            q.retries,
+            q.fail_time,
+        )
+        for q in queries
+    ]
+
+
+def record(result, fault_events=None) -> Dict[str, Any]:
+    """The corpus record of one :class:`SimulationResult`."""
+    rows = _plain(query_rows(result.queries))
+    entry = {
+        "queries": len(rows),
+        "sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+        "statistics": _plain(result.statistics),
+        "per_instance_queries": _plain(result.per_instance_queries),
+        "reconfigurations": _plain(result.reconfigurations),
+    }
+    if fault_events is not None:
+        entry["fault_events"] = [event.to_dict() for event in fault_events]
+    return entry
+
+
+def session_record(result) -> Dict[str, Any]:
+    return record(result.simulation, fault_events=result.fault_events)
+
+
+# --------------------------------------------------------------------------- #
+# inputs
+# --------------------------------------------------------------------------- #
+LATENCIES = {1: 0.9, 3: 0.5, 7: 0.2}
+SEEDS = (0, 1, 2)
+
+SCHEDULER_FACTORIES: Dict[str, Callable[[], Any]] = {
+    "fifs-round-robin": lambda: FifsScheduler("round_robin"),
+    "fifs-random": lambda: FifsScheduler("random", seed=7),
+    "fifs-smallest": lambda: FifsScheduler("smallest"),
+    "least-loaded": LeastLoadedScheduler,
+    "elsa": lambda: ElsaScheduler(profile=constant_profile(LATENCIES)),
+}
+
+
+def _random_spec(seed: int, max_queries: int = 40, horizon: float = 2.0, max_batch: int = 32):
+    """Seeded ``(arrival_time, batch)`` pairs, sorted by arrival."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(max_queries // 2, max_queries + 1))
+    arrivals = sorted(float(t) for t in rng.uniform(0.0, horizon, count))
+    batches = [int(b) for b in rng.integers(1, max_batch + 1, count)]
+    return list(zip(arrivals, batches))
+
+
+def _simulator(scheduler, sizes=(1, 3, 7, 7), **kwargs) -> InferenceServerSimulator:
+    return InferenceServerSimulator(
+        instances=make_instances(sizes),
+        profiles={MODEL: constant_profile(LATENCIES)},
+        scheduler=scheduler,
+        **kwargs,
+    )
+
+
+def random_trace_case(policy: str, seed: int, with_sla: bool):
+    def build():
+        sla = float(np.random.default_rng(100 + seed).uniform(0.3, 1.2)) if with_sla else None
+        trace = make_trace(_random_spec(seed), sla=sla)
+        return record(_simulator(SCHEDULER_FACTORIES[policy]()).run(trace))
+
+    return build
+
+
+def frontend_limit_case(policy: str):
+    def build():
+        trace = make_trace([(0.05 * i, 1 + i % 8) for i in range(60)], sla=1.5)
+        simulator = _simulator(SCHEDULER_FACTORIES[policy](), frontend_capacity_qps=30.0)
+        return record(simulator.run(trace))
+
+    return build
+
+
+def _profile_named(name: str, latencies: Dict[int, float]) -> ProfileTable:
+    entries = [
+        ProfileEntry(
+            gpcs=gpcs,
+            batch=batch,
+            latency_s=latency,
+            utilization=0.9,
+            throughput_qps=1.0 / latency,
+        )
+        for gpcs, latency in latencies.items()
+        for batch in (1, 2, 4, 8, 16, 32)
+    ]
+    return ProfileTable(name, entries)
+
+
+MULTI_PROFILES = {
+    "small-model": _profile_named("small-model", {1: 0.3, 3: 0.15, 7: 0.05}),
+    "large-model": _profile_named("large-model", {1: 1.4, 3: 0.8, 7: 0.3}),
+}
+
+
+def multi_model_case(seed: int):
+    def build():
+        models = sorted(MULTI_PROFILES)
+        picks = np.random.default_rng(200 + seed).integers(0, len(models), 40)
+        queries = tuple(
+            Query(
+                query_id=idx,
+                model=models[int(picks[idx])],
+                batch=batch,
+                arrival_time=arrival,
+                sla_target=1.5,
+            )
+            for idx, (arrival, batch) in enumerate(_random_spec(seed))
+        )
+        simulator = InferenceServerSimulator(
+            instances=make_instances((1, 3, 7)),
+            profiles=dict(MULTI_PROFILES),
+            scheduler=ElsaScheduler(
+                profile=MULTI_PROFILES["small-model"], profiles=MULTI_PROFILES
+            ),
+        )
+        return record(simulator.run(QueryTrace(queries)))
+
+    return build
+
+
+def _reconfigured_run(trace, checkpoint, new_sizes, cost):
+    simulator = _simulator(FifsScheduler(), sizes=(1, 7))
+    simulator.begin()
+    simulator.submit_trace(trace)
+    simulator.run_until(checkpoint)
+    simulator.reconfigure(make_instances(new_sizes), reconfig_cost=cost)
+    return record(simulator.finish())
+
+
+def live_reconfigure_fixed():
+    trace = make_trace([(0.1 * i, 2) for i in range(30)])
+    return _reconfigured_run(trace, 1.0, (3, 3), 0.5)
+
+
+def live_reconfigure_case(seed: int):
+    def build():
+        rng = np.random.default_rng(300 + seed)
+        trace = make_trace(_random_spec(seed, max_queries=30, horizon=4.0, max_batch=16), sla=1.0)
+        checkpoint = float(rng.uniform(0.2, 3.0))
+        new_sizes = tuple(int(s) for s in rng.choice([1, 3, 7], size=int(rng.integers(1, 4))))
+        cost = float(rng.uniform(0.0, 1.0))
+        return _reconfigured_run(trace, checkpoint, new_sizes, cost)
+
+    return build
+
+
+FAULT_CONFIG = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
+
+
+def session_faults_fixed():
+    session = ServingSession(
+        FAULT_CONFIG,
+        profiler=Profiler(batch_sizes=(1, 2, 4, 8, 16, 32)),
+        window=0.25,
+        faults=FaultSchedule(
+            [
+                WorkerCrash(time=0.1, worker=0),
+                StragglerStart(time=0.2, worker=1, multiplier=3.0),
+                WorkerRestart(time=0.35, worker=0),
+            ]
+        ),
+    )
+    workload = WorkloadConfig(model="mobilenet", rate_qps=6000.0, num_queries=3000, seed=9)
+    return session_record(session.run(workload))
+
+
+def session_faults_case(seed: int, max_retries: int):
+    def build():
+        rng = np.random.default_rng(400 + seed)
+
+        def at(low, high):
+            return float(rng.uniform(low, high))
+
+        first, second, slow = (int(w) for w in rng.integers(0, 6, 3))
+        events = [
+            WorkerCrash(time=at(0.02, 0.15), worker=first),
+            StragglerStart(time=at(0.02, 0.3), worker=slow, multiplier=at(2.0, 8.0)),
+            WorkerCrash(time=at(0.15, 0.3), worker=second),
+            WorkerRestart(time=at(0.3, 0.4), worker=first),
+            StragglerEnd(time=at(0.3, 0.4), worker=slow),
+        ]
+        session = ServingSession(
+            FAULT_CONFIG,
+            window=0.25,
+            faults=FaultSchedule(events),
+            retry_policy=RetryPolicy(max_retries=max_retries, backoff=0.02),
+        )
+        workload = WorkloadConfig(
+            model="mobilenet", rate_qps=6000.0, num_queries=3000, seed=seed
+        )
+        return session_record(session.run(workload))
+
+    return build
+
+
+def _fleet_config(**overrides) -> ServerConfig:
+    return ServerConfig(model="resnet", fleet=((8, "a100", 48),), **overrides)
+
+
+def fleet_replay_case(scheduler: str):
+    def build():
+        deployment = build_deployment(
+            _fleet_config(scheduler=scheduler), {1: 0.4, 4: 0.3, 8: 0.2, 32: 0.1}
+        )
+        trace = QueryGenerator(
+            WorkloadConfig(
+                model="resnet",
+                rate_qps=3000.0,
+                num_queries=400,
+                seed=11,
+                sla_target=deployment.sla_target,
+            )
+        ).generate()
+        return record(deployment.simulator().run(trace))
+
+    return build
+
+
+def fleet_session_repartition():
+    session = ServingSession(
+        _fleet_config(),
+        batch_pdf={1: 0.8, 2: 0.2},  # deliberately stale prior
+        window=0.05,
+        triggers=[("pdf-drift", {"threshold": 0.1, "min_queries": 50})],
+        reconfig_cost=0.02,
+    )
+    workload = WorkloadConfig(
+        model="resnet", rate_qps=2500.0, num_queries=1200, seed=3, sigma=1.4
+    )
+    return session_record(session.run(workload))
+
+
+#: Same model, same partition sizes, radically different per-architecture
+#: speeds: GPU(1) on A30 here beats GPU(2) on A100.
+HETERO_TABLES = {
+    A100.name: constant_profile({1: 1.0, 2: 0.6}),
+    A30.name: constant_profile({1: 0.2, 2: 0.1}),
+}
+
+
+def hetero_elsa_case(sla):
+    def build():
+        arch_profiles = {name: {MODEL: table} for name, table in HETERO_TABLES.items()}
+        simulator = InferenceServerSimulator(
+            instances=[
+                PartitionInstance(
+                    instance_id=0, partition=GPUPartition(1, A100), physical_gpu=0
+                ),
+                PartitionInstance(
+                    instance_id=1, partition=GPUPartition(1, A30), physical_gpu=1
+                ),
+            ],
+            profiles={MODEL: HETERO_TABLES[A100.name]},
+            scheduler=ElsaScheduler(
+                profile=HETERO_TABLES[A100.name], arch_profiles=arch_profiles
+            ),
+            arch_profiles=arch_profiles,
+        )
+        trace = make_trace([(0.05 * i, 1 + (i % 2)) for i in range(40)], sla=sla)
+        return record(simulator.run(trace))
+
+    return build
+
+
+def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
+    cases: Dict[str, Callable[[], Dict[str, Any]]] = {}
+    for policy in SCHEDULER_FACTORIES:
+        for seed in SEEDS:
+            for with_sla in (False, True):
+                label = "sla" if with_sla else "no-sla"
+                cases[f"random/{policy}/seed{seed}/{label}"] = random_trace_case(
+                    policy, seed, with_sla
+                )
+        cases[f"frontend-limit/{policy}"] = frontend_limit_case(policy)
+    for seed in SEEDS:
+        cases[f"multi-model-elsa/seed{seed}"] = multi_model_case(seed)
+    cases["live-reconfigure/fixed"] = live_reconfigure_fixed
+    for seed in (1, 2):
+        cases[f"live-reconfigure/seed{seed}"] = live_reconfigure_case(seed)
+    cases["session-faults/fixed"] = session_faults_fixed
+    for seed, max_retries in ((1, 0), (2, 2)):
+        cases[f"session-faults/seed{seed}-retries{max_retries}"] = session_faults_case(
+            seed, max_retries
+        )
+    for scheduler in ("elsa", "fifs", "least-loaded"):
+        cases[f"fleet-replay/{scheduler}"] = fleet_replay_case(scheduler)
+    cases["fleet-session/live-repartition"] = fleet_session_repartition
+    for sla in (None, 0.5, 1.5, 10.0):
+        cases[f"hetero-elsa/sla-{sla}"] = hetero_elsa_case(sla)
+    return cases
+
+
+CASES = _cases()
+
+
+# --------------------------------------------------------------------------- #
+# the check
+# --------------------------------------------------------------------------- #
+def _flatten(value: Any, prefix: str) -> List[Tuple[str, str]]:
+    """Dotted leaf paths with their canonical JSON text, keys sorted."""
+    if isinstance(value, dict) and value:
+        return [
+            leaf
+            for key, item in sorted(value.items())
+            for leaf in _flatten(item, f"{prefix}.{key}")
+        ]
+    if isinstance(value, list) and value:
+        return [
+            leaf for idx, item in enumerate(value) for leaf in _flatten(item, f"{prefix}[{idx}]")
+        ]
+    return [(prefix, json.dumps(value, sort_keys=True))]
+
+
+def first_difference(expected: Dict[str, Any], actual: Dict[str, Any]):
+    """The first differing field path of two records, or ``None``."""
+    for name in FIELDS:
+        if name not in expected and name not in actual:
+            continue
+        if name not in expected or name not in actual:
+            return name
+        left = _flatten(expected[name], name)
+        right = _flatten(actual[name], name)
+        for (path, a), other in zip(left, right):
+            if (path, a) != other:
+                return path
+        if len(left) != len(right):
+            return name
+    return None
+
+
+def build_corpus() -> Dict[str, Any]:
+    return {
+        "regenerate": "PYTHONPATH=src python -m tests.sim.test_replay_corpus",
+        "cases": {name: build() for name, build in CASES.items()},
+    }
+
+
+def write_corpus(path: Path = CORPUS_PATH) -> None:
+    path.write_text(json.dumps(build_corpus(), indent=1, sort_keys=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return json.loads(CORPUS_PATH.read_text())["cases"]
+
+
+def test_corpus_names_exactly_the_defined_cases(corpus):
+    assert sorted(corpus) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_replay_matches_corpus(case, corpus):
+    expected = corpus[case]
+    actual = CASES[case]()
+    differing = first_difference(expected, actual)
+    assert differing is None, f"replay corpus case {case!r}: field {differing!r} differs"
+
+
+def test_first_difference_names_the_field():
+    base = {"queries": 1, "sha256": "x", "statistics": {"latency": {"p95": 1.0}}}
+    changed = {"queries": 1, "sha256": "x", "statistics": {"latency": {"p95": 2.0}}}
+    assert first_difference(base, base) is None
+    assert first_difference(base, changed) == "statistics.latency.p95"
+
+
+if __name__ == "__main__":
+    write_corpus()

@@ -170,17 +170,6 @@ class TestQueuedWorkCache:
         assert worker.queued_work(slow) == pytest.approx(4.0)
         assert worker.queued_work(fast) == pytest.approx(1.0)
 
-    def test_cache_disabled_rescans_every_time(self):
-        instance = PartitionInstance(0, GPUPartition(1))
-        worker = PartitionWorker(
-            instance, latency_fn=lambda *a: 1.0, queued_work_cache=False
-        )
-        estimator = CountingEstimator()
-        worker.enqueue(make_query(0), 0.0)
-        worker.queued_work(estimator)
-        worker.queued_work(estimator)
-        assert estimator.calls == 2
-
     def test_drain_queue_returns_and_clears(self):
         worker = make_worker()
         estimator = CountingEstimator()

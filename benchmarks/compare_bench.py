@@ -15,9 +15,12 @@ code, so a slow runner slows both factors alike and its speed cancels; a
 A relative gate alone can drift when the calibration loop and the replay
 shift together (an interpreter upgrade, say).  The ``--min-queries-per-sec``
 floor pins an absolute lower bound on the fresh run's raw queries/sec —
-deliberately far below any healthy machine's figure (19 000 queries/s is the
-former 100 000 events/s floor at the smoke trace's 5.15 events per query),
-so it only trips on order-of-magnitude losses, never on runner speed.
+deliberately far below any healthy machine's figure, so it only trips on
+order-of-magnitude losses, never on runner speed.  The 19 000 queries/s
+default is the former 100 000 events/s floor divided by the 5.15 events per
+query the smoke trace cost while every frontend retry was an event.  Since
+the FIFO frontend the trace costs about 3 events per query; a floor in
+queries/s does not move with that count.
 
 Usage::
 

@@ -14,6 +14,12 @@ and records:
   cancels and ``benchmarks/compare_bench.py`` can hold it against the
   committed baseline.
 
+Both variants also replay ``OVERLOAD_QUERIES`` queries of the paper
+deployment at ``OVERLOAD_MULTIPLIER`` x its frontend cap and assert at most
+``MAX_EVENTS_PER_QUERY`` events per query: queries waiting at the frontend
+cost one slot event per admission, so a per-arrival retry storm (O(backlog)
+events per admission) fails on a deterministic count, not on timing.
+
 Simulated outcomes are pinned by the replay corpus
 (``tests/sim/test_replay_corpus.py``), not here.  A rate sweep over the warm
 ``ParallelRunner`` must also return results identical to the serial sweep;
@@ -46,6 +52,12 @@ ROUNDS = 3
 #: measurement; a genuine regression fails every attempt
 ATTEMPTS = 3
 SMOKE_NUM_QUERIES = 1500
+
+OVERLOAD_QUERIES = 1500
+OVERLOAD_MULTIPLIER = 4.0
+#: Per query: one arrival, one completion, at most one frontend slot
+#: admission and at most one stale slot re-arm.
+MAX_EVENTS_PER_QUERY = 4.0
 
 SWEEP_POINTS = 4
 SWEEP_QUERIES = 2500
@@ -94,6 +106,36 @@ def _measure_replay(deployment, trace):
         "queries_per_sec": queries_per_sec,
         "calibration_s": calibration,
         "calibrated_qps": queries_per_sec * calibration,
+    }
+
+
+def _overload_gate(deployment):
+    """Replay the pinned overload trace; returns the recorded payload."""
+    workload = WorkloadConfig(
+        model="mobilenet",
+        rate_qps=OVERLOAD_MULTIPLIER * deployment.config.frontend_capacity_qps,
+        num_queries=OVERLOAD_QUERIES,
+        seed=1,
+        sla_target=deployment.sla_target,
+    )
+    trace = QueryGenerator(workload).generate()
+    simulator = deployment.simulator(seed=0)
+    start = time.perf_counter()
+    simulator.run(trace)
+    elapsed = time.perf_counter() - start
+    events = simulator.events_processed
+    events_per_query = events / len(trace)
+    assert events_per_query <= MAX_EVENTS_PER_QUERY, (
+        f"{events_per_query:.2f} events per query at {OVERLOAD_MULTIPLIER:g}x the "
+        f"frontend cap (limit {MAX_EVENTS_PER_QUERY:g}): replay cost is no "
+        "longer linear in queries"
+    )
+    return {
+        "num_queries": len(trace),
+        "rate_multiplier": OVERLOAD_MULTIPLIER,
+        "events": events,
+        "events_per_query": events_per_query,
+        "queries_per_sec": len(trace) / elapsed,
     }
 
 
@@ -193,7 +235,7 @@ def _sweep_payload(deployment, num_queries, fractions):
 
 
 def test_replay_speed(settings, bench_out):
-    """The pinned replay's queries/sec, plus the warm-pool sweep gate."""
+    """The pinned replay's queries/sec, plus the overload and warm-pool sweep gates."""
     deployment = settings.build("mobilenet", "paris", "elsa")
     workload = _pinned_workload(settings, deployment, NUM_QUERIES)
     trace = QueryGenerator(workload).generate()
@@ -207,6 +249,7 @@ def test_replay_speed(settings, bench_out):
         "rate_multiplier": RATE_MULTIPLIER,
         "rounds": ROUNDS,
         **replay,
+        "overload": _overload_gate(deployment),
         "sweep": _sweep_payload(deployment, SWEEP_QUERIES, fractions),
     }
     (bench_out / "BENCH_speed.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -214,7 +257,7 @@ def test_replay_speed(settings, bench_out):
 
 @pytest.mark.perf_smoke
 def test_replay_speed_smoke(settings, bench_out):
-    """CI smoke variant: small trace, smoke-sized sweep gate.
+    """CI smoke variant: small trace, the overload gate, smoke-sized sweep gate.
 
     Writes ``bench-out/BENCH_smoke.json``; the CI compare step holds its
     ``calibrated_qps`` against the committed ``BENCH_smoke.json``.  CI runs
@@ -232,6 +275,7 @@ def test_replay_speed_smoke(settings, bench_out):
         "num_queries": SMOKE_NUM_QUERIES,
         "rounds": ROUNDS,
         **replay,
+        "overload": _overload_gate(deployment),
         "sweep": _sweep_payload(deployment, SMOKE_SWEEP_QUERIES, fractions),
     }
     (bench_out / "BENCH_smoke.json").write_text(json.dumps(payload, indent=2) + "\n")

@@ -6,7 +6,8 @@ discrete-event engine.  It implements the server structure of Figure 6/9 of
 the paper:
 
 * a *frontend* receives queries (arrival events) and immediately consults the
-  scheduler;
+  scheduler; when rate-limited it admits one query per dispatch gap, and
+  queries that find it busy wait in a FIFO queue;
 * per-partition *local scheduling queues* hold dispatched queries until their
   partition is free (ELSA-style policies);
 * a server-wide *central queue* holds queries the scheduler chose not to
@@ -103,6 +104,10 @@ from repro.workload.trace import QueryTrace
 #: against these without touching the enum machinery.
 _ARRIVAL = int(EventKind.ARRIVAL)
 _COMPLETION = int(EventKind.COMPLETION)
+
+#: Tolerance (seconds) of the frontend's timing checks: a frontend that
+#: frees at most this long after an event counts as free at that event.
+_FRONTEND_SLACK = 1e-15
 
 
 class RetryPolicyLike(Protocol):
@@ -251,7 +256,8 @@ class InferenceServerSimulator:
             dispatch queries to the GPU workers, in queries/second.  The
             paper's serving stack (DeepRecInfra) has such a frontend, and
             Section V explicitly calls out configurations where the backend
-            GPU workers outpace it; ``None`` disables the limit.
+            GPU workers outpace it.  Queries that find it busy wait in FIFO
+            order; ``None`` disables the limit.
         observers: lifecycle-event observers (:mod:`repro.sim.hooks`); more
             can be attached later with :meth:`add_observer`.
         arch_profiles: per-architecture per-model lookup tables
@@ -360,6 +366,11 @@ class InferenceServerSimulator:
             1.0 / self.frontend_capacity_qps if self.frontend_capacity_qps else 0.0
         )
         self._frontend_available = 0.0
+        # The FIFO frontend queue, the time of its pending slot event, and
+        # how many queries went ahead of the waiting ones while it is stale.
+        self._frontend_queue: Deque[Query] = deque()
+        self._slot_time: Optional[float] = None
+        self._slot_front = 0
         self._submitted: List[Query] = []
         self._retired_workers: List[PartitionWorker] = []
         self._draining_ids: Set[int] = set()
@@ -515,9 +526,10 @@ class InferenceServerSimulator:
 
     @property
     def events_processed(self) -> int:
-        """Simulation events processed since the run opened (arrivals,
-        completions and reconfigurations — the replay benchmark's
-        events/sec denominator)."""
+        """Simulation events processed since the run opened: arrivals,
+        completions, reconfigurations and frontend slot events (one per
+        query admitted from the frontend queue, plus one re-arm whenever an
+        arrival at the slot's instant takes the slot first)."""
         return self._events_processed
 
     @property
@@ -882,16 +894,82 @@ class InferenceServerSimulator:
         # order; each query re-enters through the frontend but keeps its
         # original arrival_time, so queueing delay includes the downtime.
         # With a rate-limited frontend the re-entries are pre-staggered one
-        # dispatch slot apart — colliding the whole backlog at `now` would
-        # make the serial frontend re-push every still-queued query per
-        # admission, O(backlog^2) heap churn for the same simulated outcome.
+        # dispatch slot apart, at `start + position * gap`.  Those times
+        # differ in the last ulp from the chained slot times (`slot + gap`),
+        # so queueing the backlog at the frontend instead would move
+        # dispatch times.
         backlog = staged.requeued + self._held
         self._held = []
         backlog.sort(key=lambda q: (q.arrival_time, q.query_id))
         gap = self._frontend_gap
         start = max(now, self._frontend_available) if gap > 0 else now
         for position, query in enumerate(backlog):
-            self._events.push(start + position * gap, EventKind.ARRIVAL, query)
+            self._reenter(start + position * gap, query)
+
+    # ------------------------------------------------------------------ #
+    # the rate-limited frontend
+    # ------------------------------------------------------------------ #
+    # One pending slot event (an ARRIVAL-kind heap entry with no query)
+    # admits the head of the FIFO frontend queue and re-arms one gap later,
+    # so a backlog costs one event per admission.  Two rules for events at
+    # the slot's instant keep the admission order of the former scheme, in
+    # which every waiting query re-arrived at each slot:
+    #
+    # 1. Stale slot.  An arrival at the slot's instant that is processed
+    #    before the slot event takes the slot, and the slot goes stale.
+    #    Further arrivals at that instant go ahead of the waiting queries,
+    #    in arrival order.
+    # 2. Re-entry on the slot.  A query re-entering the frontend exactly at
+    #    a pending, non-stale slot joins the queue at once, ahead of any
+    #    arrival that comes before the slot fires.
+    def _arm_slot(self, time: float) -> None:
+        self._slot_time = time
+        self._events.push(time, _ARRIVAL)
+
+    def _wait_at_frontend(self, query: Query, available: float) -> None:
+        """Queue ``query``, which found the frontend busy until ``available``."""
+        queue = self._frontend_queue
+        slot = self._slot_time
+        if slot is None:
+            queue.append(query)
+            self._arm_slot(available)
+        elif available > slot + _FRONTEND_SLACK:
+            # Rule 1: the slot is stale.
+            queue.insert(self._slot_front, query)
+            self._slot_front += 1
+        else:
+            queue.append(query)
+
+    def _fire_slot(self, now: float) -> Optional[Query]:
+        """The slot event at ``now``: the query it admits, if any."""
+        queue = self._frontend_queue
+        self._slot_front = 0
+        if self._staged is not None:
+            # Draining/reconfiguring: the waiting queries are buffered too.
+            self._held.extend(queue)
+            queue.clear()
+            self._slot_time = None
+            return None
+        available = self._frontend_available
+        if available > now + _FRONTEND_SLACK:
+            # Stale: admit the head when the frontend frees.
+            self._arm_slot(available)
+            return None
+        self._frontend_available = available = now + self._frontend_gap
+        query = queue.popleft()
+        if queue:
+            self._arm_slot(available)
+        else:
+            self._slot_time = None
+        return query
+
+    def _reenter(self, time: float, query: Query) -> None:
+        """Send an arrived query back through the frontend at ``time``."""
+        if self._slot_time == time and self._frontend_available <= time + _FRONTEND_SLACK:
+            # Rule 2: due exactly at the pending, non-stale slot.
+            self._frontend_queue.append(query)
+        else:
+            self._events.push(time, _ARRIVAL, query)
 
     # ------------------------------------------------------------------ #
     # fault injection (worker crashes, stragglers)
@@ -1000,7 +1078,7 @@ class InferenceServerSimulator:
             # Re-enters through the frontend as a regular arrival: the
             # arrival-announce flag is already raised, so observers still
             # see the query arrive exactly once.
-            self._events.push(now + retry_policy.delay(attempt), EventKind.ARRIVAL, query)
+            self._reenter(now + retry_policy.delay(attempt), query)
         return requeued, failed
 
     def restore_worker(self, instance_id: int) -> None:
@@ -1088,8 +1166,7 @@ class InferenceServerSimulator:
         popped times non-decreasing, so the clock can be assigned without
         the monotonicity guard (push sites validate against the clock).
         """
-        events = self._events
-        heap = events._heap
+        heap = self._events._heap
         heappop = heapq.heappop
         clock = self._clock
         scheduler = self.scheduler
@@ -1112,31 +1189,37 @@ class InferenceServerSimulator:
                 kind = entry[1]
                 if kind == _ARRIVAL:
                     query = entry[3]
-                    index = query.index
-                    if not announced[index]:
-                        # First firing of this query's arrival event: the
-                        # flag is both the QueryArrived dedupe (frontend
-                        # retries and reconfig buffering re-enqueue the
-                        # query) and the columnar "this arrival happened"
-                        # marker the lazy metrics digestion filters on.
-                        announced[index] = 1
-                        handlers = self._h_arrived
-                        if handlers:
-                            arrived = QueryArrived(now, query)
-                            for handler in handlers:
-                                handler(arrived)
-                    if self._staged is not None:
-                        # Draining/reconfiguring: buffer at the frontend.
-                        self._held.append(query)
-                        continue
-                    if gap > 0.0:
-                        # The frontend dispatches queries serially; an
-                        # arrival that finds it busy retries when it frees.
-                        available = self._frontend_available
-                        if available > now + 1e-15:
-                            events.push(available, _ARRIVAL, query)
+                    if query is None:
+                        # The frontend's slot event.
+                        query = self._fire_slot(now)
+                        if query is None:
                             continue
-                        self._frontend_available = now + gap
+                    else:
+                        index = query.index
+                        if not announced[index]:
+                            # First firing of this query's arrival event: the
+                            # flag is both the QueryArrived dedupe (crash
+                            # retries and reconfig buffering re-enqueue the
+                            # query) and the columnar "this arrival happened"
+                            # marker the lazy metrics digestion filters on.
+                            announced[index] = 1
+                            handlers = self._h_arrived
+                            if handlers:
+                                arrived = QueryArrived(now, query)
+                                for handler in handlers:
+                                    handler(arrived)
+                        if self._staged is not None:
+                            # Draining/reconfiguring: buffer at the frontend.
+                            self._held.append(query)
+                            continue
+                        if gap > 0.0:
+                            # The frontend dispatches queries serially; an
+                            # arrival that finds it busy waits in its queue.
+                            available = self._frontend_available
+                            if available > now + _FRONTEND_SLACK:
+                                self._wait_at_frontend(query, available)
+                                continue
+                            self._frontend_available = now + gap
                     worker = scheduler.on_arrival(query, self._context_at(now))
                     if worker is None:
                         central.append(query)

@@ -17,7 +17,7 @@ each :class:`~repro.workload.query.Query` object, as flat ``array('d')`` /
 
 ``NaN`` marks an unset timestamp (and a query without an SLA deadline);
 ``-1`` marks an unset instance id.  The ``announced`` flags replace the
-per-run "emitted QueryArrived already?" identity set: frontend retries and
+per-run "emitted QueryArrived already?" identity set: crash retries and
 reconfiguration buffering re-enqueue the same query as a new arrival event,
 but observers must see each query arrive exactly once.
 """

@@ -23,7 +23,8 @@ from repro.workload.query import Query
 #: A heap entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
 #: unique per queue, so comparisons never reach the non-comparable payload
 #: slots; completions carry the worker object directly (no id -> worker map
-#: lookup when the event fires).
+#: lookup when the event fires), and the simulator's frontend slot events
+#: are arrivals without a query.
 TupleEvent = Tuple[float, int, int, Optional[Query], Any]
 
 

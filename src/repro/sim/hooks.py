@@ -14,7 +14,7 @@ query list.
 Events published per run:
 
 * :class:`QueryArrived` — a query reached the server frontend (emitted once
-  per query, even when the frontend retries or a reconfiguration buffers it);
+  per query, even when a crash retries or a reconfiguration buffers it);
 * :class:`QueryDispatched` — the scheduler placed the query on a partition;
 * :class:`QueryCompleted` — execution finished;
 * :class:`SlaViolated` — the completed query missed its SLA;

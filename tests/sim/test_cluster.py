@@ -128,6 +128,8 @@ class TestFrontendBottleneck:
         result = simulator.run(trace)
         makespan = result.statistics.makespan
         assert makespan >= 9.0  # last query cannot start before ~9 s
+        # 10 arrivals + 10 completions + one slot event per queued admission
+        assert simulator.events_processed == 29
 
     def test_no_frontend_limit_by_default(self):
         simulator = make_simulator(sizes=(7,), latencies={7: 0.001})

@@ -12,7 +12,9 @@ reduces the outcome to a record:
 
 ``baselines/replay_corpus.json`` holds the expected records.  It was first
 recorded from the original object-per-event replay loop and is reproduced
-exactly by the columnar replay core, so any change to simulated outcomes —
+exactly by the columnar replay core; the ``frontend-overload/*`` cases were
+recorded from the per-arrival retry frontend and are reproduced exactly by
+the FIFO frontend queue.  So any change to simulated outcomes —
 scheduling decisions, tie-breaking, float arithmetic — fails here, naming
 the case and the first field that differs.
 
@@ -33,6 +35,7 @@ from typing import Any, Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import ExperimentSettings
 from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
 from repro.faults import (
@@ -174,6 +177,85 @@ def frontend_limit_case(policy: str):
     return build
 
 
+#: The overload cases' frontend cap (queries/s) and its dispatch gap.
+OVERLOAD_QPS = 30.0
+OVERLOAD_GAP = 1.0 / OVERLOAD_QPS
+
+
+def _slot_chain(count: int) -> List[float]:
+    """The frontend's slot instants after an admission at 0: each is the
+    previous one plus the gap, rounded exactly as the simulator rounds."""
+    chain = [0.0]
+    for _ in range(count):
+        chain.append(chain[-1] + OVERLOAD_GAP)
+    return chain
+
+
+def frontend_overload_case(policy: str):
+    """Bursts of simultaneous arrivals, some landing exactly on the slot
+    instants of a backlogged frontend, plus arrivals on plain multiples of
+    the gap: same-instant ties between fresh arrivals and the slot."""
+
+    def build():
+        chain = _slot_chain(40)
+        times = [0.0] * 6
+        for k in range(1, 40, 3):
+            times += [chain[k]] * (2 + k % 2)
+        times += [k * OVERLOAD_GAP for k in range(2, 40, 5)]
+        trace = make_trace([(t, 1 + i % 8) for i, t in enumerate(sorted(times))], sla=1.5)
+        simulator = _simulator(
+            SCHEDULER_FACTORIES[policy](), frontend_capacity_qps=OVERLOAD_QPS
+        )
+        return record(simulator.run(trace))
+
+    return build
+
+
+def frontend_reconfigure_case():
+    """A live reconfiguration (cost 0) behind a 7-qps frontend with queries
+    waiting: the drain ends at 1.934 s, before the pending slot at 1.963 s,
+    and query 14 arrives at 1.948 s, in between.  The seed was searched for
+    exactly that order of events."""
+    rng = np.random.default_rng(2980)
+    trace = make_trace(_random_spec(2480, horizon=4.0, max_batch=16), sla=1.0)
+    simulator = _simulator(FifsScheduler(), sizes=(1, 3, 7), frontend_capacity_qps=7.0)
+    simulator.begin()
+    simulator.submit_trace(trace)
+    simulator.run_until(float(rng.uniform(0.5, 3.5)))
+    simulator.reconfigure(make_instances((3, 7)), reconfig_cost=0.0)
+    return record(simulator.finish())
+
+
+def frontend_crash_retry_case():
+    """A crash retry re-entering a backlogged 20-qps frontend at exactly its
+    pending slot: the crash at the 0.25 s slot pushes the aborted query back
+    after the 50 ms backoff, onto the 0.3 s slot, and arrivals at 0.27-0.29 s
+    queue behind it."""
+    times = [0.0] * 10 + [0.27, 0.28, 0.29] + [0.4 + 0.1 * i for i in range(5)]
+    simulator = _simulator(FifsScheduler(), sizes=(1, 7), frontend_capacity_qps=20.0)
+    simulator.begin()
+    simulator.submit_trace(make_trace([(t, 2) for t in times]))
+    simulator.run_until(0.25)
+    busy = next(w for w in simulator.workers if w.current_finish_time is not None)
+    simulator.crash_worker(busy.instance_id, RetryPolicy(max_retries=1, backoff=0.05))
+    return record(simulator.finish())
+
+
+def paper_server_overload_case():
+    """The paper's 8xA100 server (PARIS + ELSA) at 3x its 12k-qps frontend cap."""
+    deployment = ExperimentSettings().build("mobilenet", "paris", "elsa")
+    trace = QueryGenerator(
+        WorkloadConfig(
+            model="mobilenet",
+            rate_qps=3.0 * deployment.config.frontend_capacity_qps,
+            num_queries=1500,
+            seed=5,
+            sla_target=deployment.sla_target,
+        )
+    ).generate()
+    return record(deployment.simulator().run(trace))
+
+
 def _profile_named(name: str, latencies: Dict[int, float]) -> ProfileTable:
     entries = [
         ProfileEntry(
@@ -248,6 +330,8 @@ def live_reconfigure_case(seed: int):
 
 
 FAULT_CONFIG = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
+#: The fault server behind a frontend slower than the 6000-qps workload.
+FRONTEND_FAULT_CONFIG = dataclasses.replace(FAULT_CONFIG, frontend_capacity_qps=4500.0)
 
 
 def session_faults_fixed():
@@ -267,7 +351,9 @@ def session_faults_fixed():
     return session_record(session.run(workload))
 
 
-def session_faults_case(seed: int, max_retries: int):
+def session_faults_case(
+    seed: int, max_retries: int, config: ServerConfig = FAULT_CONFIG, num_queries: int = 3000
+):
     def build():
         rng = np.random.default_rng(400 + seed)
 
@@ -283,13 +369,13 @@ def session_faults_case(seed: int, max_retries: int):
             StragglerEnd(time=at(0.3, 0.4), worker=slow),
         ]
         session = ServingSession(
-            FAULT_CONFIG,
+            config,
             window=0.25,
             faults=FaultSchedule(events),
             retry_policy=RetryPolicy(max_retries=max_retries, backoff=0.02),
         )
         workload = WorkloadConfig(
-            model="mobilenet", rate_qps=6000.0, num_queries=3000, seed=seed
+            model="mobilenet", rate_qps=6000.0, num_queries=num_queries, seed=seed
         )
         return session_record(session.run(workload))
 
@@ -390,6 +476,17 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
     cases["fleet-session/live-repartition"] = fleet_session_repartition
     for sla in (None, 0.5, 1.5, 10.0):
         cases[f"hetero-elsa/sla-{sla}"] = hetero_elsa_case(sla)
+    # Overload: queries wait at the frontend, with same-instant ties against
+    # its slot events.
+    for policy in SCHEDULER_FACTORIES:
+        cases[f"frontend-overload/{policy}"] = frontend_overload_case(policy)
+    cases["frontend-overload/live-reconfigure"] = frontend_reconfigure_case
+    cases["frontend-overload/crash-retry-on-slot"] = frontend_crash_retry_case
+    for seed, max_retries in ((1, 0), (2, 2)):
+        cases[f"frontend-overload/session-faults-retries{max_retries}"] = session_faults_case(
+            seed, max_retries, config=FRONTEND_FAULT_CONFIG, num_queries=1500
+        )
+    cases["frontend-overload/paper-server-3x"] = paper_server_overload_case
     return cases
 
 

@@ -24,10 +24,11 @@ would want when no SLA is defined.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.slack import SlackEstimator
 from repro.perf.lookup import ProfileTable
+from repro.sim.drain_index import DrainIndex, WorkerGroup
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
@@ -75,8 +76,12 @@ class ElsaScheduler(Scheduler):
             arch_profiles=arch_profiles,
         )
         self.prefer_smallest = prefer_smallest
-        #: Plain bool read once per arrival (cheaper than the property).
+        #: Plain bool read once per arrival (cheaper than the property);
+        #: mixed fleets group workers by (architecture, size), others by size.
         self._hetero = self.estimator.heterogeneous
+        #: Per-run state, released by :meth:`reset`.
+        self._index = DrainIndex()
+        self._orders: Dict[Tuple[str, int], List[Tuple[WorkerGroup, float]]] = {}
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -84,140 +89,71 @@ class ElsaScheduler(Scheduler):
     def on_arrival(
         self, query: Query, context: SchedulingContext
     ) -> Optional[PartitionWorker]:
-        if self._hetero:
-            return self._on_arrival_hetero(query, context)
-        # Lean scoring loop for the replay hot path: one pass over the
-        # workers, no per-(query, worker) tuple rows and no sort, yet the
-        # same float operations and the same decisions as walking
-        # :meth:`predictions`:
-        #
-        # * within one partition size, execution time is constant, so Step A
-        #   only ever accepts that size's least-loaded instance (smallest
-        #   (T_wait, id)) — if it misses the SLA slack, every sibling does;
-        # * Step B's winner minimises (T_wait + T_estimated, gpcs, id), a
-        #   total order independent of visit order.
-        #
-        # Arrivals dominate simulated time, and this method runs once per
-        # arrival against every worker.
+        # Decisions run over the drain-time index: within one group
+        # execution time is constant, so Step A only ever accepts a group's
+        # least-loaded member (smallest (T_wait, id)) — if it misses the SLA
+        # slack, every sibling does — and Step B's winner, the minimum of
+        # (T_wait + T_estimated, gpcs, id), is the minimum over the groups'
+        # own winners.  Each group answers from its few front members, so
+        # an arrival costs O(groups), not O(workers), with the same float
+        # operations and the same decisions as walking predictions().
         estimator = self.estimator
-        oracle = estimator.estimator  # memoized T_estimated lookup
+        if self._index.sync(context, estimator.oracle_for, self._hetero):
+            self._orders.clear()
         now = context.now
-        model, batch = query.model, query.batch
-
-        execution_by_size: dict = {}
-        group_best: dict = {}  # gpcs -> (wait, instance_id, worker)
-        best_total = best_worker = None
-        best_gpcs = best_id = 0
-        for worker in context.workers:
-            gpcs = worker.gpcs
-            execution = execution_by_size.get(gpcs)
-            if execution is None:
-                execution = execution_by_size[gpcs] = oracle(model, batch, gpcs)
-            wait = worker.estimated_wait(now, oracle)
-            instance_id = worker.instance_id
-            entry = group_best.get(gpcs)
-            if entry is None or wait < entry[0] or (wait == entry[0] and instance_id < entry[1]):
-                group_best[gpcs] = (wait, instance_id, worker)
-            total = wait + execution
-            if (
-                best_total is None
-                or total < best_total
-                or (
-                    total == best_total
-                    and (gpcs < best_gpcs or (gpcs == best_gpcs and instance_id < best_id))
-                )
-            ):
-                best_total, best_worker = total, worker
-                best_gpcs, best_id = gpcs, instance_id
+        order = self._orders.get((query.model, query.batch))
+        if order is None:
+            order = self._step_a_order(query.model, query.batch)
 
         sla = query.sla_target
         if sla is not None:
-            # Step A: smallest partition that still satisfies the SLA.
+            # Step A: the first group (smallest / least capable first) whose
+            # least-loaded member still satisfies the SLA.
             alpha, beta = estimator.alpha, estimator.beta
-            sizes = sorted(execution_by_size, reverse=not self.prefer_smallest)
-            for gpcs in sizes:
-                wait, _, worker = group_best[gpcs]
-                if sla - alpha * (wait + beta * execution_by_size[gpcs]) > 0.0:
-                    return worker
+            for group, execution in order:
+                head = group.best(now, 0.0)
+                if head is not None and sla - alpha * (head[0] + beta * execution) > 0.0:
+                    return head[3]
 
         # Step B: no partition satisfies the SLA (or the query carries no
         # SLA): pick the partition that completes the query the fastest.
+        best: Optional[Tuple[float, int, int, int]] = None
+        best_worker: Optional[PartitionWorker] = None
+        for group, execution in order:
+            winner = group.best(now, execution)
+            if winner is not None:
+                rank = (winner[0], group.gpcs, winner[1], winner[2])
+                if best is None or rank < best:
+                    best, best_worker = rank, winner[3]
         return best_worker
 
-    # ------------------------------------------------------------------ #
-    # Algorithm 2 on a mixed-architecture fleet
-    # ------------------------------------------------------------------ #
-    def _on_arrival_hetero(
-        self, query: Query, context: SchedulingContext
-    ) -> Optional[PartitionWorker]:
-        """The lean scoring loop generalised to ``(architecture, size)`` groups.
+    def _step_a_order(self, model: str, batch: int) -> List[Tuple[WorkerGroup, float]]:
+        """The index's groups in Step-A order, each with ``T_estimated`` of a
+        ``(model, batch)`` query there (memoized in ``_orders`` until the
+        groups change).
 
-        Within one (architecture, size) group execution time is constant, so
-        the group's least-loaded instance is its only Step-A candidate —
-        the same argument as the single-architecture loop, per group.  The
-        per-group ``T_estimated`` and every queued-work estimate resolve
-        through that architecture's own profile table, so an H100 GPU(2)
-        and an A30 GPU(2) are scored by what *they* would actually take.
-
-        Step A's smallest-first preference generalises to *least capable
-        first*: groups are visited by descending estimated execution time of
-        this very query (slowest slice first), which on one architecture
-        degenerates to ascending partition size.  Step B is unchanged —
-        minimum predicted completion time across the whole fleet.
+        Smallest partition first on one architecture.  On a mixed fleet the
+        preference generalises to *least capable first*: descending
+        estimated execution time of this very query (slowest slice first),
+        ties by size then architecture name.  ``prefer_smallest=False``
+        reverses either order.
         """
-        estimator = self.estimator
-        now = context.now
-        model, batch = query.model, query.batch
+        order = [
+            (group, group.oracle(model, batch, group.gpcs)) for group in self._index.groups
+        ]
+        if self._hetero:
+            order.sort(key=lambda pair: (-pair[1], pair[0].gpcs, pair[0].arch))
+        else:
+            order.sort(key=lambda pair: pair[0].gpcs)
+        if not self.prefer_smallest:
+            order.reverse()
+        self._orders[(model, batch)] = order
+        return order
 
-        execution_by_group: dict = {}
-        group_best: dict = {}  # (arch, gpcs) -> (wait, instance_id, worker)
-        oracle_cache: dict = {}
-        best_total = best_worker = None
-        best_gpcs = best_id = 0
-        for worker in context.workers:
-            arch = worker.arch_name
-            gpcs = worker.gpcs
-            group = (arch, gpcs)
-            oracle = oracle_cache.get(arch)
-            if oracle is None:
-                oracle = oracle_cache[arch] = estimator.oracle_for(worker)
-            execution = execution_by_group.get(group)
-            if execution is None:
-                execution = execution_by_group[group] = oracle(model, batch, gpcs)
-            wait = worker.estimated_wait(now, oracle)
-            instance_id = worker.instance_id
-            entry = group_best.get(group)
-            if entry is None or wait < entry[0] or (wait == entry[0] and instance_id < entry[1]):
-                group_best[group] = (wait, instance_id, worker)
-            total = wait + execution
-            if (
-                best_total is None
-                or total < best_total
-                or (
-                    total == best_total
-                    and (gpcs < best_gpcs or (gpcs == best_gpcs and instance_id < best_id))
-                )
-            ):
-                best_total, best_worker = total, worker
-                best_gpcs, best_id = gpcs, instance_id
-
-        sla = query.sla_target
-        if sla is not None:
-            alpha, beta = estimator.alpha, estimator.beta
-            # Least-capable-first: slowest execution first (reverse for the
-            # largest-first ablation); deterministic ties by size then
-            # architecture name.
-            ordered = sorted(
-                execution_by_group.items(),
-                key=lambda kv: (-kv[1], kv[0][1], kv[0][0]),
-                reverse=not self.prefer_smallest,
-            )
-            for group, execution in ordered:
-                wait, _, worker = group_best[group]
-                if sla - alpha * (wait + beta * execution) > 0.0:
-                    return worker
-
-        return best_worker
+    def reset(self) -> None:
+        """Release the drain-time index and its memoized group orders."""
+        self._index.clear()
+        self._orders.clear()
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -18,6 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.sim.drain_index import DrainIndex
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
@@ -105,19 +106,25 @@ class LeastLoadedScheduler(Scheduler):
 
     name = "least-loaded"
 
+    def __init__(self) -> None:
+        self._index = DrainIndex()
+
+    def reset(self) -> None:
+        self._index.clear()
+
     def on_arrival(
         self, query: Query, context: SchedulingContext
     ) -> Optional[PartitionWorker]:
-        # oracle_for resolves the right per-architecture estimator on mixed
-        # fleets; on single-architecture servers it is context.estimator
-        # itself, preserving the workers' queued-work cache identity.
-        return min(
-            context.workers,
-            key=lambda w: (
-                w.estimated_wait(context.now, context.oracle_for(w)),
-                w.instance_id,
-            ),
-        )
+        # The minimum (T_wait, id) over every worker is the minimum over the
+        # drain-time index's group heads.  oracle_for resolves the right
+        # per-architecture estimator on mixed fleets; on single-architecture
+        # servers it is context.estimator itself, preserving the workers'
+        # queued-work cache identity.
+        index = self._index
+        index.sync(context, context.oracle_for, context.estimators is not None)
+        now = context.now
+        heads = [group.best(now, 0.0) for group in index.groups]
+        return min(head for head in heads if head is not None)[3]
 
 
 class RandomDispatchScheduler(Scheduler):

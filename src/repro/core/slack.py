@@ -96,8 +96,8 @@ class SlackEstimator:
         # One persistent memoized oracle for every T_estimated lookup.  The
         # stable identity matters as much as the memo: the partition workers
         # cache their summed queued work per estimator object, so handing
-        # them the same callable on every poll is what makes ELSA's
-        # per-arrival scan O(workers) instead of O(workers x queue).
+        # them the same callable on every poll makes re-reading a worker's
+        # wait O(1) instead of O(queue).
         self.estimator = CachedEstimator(self.profiles, fallback=profile)
         # Mixed fleets get one persistent memoized oracle *per architecture*
         # (same identity argument, per architecture).  A single-architecture

@@ -38,7 +38,10 @@ objects), per-query runtime state lives in a struct-of-arrays store
 zero-copy, execution and wait estimates go through one memoized
 :class:`~repro.perf.lookup.CachedEstimator`, and one reused
 :class:`~repro.sim.scheduler_api.SchedulingContext` plus a live idle-worker
-view stand in for per-event snapshots.  Simulated outcomes are pinned by the
+view stand in for per-event snapshots.  The context's change feed lists the
+workers whose state changed since the previous arrival, so policies keep
+their own indexes current instead of polling every worker (see
+:mod:`repro.sim.drain_index`).  Simulated outcomes are pinned by the
 committed replay corpus (``baselines/replay_corpus.json``).
 """
 
@@ -360,6 +363,9 @@ class InferenceServerSimulator:
         self._idle_map: Dict[Tuple[int, int], PartitionWorker] = {}
         self._idle_view = _IdleWorkersView(self._idle_keys, self._idle_map)
         self._context: Optional[SchedulingContext] = None
+        # The change feed (``SchedulingContext.changed``): workers whose
+        # scheduling state changed since the last arrival's decision.
+        self._changed: List[PartitionWorker] = []
         for worker in self.workers:
             self._mark_idle(worker)
         self._frontend_gap = (
@@ -464,10 +470,11 @@ class InferenceServerSimulator:
     def _context_at(self, now: float) -> SchedulingContext:
         """The scheduling context: one reused object over live (read-only) views.
 
-        The central queue and idle view are the simulator's own structures —
-        documented read-only for schedulers — and only ``now`` changes
-        between scheduling moments, so the frozen dataclass is rebuilt only
-        when the worker list itself is swapped (a live reconfiguration).
+        The central queue, idle view and change feed are the simulator's own
+        structures — documented read-only for schedulers — and only ``now``
+        changes between scheduling moments, so the frozen dataclass is
+        rebuilt only when the worker list itself is swapped (a live
+        reconfiguration).
         """
         context = self._context
         if context is None or context.workers is not self.workers:
@@ -478,6 +485,7 @@ class InferenceServerSimulator:
                 estimator=self._estimator,
                 idle=self._idle_view,
                 estimators=self._arch_estimators,
+                changed=self._changed,
             )
         else:
             object.__setattr__(context, "now", now)
@@ -673,8 +681,13 @@ class InferenceServerSimulator:
         return self._close(offered_load_qps)
 
     def _close(self, offered_load_qps: Optional[float]) -> SimulationResult:
-        """Digest and seal the open run at the current simulation time."""
+        """Digest and seal the open run at the current simulation time.
+
+        The scheduler is reset here as well as at :meth:`begin`, so no
+        per-run policy state outlives the run.
+        """
         self._active = False
+        self.scheduler.reset()
         if offered_load_qps is None:
             offered_load_qps = self._observed_arrival_rate()
         makespan = self._clock.now
@@ -1040,6 +1053,7 @@ class InferenceServerSimulator:
             self._tombstones[key] = self._tombstones.get(key, 0) + 1
             displaced.append(aborted)
         displaced.extend(worker.drain_queue())
+        self._changed.append(worker)
 
         columns = self._columns
         materialise = self._write_through
@@ -1104,6 +1118,7 @@ class InferenceServerSimulator:
         self.workers.append(worker)
         self.workers.sort(key=lambda w: (w.gpcs, w.instance_id))  # in place
         self._workers_by_id[instance_id] = worker
+        self._changed.append(worker)
         handlers = self._h_recovered
         if handlers:
             recovered = WorkerRecovered(now, instance_id, worker.gpcs)
@@ -1143,6 +1158,7 @@ class InferenceServerSimulator:
         if worker is None:
             raise KeyError(f"no worker with instance id {instance_id}")
         worker.slow_factor = multiplier
+        self._changed.append(worker)
 
     def emit_event(self, event: SimEvent) -> None:
         """Deliver an externally constructed lifecycle event to observers.
@@ -1174,6 +1190,7 @@ class InferenceServerSimulator:
         gap = self._frontend_gap
         announced = self._columns.announced
         tombstones = self._tombstones
+        changed = self._changed
         processed = self._events_processed
         now = clock.now
         try:
@@ -1221,6 +1238,8 @@ class InferenceServerSimulator:
                                 continue
                             self._frontend_available = now + gap
                     worker = scheduler.on_arrival(query, self._context_at(now))
+                    # the scheduler has seen every change up to this decision
+                    changed.clear()
                     if worker is None:
                         central.append(query)
                     else:
@@ -1264,6 +1283,7 @@ class InferenceServerSimulator:
             # A draining partition takes no further work; its local queue was
             # already requeued, so finishing the in-flight query empties it.
             return
+        self._changed.append(worker)
 
         # Start the next locally queued query, if any.
         finish = worker.start_next(now)
@@ -1301,6 +1321,7 @@ class InferenceServerSimulator:
         now: float,
     ) -> None:
         self._mark_busy(worker)
+        self._changed.append(worker)
         worker.enqueue(query, now)
         dispatch_handlers = self._h_dispatched
         if dispatch_handlers:

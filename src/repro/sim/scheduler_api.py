@@ -37,7 +37,9 @@ class SchedulingContext:
     Attributes:
         now: current simulation time in seconds.
         workers: all partition workers, sorted by ascending partition size
-            then instance id (the iteration order ELSA's Step A expects).
+            then instance id.  ELSA and the least-loaded baseline do not
+            depend on this order: they break ties by instance id, then by
+            list position.
         central_queue: read-only view of the queries currently parked in the
             server-wide FIFO (relevant to central-queue policies).  Must not
             be mutated — the simulator shares its live queue here
@@ -56,6 +58,14 @@ class SchedulingContext:
             name, set only on mixed-architecture fleets; ``None`` on
             single-architecture servers (every worker then shares
             ``estimator``).
+        changed: the change feed — every worker whose local queue,
+            in-flight query, pool membership (crash, restore) or slowdown
+            changed since the previous ``on_arrival``, possibly repeated.
+            The simulator appends at each such change and empties the list
+            after every ``on_arrival``; schedulers read it (to keep a
+            :class:`~repro.sim.drain_index.DrainIndex` current) and must not
+            mutate it.  ``None`` (a hand-built context) means "no feed":
+            indexes rebuild from ``workers`` on every decision.
     """
 
     now: float
@@ -64,6 +74,7 @@ class SchedulingContext:
     estimator: LatencyFn
     idle: Optional[Sequence[PartitionWorker]] = None
     estimators: Optional[Mapping[str, LatencyFn]] = None
+    changed: Optional[Sequence[PartitionWorker]] = None
 
     def oracle_for(self, worker: PartitionWorker) -> LatencyFn:
         """The latency oracle matching ``worker``'s architecture.
@@ -109,7 +120,14 @@ class Scheduler(abc.ABC):
         return None
 
     def reset(self) -> None:
-        """Clear any internal state before a fresh simulation run."""
+        """Clear any per-run state.
+
+        The simulator calls this both when a run opens and when it closes.
+        One policy object serves every simulator a deployment builds, so
+        state kept past the close (an index over the run's workers, say)
+        would pin the finished run's workers and their completed queries
+        while the next run allocates its own.
+        """
 
     @staticmethod
     def idle_workers(context: SchedulingContext) -> List[PartitionWorker]:

@@ -21,7 +21,7 @@ Without a store (standalone use) the worker writes the query objects.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Iterable, List, Optional
 
 import numpy as np
 
@@ -31,6 +31,19 @@ from repro.workload.query import Query
 
 #: Signature of the execution-latency oracle: (model, batch, gpcs) -> seconds.
 LatencyFn = Callable[[str, int, int], float]
+
+
+def _left_fold(estimates: Iterable[float]) -> float:
+    """``((0.0 + e0) + e1) + ...``: the one summation order of queued work.
+
+    Not :func:`sum`: from Python 3.12 it compensates float rounding, so it
+    would disagree in the last ulp with the ``+=`` that extends a cached
+    total, and it returns the int ``0`` for an empty queue.
+    """
+    total = 0.0
+    for estimate in estimates:
+        total += estimate
+    return total
 
 
 class PartitionWorker:
@@ -69,8 +82,8 @@ class PartitionWorker:
             raise ValueError("noise_std must be non-negative")
         self.instance = instance
         #: Partition size / id / architecture cached as plain attributes:
-        #: the scheduling hot loops read them once per worker per arrival,
-        #: and a chain of two properties is measurable there.
+        #: the scheduling hot paths read them per arrival, and a chain of
+        #: two properties is measurable there.
         self.gpcs: int = instance.gpcs
         self.instance_id: int = instance.instance_id
         self.arch_name: str = instance.partition.architecture.name
@@ -100,10 +113,11 @@ class PartitionWorker:
         self._current_start = 0.0
 
         #: The queued-work estimate is cached between queue mutations, so
-        #: schedulers that poll every worker per arrival (ELSA, least-loaded)
-        #: pay O(1) instead of re-walking the queue.  The cached value is
-        #: always a fresh left-to-right sum over the queue, so it equals an
-        #: uncached scan bit for bit.
+        #: schedulers that poll workers per arrival (ELSA, least-loaded) pay
+        #: O(1) instead of re-walking the queue.  Every total is one left
+        #: fold from ``0.0`` over the queue (:func:`_left_fold`, extended in
+        #: place by ``+=``), so a cached total equals a fresh scan bit for
+        #: bit on every Python version.
         self._qw_estimator: Optional[LatencyFn] = None
         #: Per-query estimates (same order as ``queue``) under the current
         #: estimator, so a recompute is a pure float sum with no lookups.
@@ -250,12 +264,12 @@ class PartitionWorker:
                 estimator(query.model, query.batch, gpcs) for query in self.queue
             )
             self._qw_estimator = estimator
-            self._qw_total = sum(self._qw_estimates)
+            self._qw_total = _left_fold(self._qw_estimates)
             self._qw_dirty = False
         elif self._qw_dirty:
-            # A fresh left-to-right sum over the cached per-query estimates:
-            # bit-identical to scanning the queue through the estimator.
-            self._qw_total = sum(self._qw_estimates)
+            # A fresh fold over the cached per-query estimates: bit-identical
+            # to scanning the queue through the estimator.
+            self._qw_total = _left_fold(self._qw_estimates)
             self._qw_dirty = False
         if self.slow_factor != 1.0:
             return self._qw_total * self.slow_factor
@@ -264,9 +278,9 @@ class PartitionWorker:
     def estimated_wait(self, now: float, estimator: LatencyFn) -> float:
         """ELSA's ``T_wait``: queued work plus remainder of the running query.
 
-        One call per worker per arrival in the scheduling hot loop, so the
-        clean-cache case is answered inline instead of through two further
-        method calls; the arithmetic is identical either way.
+        Called for every visited candidate of every scheduling decision, so
+        the clean-cache case is answered inline instead of through two
+        further method calls; the arithmetic is identical either way.
         """
         if estimator is self._qw_estimator and not self._qw_dirty:
             queued = self._qw_total

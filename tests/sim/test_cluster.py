@@ -1,9 +1,15 @@
 """Tests for the inference-server simulator."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis.experiments import ExperimentSettings
+from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
 from repro.sim.cluster import InferenceServerSimulator
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 from tests.sim.helpers import MODEL, constant_profile, linear_profile, make_instances, make_trace
 
 
@@ -93,6 +99,59 @@ class TestReplayIsolation:
         assert first.statistics.latency.p95 == pytest.approx(
             second.statistics.latency.p95
         )
+
+
+class TestSchedulerLifetime:
+    @pytest.mark.parametrize("policy", ["elsa", "least-loaded"])
+    def test_no_scheduler_state_outlives_the_run(self, policy):
+        # One scheduler object serves every simulator a deployment builds;
+        # an index it kept past finish() would pin the run's workers (and
+        # their completed queries) while the next run allocates its own.
+        deployment = ExperimentSettings().build("mobilenet", "paris", policy)
+        trace = QueryGenerator(
+            WorkloadConfig(
+                model="mobilenet",
+                rate_qps=3000.0,
+                num_queries=200,
+                seed=4,
+                sla_target=deployment.sla_target,
+            )
+        ).generate()
+        simulator = deployment.simulator()
+        simulator.begin()
+        simulator.submit_trace(trace.fresh_copy())
+        worker = weakref.ref(simulator.workers[0])
+        result = simulator.finish()
+        assert result.statistics.completed_queries == 200
+        del result, simulator
+        gc.collect()
+        assert worker() is None
+        assert deployment.scheduler.name == policy
+
+
+class TestChangeFeed:
+    def test_recovered_straggler_is_rekeyed(self):
+        # Worker 0 takes query 2 while slowed 3x, so its queued work counts
+        # 3.0; back at normal speed it counts 1.0 and is the least loaded
+        # (wait 1.6 against worker 1's 2.6) when query 5 arrives.  Without
+        # the slowdown in the change feed, ELSA would still see 3.0.
+        latencies = {1: 1.0}
+        simulator = make_simulator(
+            sizes=(1, 1),
+            latencies=latencies,
+            scheduler=ElsaScheduler(constant_profile(latencies)),
+        )
+        simulator.begin()
+        simulator.submit_trace(
+            make_trace([(0.0, 1), (0.0, 1), (0.2, 1), (0.2, 1), (0.2, 1), (0.4, 1)], sla=10.0)
+        )
+        simulator.run_until(0.1)
+        simulator.set_worker_slowdown(0, 3.0)
+        simulator.run_until(0.3)
+        simulator.set_worker_slowdown(0, 1.0)
+        result = simulator.finish()
+        placed = [q.instance_id for q in result.queries]
+        assert placed == [0, 1, 0, 1, 1, 0]
 
 
 class TestSchedulersOnCluster:

@@ -14,7 +14,10 @@ reduces the outcome to a record:
 recorded from the original object-per-event replay loop and is reproduced
 exactly by the columnar replay core; the ``frontend-overload/*`` cases were
 recorded from the per-arrival retry frontend and are reproduced exactly by
-the FIFO frontend queue.  So any change to simulated outcomes —
+the FIFO frontend queue; the ``fleet-burst/*`` and
+``same-instant-siblings/*`` cases were recorded from ELSA's per-worker scan
+and are reproduced exactly by the drain-time index.  So any change to
+simulated outcomes —
 scheduling decisions, tie-breaking, float arithmetic — fails here, naming
 the case and the first field that differs.
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -46,7 +50,7 @@ from repro.faults import (
     WorkerCrash,
     WorkerRestart,
 )
-from repro.gpu.architecture import A30, A100
+from repro.gpu.architecture import A30, A100, H100
 from repro.gpu.partition import GPUPartition, PartitionInstance
 from repro.perf.lookup import ProfileEntry, ProfileTable
 from repro.perf.profiler import Profiler
@@ -56,6 +60,7 @@ from repro.serving.session import ServingSession
 from repro.sim.cluster import InferenceServerSimulator
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.query import Query
+from repro.workload.scenario import build_scenario
 from repro.workload.trace import QueryTrace
 from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
 
@@ -451,6 +456,107 @@ def hetero_elsa_case(sla):
     return build
 
 
+#: The fleet-burst fleet: four 8xA100 servers, 93 workers in 5 size groups.
+FLEET_SERVERS = ((8, A100),) * 4
+#: A mixed fleet: 63 workers in 8 (architecture, size) groups.
+MIXED_SERVERS = ((8, A100), (8, H100))
+
+
+@lru_cache(maxsize=None)
+def _fleet_design(servers, scheduler: str = "elsa"):
+    return ExperimentSettings().build_fleet_design("mobilenet", list(servers), scheduler=scheduler)
+
+
+def _burst_trace(deployment, seed: int, sla: bool = True) -> QueryTrace:
+    """A short ``burst`` scenario: base traffic at 0.75x the frontend cap
+    between two spikes at 2x the cap, carrying the deployment's SLA (as a
+    session would stamp it) unless ``sla`` is false."""
+    cap = deployment.config.frontend_capacity_qps
+    trace = build_scenario(
+        "burst",
+        model="mobilenet",
+        base_qps=0.75 * cap,
+        burst_qps=2.0 * cap,
+        base_duration=0.03,
+        burst_duration=0.01,
+        repeats=2,
+        seed=seed,
+    ).generate()
+    if not sla:
+        return trace
+    target = deployment.sla_target
+    return QueryTrace(tuple(dataclasses.replace(q, sla_target=target) for q in trace))
+
+
+def _with_elsa(deployment, **options):
+    """``deployment`` served by a fresh ELSA built with ``options``."""
+    scheduler = ElsaScheduler(
+        deployment.profile,
+        profiles=deployment.profiles,
+        arch_profiles=deployment.arch_profiles,
+        **options,
+    )
+    return dataclasses.replace(deployment, scheduler=scheduler)
+
+
+def fleet_burst_case(servers, scheduler: str = "elsa", sla: bool = True, **options):
+    def build():
+        deployment = _fleet_design(servers, scheduler)
+        if options:
+            deployment = _with_elsa(deployment, **options)
+        trace = _burst_trace(deployment, seed=21, sla=sla)
+        return record(deployment.simulator().run(trace))
+
+    return build
+
+
+def fleet_burst_session_case():
+    """The fleet-burst fleet through a session with a crash, a straggler, a
+    restore and a drift-triggered live repartition (stale planning PDF)."""
+    deployment = _fleet_design(FLEET_SERVERS)
+    session = ServingSession(
+        deployment.config,
+        batch_pdf={1: 0.8, 2: 0.2},
+        window=0.01,
+        triggers=[("pdf-drift", {"threshold": 0.1, "min_queries": 50})],
+        reconfig_cost=0.002,
+        faults=FaultSchedule(
+            [
+                WorkerCrash(time=0.012, worker=40),
+                StragglerStart(time=0.015, worker=7, multiplier=4.0),
+                StragglerEnd(time=0.025, worker=7),
+                WorkerRestart(time=0.03, worker=40),
+            ]
+        ),
+        retry_policy=RetryPolicy(max_retries=2, backoff=0.001),
+    )
+    return session_record(session.run(_burst_trace(deployment, seed=22)))
+
+
+def same_instant_siblings_case(scheduler: str):
+    """Bursts of identical queries arriving at one instant onto two identical
+    idle servers with no frontend cap: idle siblings tie at wait 0, and the
+    siblings they load tie again on identical drain times."""
+
+    def build():
+        deployment = _fleet_design(((8, A100),) * 2, scheduler)
+        simulator = InferenceServerSimulator(
+            instances=deployment.instances,
+            profiles=dict(deployment.profiles),
+            scheduler=deployment.scheduler,
+        )
+        specs = [
+            (0.002 * burst, batch)
+            for burst, batch in enumerate((1, 32, 4, 16, 8, 32, 2, 16, 32, 1, 32, 32))
+            for _ in range(4 + 3 * (burst % 3))
+        ]
+        trace = make_trace(specs, sla=deployment.sla_target)
+        trace = QueryTrace(tuple(dataclasses.replace(q, model="mobilenet") for q in trace))
+        return record(simulator.run(trace))
+
+    return build
+
+
 def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
     cases: Dict[str, Callable[[], Dict[str, Any]]] = {}
     for policy in SCHEDULER_FACTORIES:
@@ -487,6 +593,21 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
             seed, max_retries, config=FRONTEND_FAULT_CONFIG, num_queries=1500
         )
     cases["frontend-overload/paper-server-3x"] = paper_server_overload_case
+    # Fleet scale: ELSA's per-group decisions over tens of same-size siblings.
+    cases["fleet-burst/elsa"] = fleet_burst_case(FLEET_SERVERS)
+    cases["fleet-burst/elsa-largest-first"] = fleet_burst_case(
+        FLEET_SERVERS, prefer_smallest=False
+    )
+    cases["fleet-burst/elsa-no-sla"] = fleet_burst_case(FLEET_SERVERS, sla=False)
+    cases["fleet-burst/least-loaded"] = fleet_burst_case(FLEET_SERVERS, "least-loaded")
+    cases["fleet-burst/session-faults-repartition"] = fleet_burst_session_case
+    cases["fleet-burst/mixed-a100-h100"] = fleet_burst_case(MIXED_SERVERS)
+    cases["fleet-burst/mixed-a100-h100-largest-first"] = fleet_burst_case(
+        MIXED_SERVERS, prefer_smallest=False
+    )
+    cases["fleet-burst/mixed-a100-h100-no-sla"] = fleet_burst_case(MIXED_SERVERS, sla=False)
+    for scheduler in ("elsa", "least-loaded"):
+        cases[f"same-instant-siblings/{scheduler}"] = same_instant_siblings_case(scheduler)
     return cases
 
 

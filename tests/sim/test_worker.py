@@ -170,6 +170,37 @@ class TestQueuedWorkCache:
         assert worker.queued_work(slow) == pytest.approx(4.0)
         assert worker.queued_work(fast) == pytest.approx(1.0)
 
+    def test_every_total_is_one_left_fold(self):
+        # sum() compensates float rounding from Python 3.12 on, so it would
+        # round 1.0 + 2e-16 up where the += extending a cached total rounds
+        # down twice; every path must give the plain left fold.
+        estimates = {1: 1.0, 2: 1e-16, 3: 1e-16, 4: 5.0}
+
+        def oracle(model, batch, gpcs):
+            return estimates[batch]
+
+        folded = ((0.0 + 1.0) + 1e-16) + 1e-16
+        rebuilt = make_worker()
+        for qid, batch in enumerate((1, 2, 3)):
+            rebuilt.enqueue(make_query(qid, batch=batch), 0.0)
+        assert rebuilt.queued_work(oracle) == folded  # fresh estimator
+        extended = make_worker()
+        extended.queued_work(oracle)
+        for qid, batch in enumerate((1, 2, 3)):
+            extended.enqueue(make_query(qid, batch=batch), 0.0)
+        assert extended.queued_work(oracle) == folded  # extended by +=
+        popped = make_worker()
+        for qid, batch in enumerate((4, 1, 2, 3)):
+            popped.enqueue(make_query(qid, batch=batch), 0.0)
+        popped.queued_work(oracle)
+        popped.start_next(0.0)
+        assert popped.queued_work(oracle) == folded  # refolded after a pop
+
+    def test_empty_queue_total_is_a_float(self):
+        total = make_worker().queued_work(CountingEstimator())
+        assert isinstance(total, float)
+        assert total == 0.0
+
     def test_drain_queue_returns_and_clears(self):
         worker = make_worker()
         estimator = CountingEstimator()

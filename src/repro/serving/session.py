@@ -837,7 +837,8 @@ class ServingSession:
         return result
 
     def _prepare_trace(self, trace: QueryTrace) -> QueryTrace:
-        """Validate served models and fill derived SLA targets on a copy."""
+        """Validate served models, then copy the trace with runtime state
+        cleared and derived SLA targets filled, in one pass."""
         deployment = self._deployment
         assert deployment is not None
         unknown = sorted({q.model for q in trace} - set(deployment.profiles))
@@ -846,11 +847,20 @@ class ServingSession:
                 f"trace contains models {unknown} not served by this "
                 f"deployment; served models: {sorted(deployment.profiles)}"
             )
-        replay = trace.fresh_copy()
-        for query in replay:
-            if query.sla_target is None:
-                query.sla_target = deployment.sla_target_for(query.model)
-        return replay
+        unset = sorted({q.model for q in trace if q.sla_target is None})
+        targets = {model: deployment.sla_target_for(model) for model in unset}
+        return QueryTrace(
+            tuple(
+                Query(
+                    q.query_id,
+                    q.model,
+                    q.batch,
+                    q.arrival_time,
+                    targets[q.model] if q.sla_target is None else q.sla_target,
+                )
+                for q in trace
+            )
+        )
 
     def _evaluate_triggers(self, now: float) -> None:
         assert self._windowed is not None

@@ -34,14 +34,15 @@ entirely, so the one-shot replay loop costs the same as before it existed.
 The replay loop is columnar: events live in a tuple-keyed heap
 (:class:`~repro.sim.engine.TupleEventQueue`, C-level comparisons, no event
 objects), per-query runtime state lives in a struct-of-arrays store
-(:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
-zero-copy, execution and wait estimates go through one memoized
-:class:`~repro.perf.lookup.CachedEstimator`, and one reused
-:class:`~repro.sim.scheduler_api.SchedulingContext` plus a live idle-worker
-view stand in for per-event snapshots.  The context's change feed lists the
-workers whose state changed since the previous arrival, so policies keep
-their own indexes current instead of polling every worker (see
-:mod:`repro.sim.drain_index`).  Simulated outcomes are pinned by the
+(:class:`~repro.sim.columnar.QueryColumns`, registered a batch at a time)
+that statistics digestion reads zero-copy, a dispatch onto an idle worker
+starts the query without queueing it, execution and wait estimates go
+through one memoized :class:`~repro.perf.lookup.CachedEstimator`, and one
+reused :class:`~repro.sim.scheduler_api.SchedulingContext` plus a live
+idle-worker view stand in for per-event snapshots.  The context's change
+feed lists the workers whose state changed since the previous arrival, so
+policies keep their own indexes current instead of polling every worker
+(see :mod:`repro.sim.drain_index`).  Simulated outcomes are pinned by the
 committed replay corpus (``baselines/replay_corpus.json``).
 """
 
@@ -52,6 +53,7 @@ import heapq
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import (
     Deque,
     Dict,
@@ -599,16 +601,18 @@ class InferenceServerSimulator:
                 f"before the current simulation time {self._clock.now}"
             )
         self._submitted.append(query)
-        self._columns.add(query)
+        self._columns.extend((query,))
         self._events.push(query.arrival_time, EventKind.ARRIVAL, query)
 
     def submit_trace(self, trace: QueryTrace) -> None:
         """Inject every query of ``trace`` (not copied — pass a fresh copy).
 
         A whole-trace submission into an empty event queue is bulk-loaded:
-        traces are sorted by arrival time, and a sorted batch of same-kind
-        events is already a valid heap, so the per-query ``heappush`` walks
-        disappear.
+        the queries register in one batch, and since traces are sorted by
+        arrival time and a sorted batch of same-kind events is already a
+        valid heap, the per-query ``heappush`` walks disappear.  Anything
+        else (a non-empty queue, an unsorted duck-typed trace) falls back
+        to one :meth:`submit` per query.
         """
         if not self._active:
             raise RuntimeError("submit() requires an open run; call begin() first")
@@ -617,12 +621,7 @@ class InferenceServerSimulator:
         # Validate the bulk-load preconditions *before* touching any state:
         # QueryTrace guarantees sortedness, but duck-typed trace objects may
         # not, and a partial registration would leave phantom queries.
-        bulk = (
-            queries
-            and not self._events
-            and all(a <= b for a, b in zip(times, times[1:]))
-        )
-        if not bulk:
+        if not queries or self._events or not all(map(le, times, times[1:])):
             for query in queries:
                 self.submit(query)
             return
@@ -632,9 +631,7 @@ class InferenceServerSimulator:
                 f"query {queries[0].query_id} arrives at {times[0]}, "
                 f"before the current simulation time {self._clock.now}"
             )
-        columns = self._columns
-        for query in queries:
-            columns.add(query)
+        self._columns.extend(queries)
         self._submitted.extend(queries)
         self._events.extend_sorted(times, _ARRIVAL, queries)
 
@@ -1285,9 +1282,10 @@ class InferenceServerSimulator:
             return
         self._changed.append(worker)
 
-        # Start the next locally queued query, if any.
-        finish = worker.start_next(now)
-        if finish is not None:
+        if worker.queue:
+            # Start the next locally queued query.
+            finish = worker.start_next(now)
+            assert finish is not None  # the worker was just freed
             self._events.push(finish, _COMPLETION, worker.current_query, worker)
             return
 
@@ -1322,12 +1320,19 @@ class InferenceServerSimulator:
     ) -> None:
         self._mark_busy(worker)
         self._changed.append(worker)
-        worker.enqueue(query, now)
+        # A worker with nothing executing and nothing queued starts the
+        # query at once, without the local-queue round trip.  Either way
+        # observers see the query dispatched but not yet started.
+        direct = worker.current_query is None and not worker.queue
+        if direct:
+            worker.assign(query, now)
+        else:
+            worker.enqueue(query, now)
         dispatch_handlers = self._h_dispatched
         if dispatch_handlers:
             dispatched = QueryDispatched(now, query, worker.instance_id)
             for handler in dispatch_handlers:
                 handler(dispatched)
-        finish = worker.start_next(now)
+        finish = worker.start(query, now) if direct else worker.start_next(now)
         if finish is not None:
             self._events.push(finish, _COMPLETION, worker.current_query, worker)

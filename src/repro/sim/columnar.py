@@ -25,13 +25,20 @@ but observers must see each query arrive exactly once.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.query import Query
 
 #: Sentinel for "timestamp not set" / "no SLA deadline" column slots.
 NAN = float("nan")
+
+#: One row of each runtime column's initial value as raw bytes: ``n`` new
+#: rows extend a column by the row repeated ``n`` times.
+_UNSET_ROW = array("d", [NAN]).tobytes()
+_NO_INSTANCE_ROW = array("q", [-1]).tobytes()
+_ZERO_FLAG_ROW = array("b", [0]).tobytes()
+_ZERO_COUNT_ROW = array("q", [0]).tobytes()
 
 
 class QueryColumns:
@@ -73,23 +80,33 @@ class QueryColumns:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def add(self, query: "Query") -> int:
-        """Register ``query`` and return its row index (also set on the query)."""
-        index = len(self.queries)
-        query.index = index
-        self.queries.append(query)
-        self.arrival.append(query.arrival_time)
-        sla = query.sla_target
-        self.deadline.append(NAN if sla is None else sla)
-        self.batch.append(query.batch)
-        self.dispatch.append(NAN)
-        self.start.append(NAN)
-        self.finish.append(NAN)
-        self.instance.append(-1)
-        self.announced.append(0)
-        self.fail_time.append(NAN)
-        self.retries.append(0)
-        return index
+    def extend(self, queries: Sequence["Query"]) -> None:
+        """Register ``queries`` as the next rows, in order.
+
+        Each query's row index is set on it (``Query.index``).  Every column
+        grows by one C-level extend, the runtime columns from repeated
+        initial rows.  The batch column is converted first: a validated
+        query's arrival and SLA are real numbers, so a non-integer batch is
+        what can fail, and it raises before any column grows.
+        """
+        batch = array("q", [query.batch for query in queries])
+        for index, query in enumerate(queries, len(self.queries)):
+            query.index = index
+        self.queries.extend(queries)
+        self.batch += batch
+        self.arrival.fromlist([query.arrival_time for query in queries])
+        self.deadline.fromlist(
+            [NAN if query.sla_target is None else query.sla_target for query in queries]
+        )
+        count = len(queries)
+        unset = _UNSET_ROW * count
+        self.dispatch.frombytes(unset)
+        self.start.frombytes(unset)
+        self.finish.frombytes(unset)
+        self.fail_time.frombytes(unset)
+        self.instance.frombytes(_NO_INSTANCE_ROW * count)
+        self.announced.frombytes(_ZERO_FLAG_ROW * count)
+        self.retries.frombytes(_ZERO_COUNT_ROW * count)
 
     def clear_dispatch(self, index: int) -> None:
         """Forget a query's dispatch (a reconfiguration requeued it)."""

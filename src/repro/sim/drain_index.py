@@ -43,10 +43,11 @@ is clamped to their queued work, which only makes it *larger* than
 **The change feed.**  The simulator lists, in ``SchedulingContext.changed``,
 every worker whose queue, in-flight query, pool membership or slowdown
 changed since the previous arrival, and empties the list after each
-``on_arrival``.  :meth:`DrainIndex.sync` re-keys exactly those workers.  A
-context with a different worker list or feed (a live reconfiguration, a new
-run, a hand-built context with no feed) rebuilds the index through the same
-per-worker code.
+``on_arrival``.  :meth:`DrainIndex.sync` re-keys exactly those workers and
+leaves an entry whose key did not change where it is.  A context with a
+different worker list or feed (a live reconfiguration, a new run, a
+hand-built context with no feed) rebuilds the index through the same
+per-worker code (:meth:`WorkerGroup.locate`).
 
 The index holds its workers; an owner must :meth:`~DrainIndex.clear` it
 when the run closes (``Scheduler.reset``), or it pins the finished run.
@@ -92,14 +93,18 @@ class WorkerGroup:
         self.idle: List[Entry] = []
         self.busy: List[Entry] = []
 
-    def add(self, worker: PartitionWorker, seq: int) -> Placement:
-        """Insert ``worker`` under its current key; returns where it went."""
-        queued = worker.queued_work(self.oracle)
+    def locate(self, worker: PartitionWorker) -> Tuple[List[Entry], float]:
+        """The bucket ``worker`` belongs in now, and its key there."""
+        # An empty queue holds exactly 0.0 work: no fold to run.
+        queued = worker.queued_work(self.oracle) if worker.queue else 0.0
         finish = worker.current_finish_time
         if finish is None:
-            bucket, key = self.idle, queued
-        else:
-            bucket, key = self.busy, queued + finish
+            return self.idle, queued
+        return self.busy, queued + finish
+
+    def add(self, worker: PartitionWorker, seq: int) -> Placement:
+        """Insert ``worker`` under its current key; returns where it went."""
+        bucket, key = self.locate(worker)
         entry = (key, worker.instance_id, seq, worker)
         insort(bucket, entry)
         return self, bucket, entry
@@ -206,12 +211,21 @@ class DrainIndex:
                     self._next_seq += 1
                 continue
             group, bucket, entry = found
-            del bucket[bisect_left(bucket, entry)]
-            if worker.retired_at is None:
-                where[worker] = group.add(worker, entry[2])
-            else:
+            if worker.retired_at is not None:
                 # crashed (or retired by a reconfiguration): out of the pool
+                del bucket[bisect_left(bucket, entry)]
                 del where[worker]
+                continue
+            target, key = group.locate(worker)
+            if target is bucket and key == entry[0]:
+                # Unchanged, so left in place: the feed may list a worker
+                # twice, and a start from the local queue often keeps the
+                # drain time.
+                continue
+            del bucket[bisect_left(bucket, entry)]
+            entry = (key, entry[1], entry[2], worker)
+            insort(target, entry)
+            where[worker] = group, target, entry
         regrouped, self._regrouped = self._regrouped, False
         return regrouped
 

@@ -89,7 +89,10 @@ class PartitionWorker:
         self.arch_name: str = instance.partition.architecture.name
         self.latency_fn = latency_fn
         self.noise_std = noise_std
-        self._rng = np.random.default_rng(seed)
+        #: The noise generator is created on the first noisy draw: seeding
+        #: one costs tens of microseconds, and noise-free runs never draw.
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
 
         self.queue: Deque[Query] = deque()
         self.current_query: Optional[Query] = None
@@ -162,14 +165,17 @@ class PartitionWorker:
             base *= self.slow_factor
         if self.noise_std == 0.0:
             return base
-        factor = float(self._rng.lognormal(mean=0.0, sigma=self.noise_std))
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        factor = float(rng.lognormal(mean=0.0, sigma=self.noise_std))
         return base * factor
 
     # ------------------------------------------------------------------ #
     # queue operations (driven by the cluster simulator)
     # ------------------------------------------------------------------ #
-    def enqueue(self, query: Query, now: float) -> None:
-        """Append ``query`` to this worker's local scheduling queue."""
+    def assign(self, query: Query, now: float) -> None:
+        """Record that ``query`` was dispatched to this worker at ``now``."""
         columns = self._columns
         if columns is not None:
             index = query.index
@@ -178,6 +184,10 @@ class PartitionWorker:
         if self._write_objects:
             query.dispatch_time = now
             query.instance_id = self.instance_id
+
+    def enqueue(self, query: Query, now: float) -> None:
+        """Dispatch ``query`` at ``now`` into this worker's local queue."""
+        self.assign(query, now)
         if self._qw_estimator is not None:
             # Estimate before mutating, so an estimator error cannot leave
             # the queue and its estimate cache out of sync.
@@ -190,6 +200,24 @@ class PartitionWorker:
                 self._qw_total += estimate
         else:
             self.queue.append(query)
+
+    def start(self, query: Query, now: float) -> float:
+        """Begin executing ``query`` at ``now``; returns its completion time.
+
+        The worker must have nothing executing.  A query dispatched to a
+        worker with nothing executing and nothing queued starts here at
+        once (after :meth:`assign`), without passing through the queue.
+        """
+        columns = self._columns
+        if columns is not None:
+            columns.start[query.index] = now
+        if self._write_objects:
+            query.start_time = now
+        self._current_start = now
+        duration = self.service_time(query)
+        self.current_query = query
+        finish = self.current_finish_time = now + duration
+        return finish
 
     def start_next(self, now: float) -> Optional[float]:
         """Begin executing the head of the local queue, if idle and non-empty.
@@ -204,16 +232,7 @@ class PartitionWorker:
         if self._qw_estimates:
             self._qw_estimates.popleft()
         self._qw_dirty = True
-        columns = self._columns
-        if columns is not None:
-            columns.start[query.index] = now
-        if self._write_objects:
-            query.start_time = now
-        self._current_start = now
-        duration = self.service_time(query)
-        self.current_query = query
-        self.current_finish_time = now + duration
-        return self.current_finish_time
+        return self.start(query, now)
 
     def complete_current(self, now: float) -> Query:
         """Finish the currently executing query at time ``now``.

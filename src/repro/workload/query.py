@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+_INF = float("inf")
+
 
 @dataclass
 class Query:
@@ -27,9 +29,10 @@ class Query:
         query_id: unique id within a trace.
         model: name of the DNN model this query targets.
         batch: number of inputs batched into the query (its "size").
-        arrival_time: wall-clock arrival time at the server frontend, seconds.
-        sla_target: latency SLA for this query in seconds (``None`` when the
-            experiment does not enforce one).
+        arrival_time: wall-clock arrival time at the server frontend, seconds
+            (finite and non-negative).
+        sla_target: latency SLA for this query in seconds, positive (``None``
+            when the experiment does not enforce one).
         dispatch_time: when the scheduler assigned the query to a partition.
         start_time: when execution began on the partition.
         finish_time: when execution completed.
@@ -56,10 +59,17 @@ class Query:
     fail_time: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        # One chained comparison per field, each false for NaN: clones of
+        # every replayed trace pass through here.
         if self.batch < 1:
             raise ValueError(f"query batch must be >= 1, got {self.batch}")
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        if not 0.0 <= self.arrival_time < _INF:
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time}"
+            )
+        sla = self.sla_target
+        if sla is not None and not 0.0 < sla:
+            raise ValueError(f"sla_target must be positive when set, got {sla}")
 
     @property
     def completed(self) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from operator import le
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.workload.query import Query
@@ -24,7 +25,7 @@ class QueryTrace:
 
     def __post_init__(self) -> None:
         arrivals = [q.arrival_time for q in self.queries]
-        if any(b > a for a, b in zip(arrivals[1:], arrivals[:-1])):
+        if not all(map(le, arrivals, arrivals[1:])):
             raise ValueError("queries must be sorted by arrival time")
 
     def __len__(self) -> int:
@@ -95,7 +96,7 @@ class QueryTrace:
 
     def with_sla(self, sla_target: float) -> "QueryTrace":
         """Return a copy of the trace with every query's SLA set to ``sla_target``."""
-        if sla_target <= 0:
+        if not sla_target > 0:  # NaN too: the copies are not re-validated
             raise ValueError("sla_target must be positive")
         trace = self.fresh_copy()
         for query in trace.queries:

@@ -5,6 +5,9 @@ import pytest
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace, merge_traces
 
+NAN = float("nan")
+INF = float("inf")
+
 
 def make_query(qid=0, batch=4, arrival=0.0, sla=None):
     return Query(
@@ -20,6 +23,24 @@ class TestQuery:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
             make_query(arrival=-1.0)
+
+    @pytest.mark.parametrize("arrival", [NAN, INF, -INF])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(
+            ValueError, match=r"^arrival_time must be finite and non-negative, got "
+        ):
+            make_query(arrival=arrival)
+
+    @pytest.mark.parametrize("sla", [NAN, 0.0, -0.0, -1.0, -INF])
+    def test_non_positive_sla_rejected(self, sla):
+        with pytest.raises(ValueError, match=r"^sla_target must be positive when set, got "):
+            make_query(sla=sla)
+
+    def test_valid_edge_values_accepted(self):
+        assert make_query(arrival=0.0, sla=5e-324).sla_target == 5e-324
+        assert make_query(arrival=1e308).arrival_time == 1e308
+        assert make_query(sla=INF).sla_target == INF
+        assert make_query().clone_fresh() == make_query()
 
     def test_latency_requires_completion(self):
         query = make_query()
@@ -88,8 +109,9 @@ class TestQueryTrace:
         trace = QueryTrace(tuple(make_query(i, arrival=float(i)) for i in range(3)))
         with_sla = trace.with_sla(0.5)
         assert all(q.sla_target == 0.5 for q in with_sla)
-        with pytest.raises(ValueError):
-            trace.with_sla(0.0)
+        for bad in (0.0, NAN):
+            with pytest.raises(ValueError):
+                trace.with_sla(bad)
 
     def test_merge_traces_sorts_and_renumbers(self):
         a = QueryTrace((make_query(0, arrival=0.0), make_query(1, arrival=2.0)))

@@ -64,7 +64,12 @@ SWEEP_QUERIES = 2500
 SWEEP_JOBS = 2
 SWEEP_ROUNDS = 3
 SMOKE_SWEEP_POINTS = 2
-SMOKE_SWEEP_QUERIES = 800
+#: Above ``ParallelRunner.min_fork_work`` (1000 simulated queries per
+#: point), so on two or more cores the smoke sweep's ``speedup > 1.0`` times
+#: a real warm pool against the inline loop.
+SMOKE_SWEEP_QUERIES = 1500
+#: Per-point work of a sweep the runner must keep inline.
+BELOW_FORK_QUERIES = 800
 #: On a single core the runner's auto-fallback makes the "warm" sweep run
 #: the very same inline loop as the serial sweep, so it may only trail by
 #: measurement noise — never by a real margin.
@@ -270,12 +275,34 @@ def test_replay_speed_smoke(settings, bench_out):
     trace = QueryGenerator(workload).generate()
     replay = _measure_replay(deployment, trace)
     fractions = (0.8, 1.2)[:SMOKE_SWEEP_POINTS]
+    sweep = _sweep_payload(deployment, SMOKE_SWEEP_QUERIES, fractions)
+    # the speedup gate above timed a real pool wherever one can spawn
+    assert sweep["pool_spawned"] is (sweep["cpu_count"] >= 2)
     payload = {
         "benchmark": "replay_speed_smoke",
         "num_queries": SMOKE_NUM_QUERIES,
         "rounds": ROUNDS,
         **replay,
         "overload": _overload_gate(deployment),
-        "sweep": _sweep_payload(deployment, SMOKE_SWEEP_QUERIES, fractions),
+        "sweep": sweep,
     }
     (bench_out / "BENCH_smoke.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def test_sweep_below_fork_threshold_spawns_no_pool(settings):
+    """Below ``min_fork_work`` per point the runner keeps a sweep inline."""
+    deployment = settings.build("mobilenet", "paris", "elsa")
+    workload = WorkloadConfig(
+        model="mobilenet",
+        rate_qps=1.0,
+        num_queries=BELOW_FORK_QUERIES,
+        seed=1,
+        sla_target=deployment.sla_target,
+    )
+    capacity = capacity_estimate(deployment, workload)
+    rates = [capacity * fraction for fraction in (0.8, 1.2)]
+    with ParallelRunner(n_jobs=SWEEP_JOBS) as runner:
+        assert BELOW_FORK_QUERIES < runner.min_fork_work
+        inline = sweep_rates(deployment, workload, rates, runner=runner)
+        assert not runner.warm
+    assert inline == sweep_rates(deployment, workload, rates, n_jobs=1)

@@ -14,7 +14,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,15 @@ from repro.workload.query import Query
 
 class FifsScheduler(Scheduler):
     """First-idle first-serve (Triton-style) central-queue scheduler.
+
+    FIFS keeps its own index of the idle workers, sorted by ``(gpcs,
+    instance_id)`` (the simulator's ``workers`` order), and keeps it current
+    from the context's change feed the way
+    :class:`~repro.sim.drain_index.DrainIndex` is fed: an arrival costs
+    O(changed workers) instead of a scan of every worker.  A context with no
+    feed, or with a different worker list or feed object (a hand-built
+    context, a live reconfiguration, a new run), rebuilds the index through
+    the :meth:`~repro.sim.scheduler_api.Scheduler.idle_workers` scan.
 
     Args:
         idle_preference: how to break ties when several partitions are idle:
@@ -49,19 +59,55 @@ class FifsScheduler(Scheduler):
         self._rng = np.random.default_rng(seed)
         self._dispatch_clock = 0
         self._last_pick: dict = {}
+        self._forget()
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self._seed)
         self._dispatch_clock = 0
         self._last_pick = {}
+        self._forget()
 
     def on_arrival(
         self, query: Query, context: SchedulingContext
     ) -> Optional[PartitionWorker]:
-        idle = self.idle_workers(context)
+        idle = self._idle_in_order(context)
         if not idle:
             return None  # park in the central FIFO
         return self._pick(idle)
+
+    def _forget(self) -> None:
+        """Drop the idle index (it rebuilds on the next arrival); the index
+        holds workers, so a closed run must not keep it."""
+        self._idle: List[PartitionWorker] = []
+        self._keys: List[Tuple[int, int]] = []
+        self._workers: Optional[Sequence[PartitionWorker]] = None
+        self._feed: Optional[Sequence[PartitionWorker]] = None
+
+    def _idle_in_order(self, context: SchedulingContext) -> List[PartitionWorker]:
+        """The idle workers of ``context`` in ``workers`` order (read-only).
+
+        A worker from the feed joins the list when it is idle and in the
+        pool (``retired_at`` unset: not crashed), and leaves it otherwise.
+        """
+        workers, feed = context.workers, context.changed
+        if feed is None or workers is not self._workers or feed is not self._feed:
+            self._workers, self._feed = workers, feed
+            self._idle = self.idle_workers(context)
+            self._keys = [(worker.gpcs, worker.instance_id) for worker in self._idle]
+            return self._idle
+        idle, keys = self._idle, self._keys
+        for worker in feed:
+            key = (worker.gpcs, worker.instance_id)
+            position = bisect_left(keys, key)
+            indexed = position < len(keys) and keys[position] == key
+            if worker.is_idle and worker.retired_at is None:
+                if not indexed:
+                    keys.insert(position, key)
+                    idle.insert(position, worker)
+            elif indexed:
+                del keys[position]
+                del idle[position]
+        return idle
 
     def on_worker_idle(
         self, worker: PartitionWorker, context: SchedulingContext

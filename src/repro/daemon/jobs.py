@@ -475,18 +475,19 @@ class JobManager:
                     await asyncio.sleep(0)
                 if job.cancel_requested and not tenant.done:
                     job.result = tenant.abort()
-                    await self._append_windows(job, tenant.new_windows())
-                    await self._append_fleet_events(job, tenant.new_fleet_events())
-                    await self._append_fault_events(job, tenant.new_fault_events())
-                    await self._finalise(job, JobState.CANCELLED)
+                    state = JobState.CANCELLED
                 else:
                     job.result = tenant.finish()
-                    await self._append_windows(job, tenant.new_windows())
-                    await self._append_fleet_events(job, tenant.new_fleet_events())
-                    await self._append_fault_events(job, tenant.new_fault_events())
-                    await self._finalise(job, JobState.COMPLETED)
+                    state = JobState.COMPLETED
+                await self._append_windows(job, tenant.new_windows())
+                await self._append_fleet_events(job, tenant.new_fleet_events())
+                await self._append_fault_events(job, tenant.new_fault_events())
             finally:
+                # The grant goes back (and admission wakes) before any
+                # terminal state is visible: whoever sees the job finished
+                # must also see its GPCs free.
                 await self._release(job)
+            await self._finalise(job, state)
         except Exception as error:  # a job failure must not kill the daemon
             job.error = f"{type(error).__name__}: {error}"
             await self._finalise(job, JobState.FAILED)

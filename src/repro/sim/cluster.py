@@ -31,41 +31,32 @@ Both surfaces publish typed lifecycle events (:mod:`repro.sim.hooks`) to any
 registered observers; with no observers attached the event layer is skipped
 entirely, so the one-shot replay loop costs the same as before it existed.
 
-The replay loop is columnar: events live in a tuple-keyed heap
-(:class:`~repro.sim.engine.TupleEventQueue`, C-level comparisons, no event
-objects), per-query runtime state lives in a struct-of-arrays store
-(:class:`~repro.sim.columnar.QueryColumns`, registered a batch at a time)
-that statistics digestion reads zero-copy, a dispatch onto an idle worker
-starts the query without queueing it, execution and wait estimates go
-through one memoized :class:`~repro.perf.lookup.CachedEstimator`, and one
-reused :class:`~repro.sim.scheduler_api.SchedulingContext` plus a live
-idle-worker view stand in for per-event snapshots.  The context's change
-feed lists the workers whose state changed since the previous arrival, so
-policies keep their own indexes current instead of polling every worker
-(see :mod:`repro.sim.drain_index`).  Simulated outcomes are pinned by the
-committed replay corpus (``baselines/replay_corpus.json``).
+The replay loop is columnar: events are plain tuples
+(:class:`~repro.sim.engine.TupleEventQueue`: the submitted trace is a sorted
+run read through a cursor, and only in-flight events sit on a heap; C-level
+comparisons, no event objects), per-query runtime state lives in a
+struct-of-arrays store (:class:`~repro.sim.columnar.QueryColumns`,
+registered a batch at a time) that statistics digestion reads zero-copy, a
+dispatch onto an idle worker starts the query without queueing it,
+execution and wait estimates go through one memoized
+:class:`~repro.perf.lookup.CachedEstimator`, and one reused
+:class:`~repro.sim.scheduler_api.SchedulingContext` stands in for
+per-event snapshots.  The context's change feed lists the workers whose
+state changed since the previous arrival, so policies keep their own
+indexes current instead of polling every worker (see
+:mod:`repro.sim.drain_index` and FIFS's idle index).  Simulated outcomes
+are pinned by the committed replay corpus
+(``baselines/replay_corpus.json``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from operator import le
-from typing import (
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Deque, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -125,45 +116,6 @@ class RetryPolicyLike(Protocol):
     def delay(self, attempt: int) -> float:
         """Backoff in seconds before retry ``attempt`` (1-based)."""
         ...
-
-
-class _IdleWorkersView:
-    """Live, read-only sequence view over the simulator's idle-worker index.
-
-    Handed to schedulers as ``SchedulingContext.idle``: building it costs
-    nothing per event (the keys/map are the simulator's own index), and
-    policies that never look at idle workers (ELSA) never pay for a
-    snapshot.  Iteration order matches a full ``workers`` scan, exactly like
-    the tuple snapshots it replaces.
-    """
-
-    __slots__ = ("_keys", "_map")
-
-    def __init__(
-        self,
-        keys: List[Tuple[int, int]],
-        mapping: Dict[Tuple[int, int], PartitionWorker],
-    ) -> None:
-        self._keys = keys
-        self._map = mapping
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __bool__(self) -> bool:
-        return bool(self._keys)
-
-    def __iter__(self) -> Iterator[PartitionWorker]:
-        mapping = self._map
-        return iter([mapping[key] for key in self._keys])
-
-    def __getitem__(
-        self, item: Union[int, slice]
-    ) -> Union[PartitionWorker, List[PartitionWorker]]:
-        if isinstance(item, slice):
-            mapping = self._map
-            return [mapping[key] for key in self._keys[item]]
-        return self._map[self._keys[item]]
 
 
 @dataclass(frozen=True)
@@ -358,18 +310,10 @@ class InferenceServerSimulator:
         self._events = TupleEventQueue()
         self._central_queue: Deque[Query] = deque()
         self._events_processed = 0
-        # Indexed idle-worker set: sorted (gpcs, instance_id) keys mirror the
-        # workers-list ordering, so idle views match what a full scan would
-        # produce.
-        self._idle_keys: List[Tuple[int, int]] = []
-        self._idle_map: Dict[Tuple[int, int], PartitionWorker] = {}
-        self._idle_view = _IdleWorkersView(self._idle_keys, self._idle_map)
         self._context: Optional[SchedulingContext] = None
         # The change feed (``SchedulingContext.changed``): workers whose
         # scheduling state changed since the last arrival's decision.
         self._changed: List[PartitionWorker] = []
-        for worker in self.workers:
-            self._mark_idle(worker)
         self._frontend_gap = (
             1.0 / self.frontend_capacity_qps if self.frontend_capacity_qps else 0.0
         )
@@ -455,24 +399,12 @@ class InferenceServerSimulator:
             self._columns.write_back()
 
     # ------------------------------------------------------------------ #
-    # indexed idle-worker set
+    # scheduling context
     # ------------------------------------------------------------------ #
-    def _mark_idle(self, worker: PartitionWorker) -> None:
-        key = (worker.gpcs, worker.instance_id)
-        if key not in self._idle_map:
-            self._idle_map[key] = worker
-            insort(self._idle_keys, key)
-
-    def _mark_busy(self, worker: PartitionWorker) -> None:
-        key = (worker.gpcs, worker.instance_id)
-        if self._idle_map.pop(key, None) is not None:
-            keys = self._idle_keys
-            del keys[bisect_left(keys, key)]
-
     def _context_at(self, now: float) -> SchedulingContext:
         """The scheduling context: one reused object over live (read-only) views.
 
-        The central queue, idle view and change feed are the simulator's own
+        The central queue and change feed are the simulator's own
         structures — documented read-only for schedulers — and only ``now``
         changes between scheduling moments, so the frozen dataclass is
         rebuilt only when the worker list itself is swapped (a live
@@ -485,7 +417,6 @@ class InferenceServerSimulator:
                 workers=self.workers,
                 central_queue=self._central_queue,
                 estimator=self._estimator,
-                idle=self._idle_view,
                 estimators=self._arch_estimators,
                 changed=self._changed,
             )
@@ -608,9 +539,8 @@ class InferenceServerSimulator:
         """Inject every query of ``trace`` (not copied — pass a fresh copy).
 
         A whole-trace submission into an empty event queue is bulk-loaded:
-        the queries register in one batch, and since traces are sorted by
-        arrival time and a sorted batch of same-kind events is already a
-        valid heap, the per-query ``heappush`` walks disappear.  Anything
+        the queries register in one batch and become the event queue's
+        sorted run, so no arrival ever enters the heap.  Anything
         else (a non-empty queue, an unsorted duck-typed trace) falls back
         to one :meth:`submit` per query.
         """
@@ -830,9 +760,6 @@ class InferenceServerSimulator:
             else:
                 worker.retired_at = now
             self._draining_ids.add(worker.instance_id)
-        # No partition accepts work during the swap: empty the idle index.
-        self._idle_keys.clear()
-        self._idle_map.clear()
 
         # Renumber the new instances so ids stay unique across generations
         # (per-instance statistics and completion events never collide).
@@ -879,7 +806,6 @@ class InferenceServerSimulator:
         self._workers_by_id = {w.instance_id: w for w in new_workers}
         for worker in new_workers:
             worker.created_at = now
-            self._mark_idle(worker)
         self._draining_ids.clear()
         self._staged = None
         record = ReconfigurationRecord(
@@ -1032,7 +958,6 @@ class InferenceServerSimulator:
         if len(self.workers) <= 1:
             raise RuntimeError("cannot crash the last live worker")
         now = self._clock.now
-        self._mark_busy(worker)  # drop from the idle index
         self.workers.remove(worker)  # in place: the context view stays live
         self._crashed[instance_id] = worker
         worker.retired_at = now
@@ -1121,7 +1046,6 @@ class InferenceServerSimulator:
             recovered = WorkerRecovered(now, instance_id, worker.gpcs)
             for handler in handlers:
                 handler(recovered)
-        self._mark_idle(worker)
         # Offer the recovered worker backlog from the central queue, exactly
         # like the post-completion idle path.
         if self._central_queue:
@@ -1171,15 +1095,20 @@ class InferenceServerSimulator:
     # the replay loop
     # ------------------------------------------------------------------ #
     def _replay(self, until: Optional[float]) -> float:
-        """Drain the tuple-keyed heap up to ``until`` with the hot logic inline.
+        """Drain the event queue up to ``until`` with the hot logic inline.
 
-        Heap entries are ``(time, kind, seq, query, worker)`` tuples; the
-        loop unpacks them directly — no event objects, no per-event method
-        dispatch, one clock write per event.  The heap's total order makes
-        popped times non-decreasing, so the clock can be assigned without
-        the monotonicity guard (push sites validate against the clock).
+        Entries are ``(time, kind, seq, query, worker)`` tuples; the loop
+        unpacks them directly — no event objects, no per-event method
+        dispatch, one clock write per event.  Each step takes the smaller of
+        the run's head and ``heap[0]`` by full tuple comparison
+        (:meth:`TupleEventQueue.pop` inlined).  The run's state is read from
+        the queue at every step, so a bulk load from a handler mid-replay is
+        seen.  The total order makes popped times non-decreasing, so the
+        clock can be assigned without the monotonicity guard (push sites
+        validate against the clock).
         """
-        heap = self._events._heap
+        events = self._events
+        heap = events._heap
         heappop = heapq.heappop
         clock = self._clock
         scheduler = self.scheduler
@@ -1191,13 +1120,27 @@ class InferenceServerSimulator:
         processed = self._events_processed
         now = clock.now
         try:
-            while heap:
-                entry = heap[0]
+            while True:
+                head = events._head
+                if heap:
+                    entry = heap[0]
+                    if head is not None and head < entry:
+                        entry = head
+                elif head is None:
+                    break
+                else:
+                    entry = head
                 now = entry[0]
                 if until is not None and now > until:
                     now = clock.now
                     break
-                heappop(heap)
+                if entry is head:
+                    # TupleEventQueue._advance, inlined
+                    head = events._head = next(events._run, None)
+                    if head is None:
+                        events._run = iter(())
+                else:
+                    heappop(heap)
                 processed += 1
                 clock._now = now
                 kind = entry[1]
@@ -1289,11 +1232,8 @@ class InferenceServerSimulator:
             self._events.push(finish, _COMPLETION, worker.current_query, worker)
             return
 
-        # The worker is now fully idle; index it before consulting the
-        # scheduler so the context's idle view matches a full scan.
-        self._mark_idle(worker)
-
-        # Otherwise offer the idle worker a query from the central queue.
+        # Otherwise offer the now fully idle worker a query from the central
+        # queue.
         if self._central_queue:
             pulled = self.scheduler.on_worker_idle(worker, self._context_at(now))
             if pulled is not None:
@@ -1318,7 +1258,6 @@ class InferenceServerSimulator:
         query: Query,
         now: float,
     ) -> None:
-        self._mark_busy(worker)
         self._changed.append(worker)
         # A worker with nothing executing and nothing queued starts the
         # query at once, without the local-queue round trip.  Either way

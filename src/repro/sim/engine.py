@@ -5,12 +5,20 @@ monotonically advancing clock.  The interesting behaviour (queueing,
 scheduling, execution) lives in :mod:`repro.sim.cluster`; keeping the engine
 separate makes it independently testable.
 
-:class:`TupleEventQueue` is a heap of plain ``(time, kind, seq, query,
-worker)`` tuples.  Tuples compare element-wise in C, so the O(log n)
-comparisons of every heap operation never enter Python and no event object
-is ever constructed in the replay loop.  Entries order by ``(time, kind,
+:class:`TupleEventQueue` orders plain ``(time, kind, seq, query, worker)``
+tuples.  Tuples compare element-wise in C, so no event object is ever
+constructed in the replay loop.  Entries order by ``(time, kind,
 sequence)``: completions beat arrivals at equal timestamps, and
 reconfigurations come last (see :class:`~repro.sim.events.EventKind`).
+
+The queue has two parts.  A bulk-loaded, sorted trace is a *run*: its
+entries are built one at a time, when an entry becomes the run's next
+candidate, and are never retained once consumed.  Everything else (each
+completion, slot event, re-entry, reconfiguration and single ``push``) goes
+on a heap, which therefore holds only the in-flight events.  The earliest
+entry is the smaller of the run's head and ``heap[0]`` by full tuple
+comparison, so events fire in exactly the order one heap holding every
+entry would give.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ from __future__ import annotations
 import heapq
 from itertools import repeat
 from operator import le
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.workload.query import Query
 
-#: A heap entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
+#: A queue entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
 #: unique per queue, so comparisons never reach the non-comparable payload
 #: slots; completions carry the worker object directly (no id -> worker map
 #: lookup when the event fires), and the simulator's frontend slot events
@@ -45,23 +53,36 @@ class SimulationClock:
 
 
 class TupleEventQueue:
-    """The simulator's tuple-keyed event heap.
+    """The simulator's event queue: a sorted run merged with a heap.
 
     A deterministic ``(time, kind, sequence)`` total order over plain tuples:
-    no object construction per event, and heap comparisons run entirely in C.
+    no object construction per event, and comparisons run entirely in C.
+
+    The run is the bulk-loaded queries and their arrival times, the sequence
+    number of the first one and a cursor (a ``zip`` over the two lists).
+    ``_head`` is the run's next entry, built when it becomes the next
+    candidate (``None`` once the run is exhausted); ``_run_end`` is the
+    sequence number one past the run's last entry.  The replay loop in
+    :class:`~repro.sim.cluster.InferenceServerSimulator` inlines :meth:`pop`
+    and :meth:`_advance` over these slots.
     """
 
-    __slots__ = ("_heap", "_sequence")
+    __slots__ = ("_head", "_heap", "_run", "_run_end", "_sequence")
 
     def __init__(self) -> None:
         self._heap: List[TupleEvent] = []
         self._sequence = 0
+        self._run: Iterator[TupleEvent] = iter(())
+        self._head: Optional[TupleEvent] = None
+        self._run_end = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        head = self._head
+        run = 0 if head is None else self._run_end - head[2]
+        return len(self._heap) + run
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._head is not None or bool(self._heap)
 
     def push(
         self,
@@ -79,26 +100,35 @@ class TupleEventQueue:
     def extend_sorted(self, times: List[float], kind: int, queries: List[Query]) -> None:
         """Bulk-enqueue already-sorted same-kind events into an *empty* queue.
 
-        A list sorted by ``(time, kind, seq)`` is already a valid min-heap,
-        so a whole trace submission costs one C-level pass instead of n
-        O(log n) ``heappush`` walks.
+        The events become the queue's run: they take the next
+        ``len(times)`` sequence numbers, so they fire exactly as if each had
+        been pushed in turn, but they never enter the heap and only the
+        run's next entry exists as a tuple.  The queue keeps ``times`` and
+        ``queries`` (not copies) until the run is exhausted.
 
         Raises:
-            ValueError: when the queue is non-empty or the times are not
+            ValueError: when the queue is non-empty (its heap holds entries
+                or its run is not exhausted) or the times are not
                 non-decreasing (callers pre-check and take the per-event
                 push path instead).  Both checks run before any change, so
                 a failed bulk load leaves the queue empty and the sequence
                 counter untouched.
         """
-        if self._heap:
+        if self:
             raise ValueError("extend_sorted requires an empty queue")
         if not all(map(le, times, times[1:])):
             raise ValueError("extend_sorted requires non-decreasing times")
-        sequence = self._sequence
-        self._sequence = sequence + len(times)
-        self._heap.extend(
-            zip(times, repeat(int(kind)), range(sequence, self._sequence), queries, repeat(None))
-        )
+        base = self._sequence
+        self._sequence = self._run_end = base + len(times)
+        sequences = range(base, self._run_end)
+        self._run = zip(times, repeat(int(kind)), sequences, queries, repeat(None))
+        self._advance()
+
+    def _advance(self) -> None:
+        """Build the run's next entry; drop the run's lists once it is exhausted."""
+        head = self._head = next(self._run, None)
+        if head is None:
+            self._run = iter(())
 
     def pop(self) -> TupleEvent:
         """Remove and return the earliest entry.
@@ -106,12 +136,19 @@ class TupleEventQueue:
         Raises:
             IndexError: if the queue is empty.
         """
-        if not self._heap:
+        head, heap = self._head, self._heap
+        if head is not None and not (heap and heap[0] < head):
+            self._advance()
+            return head
+        if not heap:
             raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(heap)
 
     def peek(self) -> TupleEvent:
         """Return (without removing) the earliest entry."""
-        if not self._heap:
+        head, heap = self._head, self._heap
+        if head is not None and not (heap and heap[0] < head):
+            return head
+        if not heap:
             raise IndexError("peek into empty event queue")
-        return self._heap[0]
+        return heap[0]

@@ -49,11 +49,6 @@ class SchedulingContext:
             mixed-architecture fleet this is the *primary* architecture's
             oracle; use :meth:`oracle_for` to resolve the right oracle per
             worker.
-        idle: the completely idle workers in ``workers`` order, maintained
-            incrementally by the simulator so policies need not
-            rescan every worker per event; ``None`` when the caller did not
-            precompute it (``Scheduler.idle_workers`` then falls back to a
-            scan, which yields the same list).
         estimators: per-architecture latency oracles keyed by architecture
             name, set only on mixed-architecture fleets; ``None`` on
             single-architecture servers (every worker then shares
@@ -63,16 +58,16 @@ class SchedulingContext:
             changed since the previous ``on_arrival``, possibly repeated.
             The simulator appends at each such change and empties the list
             after every ``on_arrival``; schedulers read it (to keep a
-            :class:`~repro.sim.drain_index.DrainIndex` current) and must not
-            mutate it.  ``None`` (a hand-built context) means "no feed":
-            indexes rebuild from ``workers`` on every decision.
+            :class:`~repro.sim.drain_index.DrainIndex` or FIFS's idle index
+            current) and must not mutate it.  ``None`` (a hand-built
+            context) means "no feed": indexes rebuild from ``workers`` on
+            every decision.
     """
 
     now: float
     workers: Sequence[PartitionWorker]
     central_queue: Sequence[Query]
     estimator: LatencyFn
-    idle: Optional[Sequence[PartitionWorker]] = None
     estimators: Optional[Mapping[str, LatencyFn]] = None
     changed: Optional[Sequence[PartitionWorker]] = None
 
@@ -131,14 +126,9 @@ class Scheduler(abc.ABC):
 
     @staticmethod
     def idle_workers(context: SchedulingContext) -> List[PartitionWorker]:
-        """Convenience: all completely idle workers, smallest partition first.
-
-        Uses the simulator-maintained idle index when the context carries
-        one; otherwise scans every worker.  Both paths return the same
-        workers in the same order.
-        """
-        if context.idle is not None:
-            return list(context.idle)
+        """Convenience: all completely idle workers, in ``workers`` order
+        (smallest partition first).  A scan of every worker; a policy that
+        asks on every arrival keeps its own index instead (FIFS does)."""
         return [worker for worker in context.workers if worker.is_idle]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

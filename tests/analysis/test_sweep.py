@@ -1,7 +1,11 @@
 """Tests for the latency-bounded throughput sweep."""
 
+import os
+import time
+
 import pytest
 
+from repro.analysis import sweep as sweep_module
 from repro.analysis.sweep import (
     ParallelRunner,
     capacity_estimate,
@@ -226,6 +230,11 @@ def shared_double(shared, value):
     return shared * value
 
 
+def worker_placement(delay):
+    time.sleep(delay)
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
 class TestWarmSharedPool:
     def test_map_shared_serial_matches_inline(self):
         runner = ParallelRunner(n_jobs=1)
@@ -259,6 +268,38 @@ class TestWarmSharedPool:
         assert runner.map(double, [1, 2, 3], work_hint=10.0) == [2, 4, 6]
         assert not runner.warm  # per-point work below min_fork_work
         runner.close()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_a_pool_that_owns_every_cpu_pins_one_worker_per_cpu(self):
+        host = os.sched_getaffinity(0)
+        allowed = sorted(host)[:2]
+        os.sched_setaffinity(0, allowed)  # a 2-job pool now owns every CPU
+        try:
+            with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
+                # long enough that the second task goes to the other worker
+                placements = dict(runner.map(worker_placement, [0.2, 0.2]))
+            assert sorted(os.sched_getaffinity(0)) == allowed  # the parent stays free
+        finally:
+            os.sched_setaffinity(0, host)
+        for cpus in placements.values():
+            assert len(cpus) == 1 and cpus[0] in allowed
+        if len(placements) == 2 and len(allowed) == 2:
+            assert len({cpus[0] for cpus in placements.values()}) == 2
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_a_pool_smaller_than_the_cpu_set_is_left_to_the_kernel(self, monkeypatch):
+        allowed = len(os.sched_getaffinity(0))
+        assert sweep_module._owns_every_cpu(allowed)
+        assert not sweep_module._owns_every_cpu(allowed - 1)
+        # on a host with more CPUs than jobs: no worker is pinned
+        monkeypatch.setattr(sweep_module, "_owns_every_cpu", lambda jobs: False)
+        with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
+            placements = runner.map(worker_placement, [0.0, 0.0])
+        assert all(cpus == sorted(os.sched_getaffinity(0)) for _, cpus in placements)
 
     def test_warm_runner_pickles_without_its_pool(self):
         # regression (CONC002): a runner referenced from shared state must

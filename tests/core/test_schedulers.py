@@ -105,14 +105,13 @@ class TestFifsScheduler:
         scheduler = FifsScheduler("round_robin")
         picks = []
         for i in range(30):
-            idle = workers[:2] if i % 2 == 0 else workers
-            context = SchedulingContext(
-                now=0.0,
-                workers=workers,
-                central_queue=(),
-                estimator=lambda model, batch, gpcs: 1.0,
-                idle=idle,
-            )
+            # instance 2 is busy (a query waits on it) on even arrivals
+            if i % 2 == 0:
+                workers[2].enqueue(make_query(100 + i), 0.0)
+            else:
+                workers[2].drain_queue()
+            assert [w.is_idle for w in workers] == [True, True, i % 2 == 1]
+            context = make_context(workers)
             picks.append(scheduler.on_arrival(make_query(i), context).instance_id)
         counts = {wid: picks.count(wid) for wid in (0, 1, 2)}
         # every instance participates substantially (the old code gave

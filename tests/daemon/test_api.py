@@ -8,9 +8,12 @@ acquisition order against a fresh :class:`FleetPool`).
 """
 
 import json
+import threading
+import time
 
 import pytest
 
+from repro.daemon import jobs as jobs_module
 from repro.daemon.api import DaemonThread
 from repro.daemon.client import DaemonClient, DaemonError
 from repro.daemon.jobs import JobManager, window_to_dict
@@ -177,6 +180,49 @@ class TestEndToEnd:
         assert client.shutdown()["shutting_down"] is True
         with pytest.raises((DaemonError, OSError)):
             client.health()
+
+
+class TestGrantReturnedBeforeTerminalState:
+    """Regression: a job's terminal state used to become visible before its
+    grant went back.  The off-loop ``result.json`` write ran in between, so
+    ``wait()`` could return while the job still held its GPCs (the
+    end-to-end test above then failed intermittently on ``free_gpcs``).
+    Here the write is slowed, and ``wait()`` starts while it runs."""
+
+    @pytest.fixture
+    def result_write_started(self, monkeypatch):
+        started = threading.Event()
+        real_write = jobs_module._write_json_file
+
+        def slow_write(path, payload):
+            if path.name == "result.json":
+                started.set()
+                time.sleep(0.3)
+            real_write(path, payload)
+
+        monkeypatch.setattr(jobs_module, "_write_json_file", slow_write)
+        return started
+
+    def test_completed_job_frees_its_gpcs_before_wait_returns(
+        self, daemon, result_write_started
+    ):
+        client, _ = daemon
+        job = client.submit("solo", "diurnal", options=SHORT, quota_gpcs=QUOTA, seed=11)
+        assert result_write_started.wait(60.0)
+        assert client.wait(job["job_id"])["state"] == "completed"
+        assert client.fleet()["free_gpcs"] == 24
+
+    def test_cancelled_job_frees_its_gpcs_before_wait_returns(
+        self, daemon, result_write_started
+    ):
+        client, _ = daemon
+        job = client.submit("victim", "diurnal", options=LONG, quota_gpcs=QUOTA, seed=33)
+        while client.status(job["job_id"])["windows"] == 0:
+            time.sleep(0.01)
+        client.cancel(job["job_id"])
+        assert result_write_started.wait(60.0)
+        assert client.wait(job["job_id"])["state"] == "cancelled"
+        assert client.fleet()["free_gpcs"] == 24
 
 
 class TestApiSurface:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.triggers import (
@@ -75,6 +76,7 @@ from repro.sim.hooks import (
     ServerPreempted,
     ServerScaledIn,
     ServerScaledOut,
+    SimEvent,
     SimulationObserver,
     WindowedMetrics,
     WindowStats,
@@ -376,15 +378,14 @@ class ServingSession:
         self._roster: Optional[FleetRoster] = None
         self._fleet_events: List[Any] = []
         self._fleet_log: List[Tuple[float, Tuple[FleetServerSpec, ...]]] = []
-        self._pending_removals: List[Tuple[float, Any]] = []
-        self._preempt_i = 0
         self._sim_archs: Optional[set] = None
+        #: per run: the control timeline (see begin() and _apply_due_control)
+        self._timeline: Tuple[List[Any], List[Any], List[Any]] = ([], [], [])
         # fault injection (PR 9)
         self.faults: Optional[FaultSchedule] = faults
         self.retry_policy: RetryPolicy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        self._fault_i = 0
         self._fault_records: List[FaultRecord] = []
         #: instance id -> (crash time, gpcs) of currently-down workers
         self._open_crashes: Dict[int, Tuple[float, int]] = {}
@@ -473,34 +474,20 @@ class ServingSession:
 
         Raises:
             ValueError: for an empty PDF.
+            RuntimeError: while a live reconfiguration is in flight.
         """
         if not new_pdf:
             raise ValueError("repartition requires a non-empty batch PDF")
+        self._check_replannable("repartition", fleet=False)
         if self._deployment is None:
             return self.deploy(batch_pdf=new_pdf)
         replanned = replan_deployment(self._deployment, new_pdf)
         if self.running:
-            assert self._sim is not None
             if self._armed_reconfig_failures:
                 # an armed FailedReconfigure fault consumes this attempt:
                 # downtime is paid, but the old plan stays in force
                 return self._fail_reconfigure(self._armed_reconfig_failures.pop(0))
-            self._close_open_crashes(self._sim.now)
-            self._last_reconfig_online = self._sim.reconfigure(
-                replanned.instances, self.reconfig_cost
-            )
-            # adopt the simulator's renumbered generation so the deployment's
-            # instance ids line up with completion events / per-instance stats
-            replanned = dataclasses.replace(
-                replanned, instances=self._sim.pending_instances
-            )
-            if self._has_faults:
-                self._capacity_log.append(
-                    (
-                        self._last_reconfig_online,
-                        sum(i.gpcs for i in replanned.instances),
-                    )
-                )
+            replanned = self._swap(replanned, self.reconfig_cost)
         self._deployment = replanned
         self._planned_pdf = dict(new_pdf)
         return self._deployment
@@ -565,9 +552,9 @@ class ServingSession:
         assert deployment is not None
         if self._planned_pdf is None and planning_pdf is not None:
             self._planned_pdf = dict(planning_pdf)
-        if self.triggers and self._planned_pdf is None:
-            # No planning PDF is known (e.g. from_deployment + bare trace):
-            # fall back to the trace's own PDF so drift is judged against it.
+        if self._planned_pdf is None and len(trace) and (self.triggers or self._has_control):
+            # No planning PDF is known (e.g. from_deployment + bare trace), yet
+            # the run can re-plan by itself: fall back to the trace's own PDF.
             self._planned_pdf = trace.batch_pdf()
 
         replay = self._prepare_trace(trace)
@@ -590,13 +577,16 @@ class ServingSession:
         )
         self._offered_load = replay.arrival_rate()
 
-        # fleet control plane state (per run)
+        # The control timeline: one heap of (due, order, event) per source,
+        # in firing order — faults, preemption notices, then the removals
+        # the notices schedule.  Commissions wait in the autoscaler's queue.
+        self._timeline = (
+            [(e.time, i, e) for i, e in enumerate(getattr(self.faults, "events", ()))],
+            [(e.time, i, e) for i, e in enumerate(getattr(self.preemptions, "events", ()))],
+            [],
+        )
         self._fleet_events = []
         self._fleet_log = []
-        self._pending_removals = []
-        self._preempt_i = 0
-        # fault injection state (per run)
-        self._fault_i = 0
         self._fault_records = []
         self._open_crashes = {}
         self._crash_intervals = []
@@ -690,10 +680,10 @@ class ServingSession:
         simulator = self._sim
         assert simulator is not None
         interval = self.trigger_interval
-        # Interleave the trigger checkpoint grid with the control plane's own
-        # due times (fault events, commission arrivals, preemption notices,
-        # pending removals).  With neither, the loop advances straight to
-        # ``time``.  Due mutations are deferred to the end of an in-flight
+        # Interleave the trigger checkpoint grid with the control timeline's
+        # due times (fault events, preemption notices, pending removals,
+        # commission arrivals).  With neither, the loop advances straight to
+        # ``time``.  Due items are deferred to the end of an in-flight
         # reconfiguration — the simulator supports one staged
         # reconfiguration at a time — by flooring them at its online time,
         # which guarantees forward progress.
@@ -722,7 +712,7 @@ class ServingSession:
                 if not simulator.reconfiguring:
                     self._evaluate_triggers(checkpoint)
                 if self.autoscaler is not None and not simulator.reconfiguring:
-                    self._evaluate_autoscaler(checkpoint)
+                    self.autoscaler.evaluate(self, self._trigger_context(checkpoint))
                 self._next_checkpoint = checkpoint + interval
         return simulator.now
 
@@ -862,16 +852,19 @@ class ServingSession:
             )
         )
 
-    def _evaluate_triggers(self, now: float) -> None:
+    def _trigger_context(self, now: float) -> TriggerContext:
+        """What the triggers and the autoscaler observe at checkpoint ``now``."""
         assert self._windowed is not None
-        assert self._planned_pdf is not None
-        context = TriggerContext(
+        return TriggerContext(
             now=now,
-            planned_pdf=self._planned_pdf,
+            planned_pdf=self._planned_pdf or {},
             metrics=self._windowed,
             time_since_reconfig=now - self._last_reconfig_online,
             deployment=self._deployment,
         )
+
+    def _evaluate_triggers(self, now: float) -> None:
+        context = self._trigger_context(now)
         for trigger in self.triggers:
             decision = trigger.evaluate(context)
             if not decision.fire:
@@ -881,7 +874,7 @@ class ServingSession:
             else:
                 # fall back to the observation the trigger itself judged
                 lookback = getattr(trigger, "lookback_windows", 5)
-                new_pdf = self._windowed.observed_batch_pdf(
+                new_pdf = context.metrics.observed_batch_pdf(
                     now, lookback_windows=lookback
                 )
             if not new_pdf:
@@ -933,8 +926,13 @@ class ServingSession:
 
         Returns:
             The new server's stable roster id.
+
+        Raises:
+            RuntimeError: while a live reconfiguration is in flight.
+            ValueError: when no planning PDF is known to re-plan against.
         """
         spec = FleetServerSpec.coerce(server)
+        self._check_replannable("scale out")
         if (
             self.running
             and self._sim_archs is not None
@@ -948,15 +946,8 @@ class ServingSession:
             )
         self._ensure_fleet_tracking()
         server_id = self.roster.add(spec)
-        now = self.now
-        self._emit_control_event(
-            ServerScaledOut(
-                time=now, server_index=server_id, spec=spec.describe(), reason=reason
-            )
-        )
-        self._record_fleet_event(
-            "scale-out", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
+        self._publish(
+            "scale-out", ServerScaledOut(self.now, server_id, spec.describe(), reason), reason
         )
         self._refleet()
         return server_id
@@ -974,22 +965,18 @@ class ServingSession:
 
         Raises:
             KeyError: for an unknown/already-removed id.
-            ValueError: when removal would empty the fleet.
+            ValueError: when removal would empty the fleet, or when no
+                planning PDF is known to re-plan against.
+            RuntimeError: while a live reconfiguration is in flight.
         """
+        self._check_replannable("scale in")
         self._ensure_fleet_tracking()
         roster = self.roster
         if server_id is None:
             server_id = roster.newest_id()
         spec = roster.remove(server_id)
-        now = self.now
-        self._emit_control_event(
-            ServerScaledIn(
-                time=now, server_index=server_id, spec=spec.describe(), reason=reason
-            )
-        )
-        self._record_fleet_event(
-            "scale-in", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
+        self._publish(
+            "scale-in", ServerScaledIn(self.now, server_id, spec.describe(), reason), reason
         )
         self._refleet()
         return spec
@@ -1003,18 +990,16 @@ class ServingSession:
 
         Returns:
             The removed server's spec.
+
+        Raises:
+            RuntimeError: while a live reconfiguration is in flight.
+            ValueError: when no planning PDF is known to re-plan against.
         """
+        self._check_replannable("preempt")
         self._ensure_fleet_tracking()
         spec = self.roster.remove(server_id)
-        now = self.now
-        self._emit_control_event(
-            ServerPreempted(
-                time=now, server_index=server_id, spec=spec.describe(), notice=notice
-            )
-        )
-        self._record_fleet_event(
-            "preempted", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
+        self._publish(
+            "preempted", ServerPreempted(self.now, server_id, spec.describe(), notice), reason
         )
         self._refleet()
         return spec
@@ -1025,6 +1010,22 @@ class ServingSession:
             "scale-out-requested", now, spec=spec.describe(), reason=reason
         )
 
+    def _check_replannable(self, action: str, fleet: bool = True) -> None:
+        """Refuse a re-plan the session could not complete, before any
+        state changes: none while a live reconfiguration is in flight (the
+        simulator stages one at a time), and no fleet mutation of a deployed
+        session without a planning PDF to re-plan against."""
+        if self.running and self._sim.reconfiguring:
+            raise RuntimeError(
+                f"cannot {action} while a live reconfiguration is in flight; "
+                "advance the run past its online instant first"
+            )
+        if fleet and self._deployment is not None and self._planned_pdf is None:
+            raise ValueError(
+                f"cannot {action}: no planning batch PDF is known to re-plan "
+                "the fleet against; repartition() with one first"
+            )
+
     def _ensure_fleet_tracking(self) -> None:
         """Make manual mid-run mutations billable even without a control plane."""
         roster = self.roster  # materialises from the config on first use
@@ -1032,67 +1033,50 @@ class ServingSession:
             self._fleet_log = [(0.0, roster.specs)]
 
     def _next_control_due(self) -> Optional[float]:
-        """Earliest pending control-plane time (commission/notice/removal)."""
-        due: Optional[float] = None
-        if self.autoscaler is not None:
-            due = self.autoscaler.next_due()
-        if self.preemptions is not None:
-            events = self.preemptions.events
-            if self._preempt_i < len(events):
-                notice_at = events[self._preempt_i].time
-                due = notice_at if due is None else min(due, notice_at)
-        if self._pending_removals:
-            removal = min(at for at, _ in self._pending_removals)
-            due = removal if due is None else min(due, removal)
-        if self.faults is not None:
-            events = self.faults.events
-            if self._fault_i < len(events):
-                fault_at = events[self._fault_i].time
-                due = fault_at if due is None else min(due, fault_at)
-        return due
+        """Earliest due time on the control timeline (``None`` when empty)."""
+        dues = [queue[0][0] for queue in self._timeline if queue]
+        if self.autoscaler is not None and (landing := self.autoscaler.next_due()) is not None:
+            dues.append(landing)
+        return min(dues, default=None)
 
     def _apply_due_control(self, now: float) -> None:
-        """Apply every control-plane item due by ``now`` (deterministic order).
+        """Fire every control-timeline item due by ``now``, source by source.
 
-        Fault-schedule events fire first (worker-level mutations may stage a
-        live repartition of their own); then preemption notices
+        Fault-schedule events fire first, then preemption notices
         (bookkeeping only), then due removals, then due commissions; all
         roster mutations land as **one** live repartition, so a
-        simultaneous loss and arrival pays one downtime.
+        simultaneous loss and arrival pays one downtime.  Nothing fires
+        while a reconfiguration is in flight (the simulator's worker set is
+        in flux): the item waits, and ``run_until`` floors the next due time
+        at the swap's online instant, so it fires right after the swap lands.
         """
-        if self._has_faults:
-            self._apply_due_faults(now)
-        if not self._has_control:
+        sim = self._sim
+        assert sim is not None
+        faults, notices, removals = self._timeline
+        while faults and faults[0][0] <= now and not sim.reconfiguring:
+            self._apply_fault(heappop(faults)[-1], now)
+        if sim.reconfiguring:
             return
-        roster = self.roster
-        if self.preemptions is not None:
-            events = self.preemptions.events
-            while self._preempt_i < len(events) and events[self._preempt_i].time <= now:
-                event = events[self._preempt_i]
-                self._preempt_i += 1
-                spec = (
-                    roster.spec_of(event.server_index).describe()
-                    if event.server_index in roster
-                    else ""
-                )
-                self._record_fleet_event(
-                    "preempt-notice",
-                    event.time,
-                    server_index=event.server_index,
-                    spec=spec,
-                    reason=f"{event.notice:g}s notice",
-                )
-                self._pending_removals.append((event.removal_time, event))
+        while notices and notices[0][0] <= now:
+            _, order, event = heappop(notices)
+            roster = self.roster
+            spec = (
+                roster.spec_of(event.server_index).describe()
+                if event.server_index in roster
+                else ""
+            )
+            self._record_fleet_event(
+                "preempt-notice",
+                event.time,
+                server_index=event.server_index,
+                spec=spec,
+                reason=f"{event.notice:g}s notice",
+            )
+            heappush(removals, (event.removal_time, event.server_index, order, event))
         mutated = False
-        due_removals = sorted(
-            (r for r in self._pending_removals if r[0] <= now),
-            key=lambda r: (r[0], r[1].server_index),
-        )
-        if due_removals:
-            self._pending_removals = [
-                r for r in self._pending_removals if r[0] > now
-            ]
-        for _, event in due_removals:
+        while removals and removals[0][0] <= now:
+            event = heappop(removals)[-1]
+            roster = self.roster
             if event.server_index not in roster:
                 self._record_fleet_event(
                     "preempt-skipped", now, server_index=event.server_index,
@@ -1106,23 +1090,15 @@ class ServingSession:
                 )
                 continue
             spec = roster.remove(event.server_index)
-            self._emit_control_event(
-                ServerPreempted(
-                    time=now,
-                    server_index=event.server_index,
-                    spec=spec.describe(),
-                    notice=event.notice,
-                )
-            )
-            self._record_fleet_event(
-                "preempted", now, server_index=event.server_index,
-                spec=spec.describe(),
-                reason=f"spot reclaim ({event.notice:g}s notice)",
+            self._publish(
+                "preempted",
+                ServerPreempted(now, event.server_index, spec.describe(), event.notice),
+                f"spot reclaim ({event.notice:g}s notice)",
             )
             mutated = True
         if self.autoscaler is not None:
             for spec, reason in self.autoscaler.take_due(now):
-                server_id = roster.add(spec)
+                server_id = self.roster.add(spec)
                 decisions = self.autoscaler.decisions
                 for i, decision in enumerate(decisions):
                     if decision.action == "scale-out" and decision.server_index is None:
@@ -1132,68 +1108,61 @@ class ServingSession:
                             decision, server_index=server_id
                         )
                         break
-                self._emit_control_event(
-                    ServerScaledOut(
-                        time=now,
-                        server_index=server_id,
-                        spec=spec.describe(),
-                        reason=reason,
-                    )
-                )
-                self._record_fleet_event(
-                    "scale-out", now, server_index=server_id,
-                    spec=spec.describe(), reason=reason,
+                self._publish(
+                    "scale-out", ServerScaledOut(now, server_id, spec.describe(), reason), reason
                 )
                 mutated = True
         if mutated:
             self._refleet()
 
-    def _evaluate_autoscaler(self, now: float) -> None:
-        assert self._windowed is not None
-        context = TriggerContext(
-            now=now,
-            planned_pdf=self._planned_pdf or {},
-            metrics=self._windowed,
-            time_since_reconfig=now - self._last_reconfig_online,
-            deployment=self._deployment,
-        )
-        self.autoscaler.evaluate(self, context)
+    def _swap(self, deployment: Deployment, downtime: float) -> Deployment:
+        """Live-swap the open run onto ``deployment``'s partition instances.
+
+        The one path every live reconfiguration takes (repartition, fleet
+        mutation, failed reconfiguration): open crash outages close, since
+        the swap heals them; the simulator drains and pays ``downtime``;
+        and the returned deployment adopts the simulator's renumbered
+        generation, so its instance ids line up with completion events and
+        per-instance statistics.
+        """
+        sim = self._sim
+        assert sim is not None
+        self._close_open_crashes(sim.now)
+        self._last_reconfig_online = sim.reconfigure(deployment.instances, downtime)
+        swapped = dataclasses.replace(deployment, instances=sim.pending_instances)
+        if self._has_faults:
+            self._capacity_log.append(
+                (self._last_reconfig_online, sum(i.gpcs for i in swapped.instances))
+            )
+        return swapped
 
     def _refleet(self) -> None:
         """Re-plan the deployment onto the roster's current composition."""
         roster = self.roster
         new_config = config_with_fleet(self.config, roster.specs)
-        deployment = self._deployment
-        if deployment is None:
-            # nothing deployed yet: the next deploy() picks the new fleet up
-            self.config = new_config
-            return
-        pdf = self._planned_pdf
-        assert pdf is not None
-        replanned = refleet_deployment(deployment, new_config, pdf)
-        if self.running:
-            assert self._sim is not None
-            self._close_open_crashes(self._sim.now)
-            self._last_reconfig_online = self._sim.reconfigure(
-                replanned.instances, self.reconfig_cost
-            )
-            replanned = dataclasses.replace(
-                replanned, instances=self._sim.pending_instances
-            )
-            # Billing follows the *serving* composition: the mutation's
-            # downtime bills at the old composition (you pay for the pool
-            # while it drains), and the new pool starts billing when it
-            # comes online.
-            self._fleet_log.append((self._last_reconfig_online, roster.specs))
-            if self._has_faults:
-                self._capacity_log.append(
-                    (
-                        self._last_reconfig_online,
-                        sum(i.gpcs for i in replanned.instances),
-                    )
-                )
+        # with nothing deployed yet, the next deploy() picks the new fleet up
+        if self._deployment is not None:
+            assert self._planned_pdf is not None
+            replanned = refleet_deployment(self._deployment, new_config, self._planned_pdf)
+            if self.running:
+                replanned = self._swap(replanned, self.reconfig_cost)
+                # Billing follows the *serving* composition: the mutation's
+                # downtime bills at the old composition (you pay for the pool
+                # while it drains), and the new pool starts billing when it
+                # comes online.
+                self._fleet_log.append((self._last_reconfig_online, roster.specs))
+            self._deployment = replanned
         self.config = new_config
-        self._deployment = replanned
+
+    def _publish(self, kind: str, hook: SimEvent, reason: str) -> None:
+        """Publish one roster mutation: its hook goes to the observers
+        through the simulator's dispatch table (only while a run is open),
+        and its :class:`~repro.autoscale.timeline.FleetEvent` is written."""
+        if self.running:
+            self._sim.emit_event(hook)
+        self._record_fleet_event(
+            kind, hook.time, server_index=hook.server_index, spec=hook.spec, reason=reason
+        )
 
     def _record_fleet_event(
         self,
@@ -1219,13 +1188,6 @@ class ServingSession:
             )
         )
 
-    def _emit_control_event(self, event: Any) -> None:
-        """Deliver a control-plane hook event to the extra observers."""
-        for observer in self._observers:
-            on_event = getattr(observer, "on_event", None)
-            if on_event is not None:
-                on_event(event)
-
     # ------------------------------------------------------------------ #
     # fault injection (crashes, stragglers, failed reconfigurations)
     # ------------------------------------------------------------------ #
@@ -1243,25 +1205,6 @@ class ServingSession:
     def fault_events(self) -> Tuple[FaultRecord, ...]:
         """Fault-injection records of the open run so far, in order."""
         return tuple(self._fault_records)
-
-    def _apply_due_faults(self, now: float) -> None:
-        """Fire every scheduled fault due by ``now``, in schedule order.
-
-        Faults never land mid-reconfiguration (the simulator's worker set
-        is in flux): they defer, and ``run_until`` floors the next due time
-        at the reconfiguration's online instant, so the deferred event
-        re-enters here right after the swap lands.
-        """
-        sim = self._sim
-        assert sim is not None
-        assert self.faults is not None
-        events = self.faults.events
-        while self._fault_i < len(events) and events[self._fault_i].time <= now:
-            if sim.reconfiguring:
-                return
-            event = events[self._fault_i]
-            self._fault_i += 1
-            self._apply_fault(event, now)
 
     def _apply_fault(self, event: FaultEvent, now: float) -> None:
         sim = self._sim
@@ -1354,16 +1297,8 @@ class ServingSession:
         deployment = self._deployment
         assert deployment is not None
         now = sim.now
-        self._close_open_crashes(now)
         old_ids = tuple(i.instance_id for i in deployment.instances)
         downtime = self.reconfig_cost + fail.downtime
-        self._last_reconfig_online = sim.reconfigure(
-            deployment.instances, downtime
-        )
-        # adopt the renumbered generation of the *old* shapes
-        self._deployment = dataclasses.replace(
-            deployment, instances=sim.pending_instances
-        )
         sim.emit_event(
             ReconfigFailed(time=now, instance_ids=old_ids, downtime=downtime)
         )
@@ -1372,13 +1307,8 @@ class ServingSession:
             now,
             reason=f"rolled back to old plan after {downtime:g}s",
         )
-        if self._has_faults:
-            self._capacity_log.append(
-                (
-                    self._last_reconfig_online,
-                    sum(i.gpcs for i in self._deployment.instances),
-                )
-            )
+        # the swap back onto the *old* shapes (a renumbered generation)
+        self._deployment = self._swap(deployment, downtime)
         return self._deployment
 
     def _close_open_crashes(self, at: float) -> None:
@@ -1394,30 +1324,8 @@ class ServingSession:
             self._crash_intervals.append((start, at, gpcs))
         self._open_crashes = {}
 
-    def _record_fault(
-        self,
-        kind: str,
-        time: float,
-        *,
-        instance_id: Optional[int] = None,
-        gpcs: int = 0,
-        reason: str = "",
-        requeued: int = 0,
-        failed: int = 0,
-        multiplier: float = 1.0,
-    ) -> None:
-        self._fault_records.append(
-            FaultRecord(
-                time=time,
-                kind=kind,
-                instance_id=instance_id,
-                gpcs=gpcs,
-                reason=reason,
-                requeued=requeued,
-                failed=failed,
-                multiplier=multiplier,
-            )
-        )
+    def _record_fault(self, kind: str, time: float, **fields: Any) -> None:
+        self._fault_records.append(FaultRecord(time=time, kind=kind, **fields))
 
     # ------------------------------------------------------------------ #
     # introspection

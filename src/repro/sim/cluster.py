@@ -1084,9 +1084,10 @@ class InferenceServerSimulator:
     def emit_event(self, event: SimEvent) -> None:
         """Deliver an externally constructed lifecycle event to observers.
 
-        The serving session uses this to publish control-plane fault events
-        (e.g. :class:`~repro.sim.hooks.ReconfigFailed`) through the same
-        dispatch table as the simulator's own events.
+        The serving session publishes every control-plane hook through it
+        (fleet mutations and :class:`~repro.sim.hooks.ReconfigFailed`), so
+        they reach observers through the same dispatch table as the
+        simulator's own events.
         """
         for handler in self._dispatch_table.get(type(event), ()):
             handler(event)

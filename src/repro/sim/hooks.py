@@ -25,14 +25,19 @@ Events published per run:
   repartition began draining / came back online;
 * :class:`ServerScaledOut` / :class:`ServerScaledIn` /
   :class:`ServerPreempted` — the fleet control plane
-  (:mod:`repro.autoscale`) added, drained or lost a whole server; emitted
-  by the serving session rather than the simulator;
+  (:mod:`repro.autoscale`) added, drained or lost a whole server; the
+  serving session constructs them and delivers them through the
+  simulator's dispatch table
+  (:meth:`~repro.sim.cluster.InferenceServerSimulator.emit_event`), before
+  the :class:`ReconfigStarted` of the swap they cause, and only while a run
+  is open;
 * :class:`WorkerCrashed` / :class:`WorkerRecovered` — fault injection
   (:mod:`repro.faults`) took a partition down / brought it back;
 * :class:`QueryFailed` — a displaced query exhausted its retry budget and
   became a first-class failure;
 * :class:`ReconfigFailed` — an injected reconfiguration failure rolled the
-  partition plan back (emitted by the serving session).
+  partition plan back (constructed by the serving session and delivered
+  the same way).
 
 Observers subclass :class:`SimulationObserver` and override any subset of the
 ``on_*`` handlers; unknown events are ignored, so observers stay forward
@@ -139,9 +144,10 @@ class ReconfigFinished(SimEvent):
 class ServerScaledOut(SimEvent):
     """The autoscaler commissioned a whole server into the fleet.
 
-    Emitted by the serving session's control plane (not the simulator) when a
-    scale-out decision's provisioning lead time elapses and the new server
-    joins the pool.
+    Constructed by the serving session's control plane when a commission's
+    provisioning lead time elapses (or on a manual ``scale_out``) and the
+    new server joins the pool; delivered through the simulator's dispatch
+    table before the reconfiguration it causes.
     """
 
     server_index: int
@@ -210,9 +216,11 @@ class QueryFailed(SimEvent):
 class ReconfigFailed(SimEvent):
     """An injected reconfiguration failure rolled back to the old plan.
 
-    Emitted by the serving session (not the simulator): the attempted
-    repartition burns ``downtime`` seconds of drain and comes back online
-    with the *previous* partition shapes.
+    Constructed by the serving session and delivered through the
+    simulator's dispatch table before the rollback's
+    :class:`ReconfigStarted`: the attempted repartition burns ``downtime``
+    seconds of drain and comes back online with the *previous* partition
+    shapes.
     """
 
     instance_ids: Tuple[int, ...]

@@ -8,7 +8,10 @@ reduces the outcome to a record:
   start_time, finish_time, instance_id, retries, fail_time)``;
 * the :class:`~repro.sim.metrics.ServerStatistics` fields;
 * ``per_instance_queries`` and the live ``reconfigurations``;
-* ``fault_events`` for the fault-injected session cases.
+* ``fault_events`` for the fault-injected session cases;
+* ``fleet_events`` and ``trigger_firings`` for the ``mixed-control`` case,
+  whose every control source acts, so the order the session fires them in
+  is pinned too.
 
 ``baselines/replay_corpus.json`` holds the expected records.  It was first
 recorded from the original object-per-event replay loop and is reproduced
@@ -16,10 +19,12 @@ exactly by the columnar replay core; the ``frontend-overload/*`` cases were
 recorded from the per-arrival retry frontend and are reproduced exactly by
 the FIFO frontend queue; the ``fleet-burst/*`` and
 ``same-instant-siblings/*`` cases were recorded from ELSA's per-worker scan
-and are reproduced exactly by the drain-time index.  So any change to
-simulated outcomes —
-scheduling decisions, tie-breaking, float arithmetic — fails here, naming
-the case and the first field that differs.
+and are reproduced exactly by the drain-time index; the ``mixed-control``
+case was recorded from the session's per-source cursors and is reproduced
+exactly by its one control timeline.  So any change to simulated outcomes —
+scheduling decisions, tie-breaking, float arithmetic, the order control
+sources fire in — fails here, naming the case and the first field that
+differs.
 
 Regenerate the file (only when a change of simulated outcomes is intended)
 from the repository root with::
@@ -40,9 +45,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings
+from repro.autoscale import Autoscaler, PreemptionEvent, PreemptionSchedule
 from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
 from repro.faults import (
+    FailedReconfigure,
     FaultSchedule,
     RetryPolicy,
     StragglerEnd,
@@ -74,6 +81,8 @@ FIELDS = (
     "per_instance_queries",
     "reconfigurations",
     "fault_events",
+    "fleet_events",
+    "trigger_firings",
 )
 
 
@@ -127,8 +136,14 @@ def record(result, fault_events=None) -> Dict[str, Any]:
     return entry
 
 
-def session_record(result) -> Dict[str, Any]:
-    return record(result.simulation, fault_events=result.fault_events)
+def session_record(result, control: bool = False) -> Dict[str, Any]:
+    """A session's record; ``control`` adds its fleet events and trigger
+    firings."""
+    entry = record(result.simulation, fault_events=result.fault_events)
+    if control:
+        entry["fleet_events"] = [event.to_dict() for event in result.fleet_events]
+        entry["trigger_firings"] = _plain(result.trigger_firings)
+    return entry
 
 
 # --------------------------------------------------------------------------- #
@@ -533,6 +548,63 @@ def fleet_burst_session_case():
     return session_record(session.run(_burst_trace(deployment, seed=22)))
 
 
+MIXED_UNIT = (2, "a100", 12)
+MIXED_WORKLOAD = WorkloadConfig(
+    model="mobilenet", rate_qps=9000.0, num_queries=9000, seed=4, sigma=1.2
+)
+
+
+def mixed_control_session() -> ServingSession:
+    """Every control source acting in one run over three 2xA100 servers.
+
+    The stale prior makes the drift trigger fire at 0.1 s (online 0.2525 s);
+    the removal due at 0.25 s waits for it and starts a second swap, online
+    at 0.4043 s.  Behind that swap wait three faults (the armed failure, a
+    crash and a straggler, due 0.31-0.35 s), two removals (one skipped: its
+    server is already gone) and the commission the autoscaler requested at
+    0.05 s.  All of them land at 0.4043 s in source order: faults first, so
+    the crash hits the old partitions before the roster swap heals it.  The
+    drift trigger's second firing consumes the armed failure; a later
+    crash, straggler, restart and three more commissions follow.
+    """
+    return ServingSession(
+        ServerConfig(model="mobilenet", fleet=(MIXED_UNIT,) * 3),
+        batch_pdf={1: 0.8, 2: 0.2},
+        window=0.05,
+        reconfig_cost=0.15,
+        triggers=[("pdf-drift", {"threshold": 0.1, "min_queries": 50, "lookback_windows": 2})],
+        autoscaler=Autoscaler(
+            MIXED_UNIT,
+            triggers=[("scale-out-backlog", {"max_backlog": 12, "lookback_windows": 1})],
+            max_servers=5,
+            lead_time=0.25,
+        ),
+        preemptions=PreemptionSchedule(
+            [
+                PreemptionEvent(time=0.20, server_index=1, notice=0.05),
+                PreemptionEvent(time=0.28, server_index=1, notice=0.0),
+                PreemptionEvent(time=0.29, server_index=2, notice=0.02),
+            ]
+        ),
+        faults=FaultSchedule(
+            [
+                FailedReconfigure(time=0.31, downtime=0.05),
+                WorkerCrash(time=0.33, worker=1),
+                StragglerStart(time=0.35, worker=2, multiplier=3.0),
+                WorkerCrash(time=0.58, worker=3),
+                StragglerStart(time=0.59, worker=0, multiplier=2.5),
+                WorkerRestart(time=0.62, worker=0),
+                StragglerEnd(time=0.66, worker=0),
+            ]
+        ),
+        retry_policy=RetryPolicy(max_retries=2, backoff=0.01),
+    )
+
+
+def mixed_control_case():
+    return session_record(mixed_control_session().run(MIXED_WORKLOAD), control=True)
+
+
 def same_instant_siblings_case(scheduler: str):
     """Bursts of identical queries arriving at one instant onto two identical
     idle servers with no frontend cap: idle siblings tie at wait 0, and the
@@ -608,6 +680,7 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
     cases["fleet-burst/mixed-a100-h100-no-sla"] = fleet_burst_case(MIXED_SERVERS, sla=False)
     for scheduler in ("elsa", "least-loaded"):
         cases[f"same-instant-siblings/{scheduler}"] = same_instant_siblings_case(scheduler)
+    cases["mixed-control"] = mixed_control_case
     return cases
 
 
@@ -675,6 +748,20 @@ def test_replay_matches_corpus(case, corpus):
     actual = CASES[case]()
     differing = first_difference(expected, actual)
     assert differing is None, f"replay corpus case {case!r}: field {differing!r} differs"
+
+
+@pytest.mark.parametrize("step", [0.013, 0.05, 0.137])
+def test_mixed_control_chunked_matches_one_shot(step, corpus):
+    """Driven in ``run_until`` steps, the mixed-control run reproduces the
+    one-shot record: every source fires at the same instants."""
+    session = mixed_control_session()
+    session.begin(MIXED_WORKLOAD)
+    until = 0.0
+    while session.pending_events:
+        until += step
+        session.run_until(until)
+    chunked = session_record(session.finish(), control=True)
+    assert first_difference(corpus["mixed-control"], chunked) is None
 
 
 def test_first_difference_names_the_field():

@@ -116,7 +116,7 @@ from repro.models.registry import PAPER_MODELS, get_model, list_models
 from repro.perf.lookup import ProfileTable
 from repro.perf.profiler import Profiler, cached_profile, fleet_profiles, profile_model
 from repro.serving.builder import ServerBuilder
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
 from repro.serving.service import InferenceService, ServiceResult
 from repro.serving.session import ServingSession, SessionResult
@@ -169,7 +169,6 @@ __all__ = [
     "ParisSpec",
     "PartitionPlan",
     "PartitionerContext",
-    "PartitioningStrategy",
     "Phase",
     "PolicySpec",
     "PreemptionEvent",
@@ -185,7 +184,6 @@ __all__ = [
     "RepartitionTrigger",
     "Scenario",
     "SchedulerContext",
-    "SchedulingPolicy",
     "ServerBuilder",
     "ServerConfig",
     "ServerCapacityError",

@@ -33,6 +33,7 @@ from repro.perf.latency_model import LatencyModel
 from repro.perf.lookup import ProfileEntry, ProfileTable
 from repro.perf.profiler import Profiler
 from repro.core.registry import normalize_policy_name
+from repro.core.specs import HomogeneousSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
 from repro.workload.distributions import LogNormalBatchDistribution
@@ -177,13 +178,13 @@ class ExperimentSettings:
 
         ``partitioning`` and ``scheduler`` are policy registry names
         (``"paris"``, ``"homogeneous"``, ``"elsa"``, ... or any custom
-        registered policy); the deprecated enums are also accepted.
-        ``batch_pdf`` overrides the analytical workload PDF handed to the
-        partitioner — e.g. a scenario's ``initial_pdf()`` when the
-        deployment should be planned for the scenario's opening phase.
+        registered policy); ``homogeneous_gpcs`` sizes the homogeneous
+        partitioner's instances.  ``batch_pdf`` overrides the analytical
+        workload PDF handed to the partitioner — e.g. a scenario's
+        ``initial_pdf()`` when the deployment should be planned for the
+        scenario's opening phase.
         """
         partitioning = normalize_policy_name(partitioning, "partitioning")
-        scheduler = normalize_policy_name(scheduler, "scheduler")
         budget = PAPER_GPC_BUDGETS.get(model, 48)
         if partitioning == "homogeneous" and homogeneous_gpcs == 7:
             budget = PAPER_GPU7_BUDGETS.get(model, budget)
@@ -198,7 +199,11 @@ class ExperimentSettings:
             scheduler=scheduler,
             gpc_budget=budget,
             num_gpus=num_gpus,
-            homogeneous_gpcs=homogeneous_gpcs,
+            partitioner_spec=(
+                HomogeneousSpec(gpcs=homogeneous_gpcs)
+                if partitioning == "homogeneous"
+                else None
+            ),
             sla_multiplier=sla_multiplier or self.sla_multiplier,
             max_batch=max_batch or self.max_batch,
             random_seed=self.seed,
@@ -257,8 +262,8 @@ class ExperimentSettings:
         """
         config = ServerConfig(
             model=model,
-            partitioning=normalize_policy_name(partitioning, "partitioning"),
-            scheduler=normalize_policy_name(scheduler, "scheduler"),
+            partitioning=partitioning,
+            scheduler=scheduler,
             fleet=tuple(servers),
             sla_multiplier=sla_multiplier or self.sla_multiplier,
             max_batch=max_batch or self.max_batch,
@@ -289,12 +294,6 @@ class ExperimentSettings:
         if self._runner is None or self._runner.n_jobs != self.n_jobs:
             self._runner = ParallelRunner(n_jobs=self.n_jobs)
         return self._runner
-
-
-def _measure_deployment(args) -> DesignPointResult:
-    """Picklable worker: one deployment's latency-bounded throughput."""
-    settings, deployment, max_batch, sigma = args
-    return settings.measure(deployment, max_batch=max_batch, sigma=sigma)
 
 
 def _measure_deployment_shared(shared, deployment: Deployment) -> DesignPointResult:
@@ -910,10 +909,6 @@ def named_designs(
             continue
         deployments[name] = _build_named(model, settings, name, max_batch, sigma)
     return deployments
-
-
-#: Deprecated alias of :func:`named_designs`.
-_named_designs = named_designs
 
 
 def _build_named(

@@ -81,10 +81,9 @@ def _owns_every_cpu(jobs: int) -> bool:
     return hasattr(os, "sched_setaffinity") and jobs >= len(os.sched_getaffinity(0))
 
 
-def _pool_initializer(slots: Any, payload: Optional[bytes]) -> None:
+def _pool_initializer(slots: Any, payload: bytes) -> None:
     """Pool-worker set-up: take a CPU of its own when ``slots`` is given,
-    then unpickle the shared payload (``None`` for a plain
-    :meth:`ParallelRunner.map` pool).
+    then unpickle the shared payload.
 
     Forked workers start on the parent's CPU.  On a 2-vCPU VM the kernel
     was measured leaving both workers of a 2-job warm pool there for up to
@@ -105,8 +104,7 @@ def _pool_initializer(slots: Any, payload: Optional[bytes]) -> None:
             os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
         except OSError:
             pass
-    if payload is not None:
-        _POOL_STATE = pickle.loads(payload)
+    _POOL_STATE = pickle.loads(payload)
 
 
 def _invoke_shared(item: Any) -> Any:
@@ -131,8 +129,8 @@ class ParallelRunner:
     simulated outcomes.
 
     The pool is **warm**: one ``ProcessPoolExecutor`` is created lazily and
-    reused across ``map``/``map_shared`` calls (one pool per sweep, not one
-    per point batch), and :meth:`map_shared` ships the heavy shared state —
+    reused across :meth:`map_shared` calls (one pool per sweep, not one
+    per point batch), and ships the heavy shared state —
     profiles, deployment, workload template — *once per worker* through the
     pool initializer instead of re-pickling it with every point.  Points are
     dispatched in chunks so a sweep costs a handful of IPC round trips.
@@ -194,13 +192,9 @@ class ParallelRunner:
             return False
         return work_hint is None or work_hint >= self.min_fork_work
 
-    def _ensure_pool(self, payload: Optional[bytes]) -> ProcessPoolExecutor:
-        """The warm executor, (re)created only when the shared payload changes.
-
-        ``payload=None`` (plain :meth:`map`) reuses whatever pool exists —
-        the worker-global shared state is simply unused.
-        """
-        if self._pool is not None and (payload is None or payload == self._pool_payload):
+    def _ensure_pool(self, payload: bytes) -> ProcessPoolExecutor:
+        """The warm executor, (re)created only when the shared payload changes."""
+        if self._pool is not None and payload == self._pool_payload:
             return self._pool
         self.close()
         jobs = self.effective_jobs
@@ -212,21 +206,6 @@ class ParallelRunner:
         )
         self._pool_payload = payload
         return self._pool
-
-    def _pool_map(self, fn: Callable, work: List[Any]) -> List[Any]:
-        """Chunked dispatch over the warm pool, discarding it if it breaks.
-
-        A worker death (OOM kill, segfault) permanently breaks a
-        ``ProcessPoolExecutor``; dropping ours means the *next* call spawns
-        a healthy pool instead of replaying ``BrokenProcessPool`` forever.
-        """
-        pool = self._pool
-        jobs = min(self.effective_jobs, len(work))
-        try:
-            return list(pool.map(fn, work, chunksize=self._chunksize(len(work), jobs)))
-        except BrokenProcessPool:
-            self.close()
-            raise
 
     @classmethod
     def _same_shared(cls, shared: Any, cached: Any) -> bool:
@@ -251,27 +230,6 @@ class ParallelRunner:
         # uneven point runtimes
         return max(1, ceil(num_items / (jobs * 2)))
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        work_hint: Optional[float] = None,
-    ) -> List[Any]:
-        """Apply ``fn`` to every item, preserving order.
-
-        Args:
-            fn: picklable top-level function of one item.
-            items: the work items (fully self-contained — prefer
-                :meth:`map_shared` when they share heavy state).
-            work_hint: estimated per-point work in simulated queries; below
-                :attr:`min_fork_work` the fan-out is skipped.
-        """
-        work = list(items)
-        if not self._should_fork(len(work), work_hint):
-            return [fn(item) for item in work]
-        self._ensure_pool(None)
-        return self._pool_map(fn, work)
-
     def map_shared(
         self,
         fn: Callable[[Any, Any], Any],
@@ -295,7 +253,15 @@ class ParallelRunner:
             payload = pickle.dumps((fn, shared), protocol=pickle.HIGHEST_PROTOCOL)
             self._ensure_pool(payload)
             self._pool_shared = (fn, shared)
-        return self._pool_map(_invoke_shared, work)
+        chunksize = self._chunksize(len(work), min(self.effective_jobs, len(work)))
+        try:
+            return list(self._pool.map(_invoke_shared, work, chunksize=chunksize))
+        except BrokenProcessPool:
+            # a worker death (OOM kill, segfault) permanently breaks the
+            # executor; dropping it makes the next call spawn a healthy pool
+            # instead of replaying BrokenProcessPool forever
+            self.close()
+            raise
 
     def close(self) -> None:
         """Shut the warm pool down (idempotent; the runner stays usable)."""
@@ -421,12 +387,6 @@ def capacity_estimate(deployment: Deployment, workload: WorkloadConfig) -> float
         )
         total += profile.throughput(instance.gpcs, mean_batch)
     return total
-
-
-def _measure_point(args: Tuple[Deployment, WorkloadConfig, float, int]) -> DesignPointResult:
-    """Picklable worker: one (deployment, workload, rate, seed) replay."""
-    deployment, workload, rate, seed = args
-    return measure_design(deployment, workload, rate, seed=seed)
 
 
 def _measure_point_shared(

@@ -30,7 +30,6 @@ random-dispatch — are registered here through the same mechanism.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -41,7 +40,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Type,
     TypeVar,
     Union,
     overload,
@@ -54,7 +52,6 @@ from repro.perf.lookup import ProfileTable
 from repro.sim.scheduler_api import Scheduler
 
 FactoryT = TypeVar("FactoryT", bound=Callable)
-SpecT = TypeVar("SpecT")
 
 
 class UnknownPolicyError(ValueError):
@@ -62,13 +59,11 @@ class UnknownPolicyError(ValueError):
 
 
 def normalize_policy_name(value: object, what: str = "policy") -> str:
-    """Normalise a policy selector (string or enum member) to a registry key.
+    """Normalise a policy name to a registry key.
 
     The single normaliser shared by the registries, ``ServerConfig`` and the
     fluent builder — names accepted anywhere resolve identically everywhere.
     """
-    if isinstance(value, enum.Enum):
-        value = value.value
     name = str(value).strip().lower()
     if not name:
         raise ValueError(f"{what} must be a non-empty policy name")
@@ -88,8 +83,9 @@ class PartitionerContext:
         budget: GPC budget to carve.
         config: the :class:`~repro.serving.config.ServerConfig` being built
             (``None`` when a policy is built standalone).
-        spec: per-policy spec object (:mod:`repro.core.specs`), when one was
-            configured; factories fall back to the flat config fields.
+        spec: per-policy spec object (:mod:`repro.core.specs`), the
+            config's ``partitioner_spec``; built-in factories use their
+            spec type's defaults when it is ``None``.
         target_architecture: explicit target architecture override.  Fleet
             deployments invoke a partitioner once per member architecture
             with that architecture's own profile/budget; this field carries
@@ -373,51 +369,6 @@ def build_scheduler(name: str, context: SchedulerContext) -> Scheduler:
     return scheduler
 
 
-def _resolve_spec(
-    context: Union["PartitionerContext", "SchedulerContext"],
-    spec_type: Type[SpecT],
-) -> SpecT:
-    """The context's spec when it matches, else one derived from the config.
-
-    A generic :class:`~repro.core.specs.PolicySpec` targeting a built-in
-    policy has its options applied onto the built-in spec type; unknown
-    option names — and spec objects of a different policy's type — raise
-    rather than being silently dropped.
-    """
-    import dataclasses
-
-    from repro.core.specs import PolicySpec
-
-    spec = context.spec
-    if isinstance(spec, spec_type):
-        return spec
-    # spec types share ``from_config`` by convention, not by base class
-    base: SpecT = spec_type.from_config(context.config)  # type: ignore[attr-defined]
-    if spec is None:
-        return base
-    if isinstance(spec, PolicySpec):
-        if not spec.options:
-            return base
-        valid = {f.name for f in dataclasses.fields(spec_type)}  # type: ignore[arg-type]
-        unknown = sorted(set(spec.options) - valid)
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) {unknown} for built-in policy "
-                f"{spec.policy!r}; valid options: {sorted(valid)}"
-            )
-        return dataclasses.replace(base, **spec.options)  # type: ignore[type-var]
-    raise TypeError(
-        f"this policy expects a {spec_type.__name__} (or a PolicySpec), "
-        f"got {type(spec).__name__}; the configured spec does not match "
-        "the selected policy"
-    )
-
-
-#: Public alias: fleet deployment planning resolves built-in policy specs
-#: through exactly the same rules as the registered factories.
-resolve_spec = _resolve_spec
-
-
 # --------------------------------------------------------------------------- #
 # built-in partitioners
 # --------------------------------------------------------------------------- #
@@ -431,9 +382,9 @@ def _paris_partitioner(context: PartitionerContext) -> PartitionPlan:
     trigger loop replans only when the observed distribution changes.
     """
     from repro.core.paris import ParisConfig, shared_paris
-    from repro.core.specs import ParisSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, ParisSpec)
+    spec = resolve_policy_spec("partitioner", "paris", context.spec)
     paris = shared_paris(
         context.profile,
         ParisConfig(
@@ -449,9 +400,9 @@ def _paris_partitioner(context: PartitionerContext) -> PartitionPlan:
 def _homogeneous_partitioner(context: PartitionerContext) -> PartitionPlan:
     """Homogeneous GPU(N) baseline: identical partitions fill the budget."""
     from repro.core.baselines import homogeneous_partition
-    from repro.core.specs import HomogeneousSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, HomogeneousSpec)
+    spec = resolve_policy_spec("partitioner", "homogeneous", context.spec)
     return homogeneous_partition(
         spec.gpcs,
         context.budget,
@@ -464,9 +415,9 @@ def _homogeneous_partitioner(context: PartitionerContext) -> PartitionPlan:
 def _random_partitioner(context: PartitionerContext) -> PartitionPlan:
     """Random heterogeneous baseline: uniformly drawn sizes fill the budget."""
     from repro.core.baselines import random_partition
-    from repro.core.specs import RandomPartitionSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, RandomPartitionSpec)
+    spec = resolve_policy_spec("partitioner", "random", context.spec)
     seed = spec.seed if spec.seed is not None else getattr(context.config, "random_seed", 0)
     return random_partition(
         context.budget,
@@ -484,9 +435,9 @@ def _random_partitioner(context: PartitionerContext) -> PartitionPlan:
 def _elsa_scheduler(context: SchedulerContext) -> Scheduler:
     """ELSA (Algorithm 2): heterogeneity-aware SLA-slack scheduling."""
     from repro.core.elsa import ElsaScheduler
-    from repro.core.specs import ElsaSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, ElsaSpec)
+    spec = resolve_policy_spec("scheduler", "elsa", context.spec)
     return ElsaScheduler(
         context.profile,
         alpha=spec.alpha,
@@ -501,9 +452,9 @@ def _elsa_scheduler(context: SchedulerContext) -> Scheduler:
 def _fifs_scheduler(context: SchedulerContext) -> Scheduler:
     """First-idle first-serve (Triton-style central queue)."""
     from repro.core.schedulers import FifsScheduler
-    from repro.core.specs import FifsSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, FifsSpec)
+    spec = resolve_policy_spec("scheduler", "fifs", context.spec)
     seed = spec.seed if spec.seed is not None else getattr(context.config, "random_seed", 0)
     return FifsScheduler(idle_preference=spec.idle_preference, seed=seed)
 
@@ -512,11 +463,11 @@ def _fifs_scheduler(context: SchedulerContext) -> Scheduler:
 def _least_loaded_scheduler(context: SchedulerContext) -> Scheduler:
     """Least-outstanding-work load balancer (heterogeneity-unaware)."""
     from repro.core.schedulers import LeastLoadedScheduler
-    from repro.core.specs import LeastLoadedSpec
+    from repro.core.specs import resolve_policy_spec
 
     # no tunables, but resolving the spec makes bogus options raise
     # instead of being silently ignored
-    _resolve_spec(context, LeastLoadedSpec)
+    resolve_policy_spec("scheduler", "least-loaded", context.spec)
     return LeastLoadedScheduler()
 
 
@@ -524,8 +475,8 @@ def _least_loaded_scheduler(context: SchedulerContext) -> Scheduler:
 def _random_dispatch_scheduler(context: SchedulerContext) -> Scheduler:
     """Uniformly random dispatch (lower-bound sanity check)."""
     from repro.core.schedulers import RandomDispatchScheduler
-    from repro.core.specs import RandomDispatchSpec
+    from repro.core.specs import resolve_policy_spec
 
-    spec = _resolve_spec(context, RandomDispatchSpec)
+    spec = resolve_policy_spec("scheduler", "random-dispatch", context.spec)
     seed = spec.seed if spec.seed is not None else getattr(context.config, "random_seed", 0)
     return RandomDispatchScheduler(seed=seed)

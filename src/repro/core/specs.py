@@ -1,31 +1,24 @@
 """Composable per-policy configuration specs.
 
-The monolithic :class:`~repro.serving.config.ServerConfig` grew one flat
-keyword argument per policy tunable (``knee_threshold`` for PARIS, ``alpha`` /
-``beta`` for ELSA, ...).  That stays supported, but the preferred surface is
-now a small spec object per policy:
+Each policy tunable has one home, the spec object of its policy:
 
 * partitioners — :class:`ParisSpec`, :class:`HomogeneousSpec`,
   :class:`RandomPartitionSpec`;
 * schedulers — :class:`ElsaSpec`, :class:`FifsSpec`, :class:`LeastLoadedSpec`,
   :class:`RandomDispatchSpec`;
 * cross-cutting — :class:`SlaSpec` (SLA derivation) and :class:`ClusterSpec`
-  (physical server shape);
+  (physical server shape), which group plain
+  :class:`~repro.serving.config.ServerConfig` fields
+  (``flat_overrides()``) and are never stored;
 * third-party policies — :class:`PolicySpec`, an open name + options bag.
 
-Specs compose through :meth:`ServerConfig.from_specs
-<repro.serving.config.ServerConfig.from_specs>` or the fluent
-:class:`~repro.serving.builder.ServerBuilder`, and are handed verbatim to the
-registered policy factory (:mod:`repro.core.registry`) at deployment time, so
-a custom partitioner can define its own spec type with arbitrary fields.
-
-Every built-in spec knows
-
-* ``policy`` — the registry name it selects, and
-* ``flat_overrides()`` — the legacy flat ``ServerConfig`` kwargs it maps onto
-  (kept in sync so old code reading ``config.alpha`` still sees the truth);
-* ``from_config(config)`` — the reverse direction, used by the registry
-  factories when a deployment was configured through flat kwargs only.
+A :class:`~repro.serving.config.ServerConfig` stores its partitioner's and
+scheduler's specs.  For a built-in policy, :func:`resolve_policy_spec` turns
+whatever selected it (no spec, a :class:`PolicySpec`, the typed spec) into
+the typed spec, so every spelling of one design point gives an equal
+config.  The stored spec is handed verbatim to the registered policy
+factory (:mod:`repro.core.registry`) at deployment time, so a custom
+partitioner can define its own spec type with arbitrary fields.
 """
 
 from __future__ import annotations
@@ -53,56 +46,15 @@ def spec_policy_name(spec: Any) -> str:
     return str(name)
 
 
-def spec_flat_overrides(spec: Any) -> Dict[str, Any]:
-    """The legacy flat ``ServerConfig`` kwargs a spec maps onto (may be empty)."""
-    overrides = getattr(spec, "flat_overrides", None)
-    if overrides is None:
-        return {}
-    return dict(overrides())
-
-
-def build_builtin_spec(
-    spec_type: type, name: str, options: Mapping[str, Any], kind: str = "policy"
-) -> Any:
-    """Construct a built-in spec from free-form options with a clear error.
-
-    The one conversion shared by the fluent builder and
-    ``ServerConfig.from_specs`` when options target a built-in policy.
-    """
-    try:
-        return spec_type(**dict(options))
-    except TypeError as exc:
-        raise ValueError(
-            f"invalid option(s) for built-in {kind} {name!r}: {exc}"
-        ) from None
-
-
-def spec_with_flat_overrides(spec: Any, overrides: Mapping[str, Any]) -> Any:
-    """Rebuild ``spec`` with any flat ``ServerConfig`` overrides applied.
-
-    ``ServerConfig.from_specs`` promises that explicit flat kwargs win over
-    values derived from the specs; since the policy factories read the spec
-    in preference to the flat fields, the override has to flow back into the
-    spec itself.  Specs without a ``FLAT_FIELDS`` mapping (e.g. third-party
-    specs, :class:`PolicySpec`) are returned unchanged.
-    """
-    mapping = getattr(spec, "FLAT_FIELDS", None)
-    if not mapping or not dataclasses.is_dataclass(spec):
-        return spec
-    updates = {
-        spec_field: overrides[flat]
-        for flat, spec_field in mapping.items()
-        if flat in overrides
-    }
-    return dataclasses.replace(spec, **updates) if updates else spec
-
-
 # --------------------------------------------------------------------------- #
 # generic spec for third-party policies
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PolicySpec:
     """An open (policy name, options) pair for externally registered policies.
+
+    For a built-in policy, :func:`resolve_policy_spec` converts it into the
+    policy's typed spec.
 
     Attributes:
         policy: registry name of the partitioner / scheduler.
@@ -117,9 +69,6 @@ class PolicySpec:
         if not self.policy:
             raise ValueError("policy name must be non-empty")
         object.__setattr__(self, "options", dict(self.options))
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {}
 
 
 # --------------------------------------------------------------------------- #
@@ -138,20 +87,10 @@ class ParisSpec:
     """
 
     policy: ClassVar[str] = "paris"
-    FLAT_FIELDS: ClassVar[Mapping[str, str]] = {"knee_threshold": "knee_threshold"}
 
     knee_threshold: float = DEFAULT_KNEE_THRESHOLD
     partition_sizes: Optional[Sequence[int]] = None
     min_instances_per_active_segment: int = 0
-
-    @classmethod
-    def from_config(cls, config: Any) -> "ParisSpec":
-        return cls(
-            knee_threshold=getattr(config, "knee_threshold", DEFAULT_KNEE_THRESHOLD)
-        )
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {"knee_threshold": self.knee_threshold}
 
 
 @dataclass(frozen=True)
@@ -163,16 +102,8 @@ class HomogeneousSpec:
     """
 
     policy: ClassVar[str] = "homogeneous"
-    FLAT_FIELDS: ClassVar[Mapping[str, str]] = {"homogeneous_gpcs": "gpcs"}
 
     gpcs: int = 7
-
-    @classmethod
-    def from_config(cls, config: Any) -> "HomogeneousSpec":
-        return cls(gpcs=getattr(config, "homogeneous_gpcs", 7))
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {"homogeneous_gpcs": self.gpcs}
 
 
 @dataclass(frozen=True)
@@ -186,17 +117,9 @@ class RandomPartitionSpec:
     """
 
     policy: ClassVar[str] = "random"
-    FLAT_FIELDS: ClassVar[Mapping[str, str]] = {"random_seed": "seed"}
 
     seed: Optional[int] = None
     partition_sizes: Optional[Sequence[int]] = None
-
-    @classmethod
-    def from_config(cls, config: Any) -> "RandomPartitionSpec":
-        return cls(seed=getattr(config, "random_seed", 0))
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {} if self.seed is None else {"random_seed": self.seed}
 
 
 # --------------------------------------------------------------------------- #
@@ -213,21 +136,10 @@ class ElsaSpec:
     """
 
     policy: ClassVar[str] = "elsa"
-    FLAT_FIELDS: ClassVar[Mapping[str, str]] = {"alpha": "alpha", "beta": "beta"}
 
     alpha: float = 1.0
     beta: float = 1.0
     prefer_smallest: bool = True
-
-    @classmethod
-    def from_config(cls, config: Any) -> "ElsaSpec":
-        return cls(
-            alpha=getattr(config, "alpha", 1.0),
-            beta=getattr(config, "beta", 1.0),
-        )
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {"alpha": self.alpha, "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -246,29 +158,12 @@ class FifsSpec:
     idle_preference: str = "round_robin"
     seed: Optional[int] = None
 
-    @classmethod
-    def from_config(cls, config: Any) -> "FifsSpec":
-        return cls(seed=getattr(config, "random_seed", 0))
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        # the scheduler seed stays spec-local: the flat ``random_seed``
-        # field belongs to the random *partitioner* (its historical meaning)
-        return {}
-
 
 @dataclass(frozen=True)
 class LeastLoadedSpec:
     """The least-outstanding-work baseline scheduler (no tunables)."""
 
     policy: ClassVar[str] = "least-loaded"
-
-    @classmethod
-    def from_config(cls, config: Any) -> "LeastLoadedSpec":
-        del config
-        return cls()
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -282,15 +177,6 @@ class RandomDispatchSpec:
     policy: ClassVar[str] = "random-dispatch"
 
     seed: Optional[int] = None
-
-    @classmethod
-    def from_config(cls, config: Any) -> "RandomDispatchSpec":
-        return cls(seed=getattr(config, "random_seed", 0))
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        # spec-local for the same reason as FifsSpec: ``random_seed`` is
-        # the partitioner's seed, and the two must stay independent
-        return {}
 
 
 # --------------------------------------------------------------------------- #
@@ -356,17 +242,58 @@ class ClusterSpec:
         return overrides
 
 
-#: Built-in partitioner specs by registry name (used by the fluent builder).
+#: Built-in partitioner specs by registry name (see :func:`resolve_policy_spec`).
 PARTITIONER_SPECS: Dict[str, type] = {
     ParisSpec.policy: ParisSpec,
     HomogeneousSpec.policy: HomogeneousSpec,
     RandomPartitionSpec.policy: RandomPartitionSpec,
 }
 
-#: Built-in scheduler specs by registry name (used by the fluent builder).
+#: Built-in scheduler specs by registry name (see :func:`resolve_policy_spec`).
 SCHEDULER_SPECS: Dict[str, type] = {
     ElsaSpec.policy: ElsaSpec,
     FifsSpec.policy: FifsSpec,
     LeastLoadedSpec.policy: LeastLoadedSpec,
     RandomDispatchSpec.policy: RandomDispatchSpec,
 }
+
+
+def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
+    """The typed spec of built-in ``policy`` as configured by ``spec``.
+
+    The one conversion from a policy selector to a built-in policy's spec,
+    shared by ``ServerConfig``, the fluent builder and the registry
+    factories.  A spec of the policy's own type passes through, ``None``
+    gives its defaults and a :class:`PolicySpec` has its options applied.
+    Policies without a built-in spec type (externally registered ones) get
+    ``spec`` back unchanged.
+
+    Args:
+        kind: ``"partitioner"`` or ``"scheduler"``.
+        policy: canonical registry name of the selected policy.
+        spec: the configured spec, if any.
+
+    Raises:
+        ValueError: for a :class:`PolicySpec` option the spec type lacks.
+        TypeError: for another policy's spec object.
+    """
+    builtin = PARTITIONER_SPECS if kind == "partitioner" else SCHEDULER_SPECS
+    spec_type = builtin.get(policy)
+    if spec_type is None or isinstance(spec, spec_type):
+        return spec
+    if spec is None:
+        return spec_type()
+    if isinstance(spec, PolicySpec):
+        valid = {f.name for f in dataclasses.fields(spec_type)}  # type: ignore[arg-type]
+        unknown = sorted(set(spec.options) - valid)
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) {unknown} for built-in {kind} "
+                f"{policy!r}; valid options: {sorted(valid)}"
+            )
+        return spec_type(**spec.options)
+    raise TypeError(
+        f"{kind} {policy!r} expects a {spec_type.__name__} (or a PolicySpec), "
+        f"got {type(spec).__name__}; the configured spec does not match "
+        "the selected policy"
+    )

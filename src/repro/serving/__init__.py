@@ -19,7 +19,7 @@ Glues the substrates together into the inference server of Figure 6:
   thin one-shot wrapper over a session).
 """
 
-from repro.serving.config import ServerConfig, PartitioningStrategy, SchedulingPolicy
+from repro.serving.config import ServerConfig
 from repro.serving.builder import ServerBuilder
 from repro.serving.sla import derive_sla_target
 from repro.serving.deployment import Deployment, build_deployment, replan_deployment
@@ -35,8 +35,6 @@ __all__ = [
     "DEFAULT_RECONFIG_COST",
     "ServerConfig",
     "ServerBuilder",
-    "PartitioningStrategy",
-    "SchedulingPolicy",
     "ServingSession",
     "SessionResult",
     "TriggerFiring",

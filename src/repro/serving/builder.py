@@ -26,63 +26,35 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, ClassVar, Dict, Optional
 
-from repro.core.registry import (
-    PARTITIONERS,
-    SCHEDULERS,
-    PolicyRegistry,
-    normalize_policy_name,
-)
+from repro.core.registry import PARTITIONERS, SCHEDULERS
 from repro.core.specs import (
-    PARTITIONER_SPECS,
-    SCHEDULER_SPECS,
     ClusterSpec,
     PolicySpec,
     SlaSpec,
-    build_builtin_spec,
-    spec_flat_overrides,
+    resolve_policy_spec,
+    spec_policy_name,
 )
 from repro.gpu.architecture import GPUArchitecture
 from repro.serving.config import ServerConfig
 
 
-def _claimed_flat_keys(policy: Any, spec: Any, options: Dict[str, Any]):
-    """Flat config fields deliberately pinned by a policy-selection step.
-
-    For a policy selected by *name*, only explicitly-passed options claim
-    their flat field — selecting a policy without options leaves its
-    tunables settable via ``.options()`` (``from_specs`` flows such
-    overrides back into the spec).  A directly-passed *spec object* claims
-    everything it maps: all its values were chosen by the caller.
-    """
-    if not isinstance(policy, str):
-        return list(spec_flat_overrides(spec))
-    mapping = getattr(spec, "FLAT_FIELDS", None) or {}
-    return [flat for flat, spec_field in mapping.items() if spec_field in options]
-
-
-def _make_spec(
-    name_or_spec: Any,
-    registry: PolicyRegistry,
-    builtin_specs: Dict[str, type],
-    options: Dict[str, Any],
-):
+def _make_spec(kind: str, name_or_spec: Any, options: Dict[str, Any]):
     """Resolve a policy selector + options into (name, spec-or-None)."""
-    if not isinstance(name_or_spec, str):
-        if options:
-            raise ValueError(
-                "per-policy options must go inside the spec object when one "
-                "is passed directly"
-            )
-        from repro.core.specs import spec_policy_name
-
-        return normalize_policy_name(spec_policy_name(name_or_spec), "policy"), name_or_spec
+    if isinstance(name_or_spec, str):
+        name, spec = name_or_spec, None
+    elif options:
+        raise ValueError(
+            "per-policy options must go inside the spec object when one "
+            "is passed directly"
+        )
+    else:
+        name, spec = spec_policy_name(name_or_spec), name_or_spec
     # resolve registry aliases (e.g. scheduler "random" -> "random-dispatch")
     # so options land on the built-in spec instead of an ignored PolicySpec
-    name = registry.canonical(normalize_policy_name(name_or_spec, "policy"))
-    spec_type = builtin_specs.get(name)
-    if spec_type is not None:
-        return name, build_builtin_spec(spec_type, name, options)
-    return name, (PolicySpec(name, options) if options else None)
+    name = (PARTITIONERS if kind == "partitioner" else SCHEDULERS).canonical(name)
+    if options:
+        spec = PolicySpec(name, options)
+    return name, resolve_policy_spec(kind, name, spec)
 
 
 class ServerBuilder:
@@ -122,18 +94,14 @@ class ServerBuilder:
         names are delivered to the registered factory as a
         :class:`~repro.core.specs.PolicySpec`.
         """
-        name, spec = _make_spec(policy, PARTITIONERS, PARTITIONER_SPECS, options)
-        # claim before assigning: a rejected step must leave the builder
-        # unchanged
-        self._claim(".partitioner()", _claimed_flat_keys(policy, spec, options))
-        self._partitioner, self._partitioner_spec = name, spec
+        self._partitioner, self._partitioner_spec = _make_spec(
+            "partitioner", policy, options
+        )
         return self
 
     def scheduler(self, policy: Any, **options: Any) -> "ServerBuilder":
         """Select the scheduler by registry name (or spec object)."""
-        name, spec = _make_spec(policy, SCHEDULERS, SCHEDULER_SPECS, options)
-        self._claim(".scheduler()", _claimed_flat_keys(policy, spec, options))
-        self._scheduler, self._scheduler_spec = name, spec
+        self._scheduler, self._scheduler_spec = _make_spec("scheduler", policy, options)
         return self
 
     def sla(

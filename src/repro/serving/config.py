@@ -19,18 +19,17 @@ PARIS + ELSA           ``paris``                      ``elsa``
 
 ``partitioning`` and ``scheduler`` are **open strings** resolved against the
 policy registries of :mod:`repro.core.registry`, so any policy registered
-from user code is selectable here by name.  The
-:class:`PartitioningStrategy` / :class:`SchedulingPolicy` enums are kept as
-deprecated aliases for the built-in names; passing an enum member still
-works and normalises to its string value.
+from user code is selectable here by name.
 
-Three construction styles are supported:
+Each policy tunable lives in its policy's spec (:mod:`repro.core.specs`),
+stored as ``partitioner_spec`` / ``scheduler_spec``.  The three construction
+forms give equal configs for one design point:
 
-1. flat kwargs (the original API)::
+1. the constructor::
 
-       ServerConfig(model="resnet", partitioning="paris", knee_threshold=0.85)
+       ServerConfig(model="resnet", partitioner_spec=ParisSpec(knee_threshold=0.85))
 
-2. composed specs (:mod:`repro.core.specs`)::
+2. composed specs::
 
        ServerConfig.from_specs(
            "resnet",
@@ -45,68 +44,22 @@ Three construction styles are supported:
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.registry import PARTITIONERS, SCHEDULERS, normalize_policy_name
-from repro.core.specs import (
-    PolicySpec,
-    spec_flat_overrides,
-    spec_policy_name,
-    spec_with_flat_overrides,
-)
+from repro.core.specs import ClusterSpec, SlaSpec, resolve_policy_spec, spec_policy_name
 from repro.gpu.architecture import A100, GPUArchitecture
 from repro.gpu.fleet import Fleet, FleetServerSpec
 
 
-class PartitioningStrategy(str, enum.Enum):
-    """Deprecated alias enum for the built-in partitioner names.
-
-    Prefer passing the registry name directly (``"paris"``, ``"homogeneous"``,
-    ``"random"``, or any custom registered name).
-    """
-
-    PARIS = "paris"
-    HOMOGENEOUS = "homogeneous"
-    RANDOM = "random"
-
-
-class SchedulingPolicy(str, enum.Enum):
-    """Deprecated alias enum for the built-in scheduler names.
-
-    Prefer passing the registry name directly (``"elsa"``, ``"fifs"``,
-    ``"least-loaded"``, ``"random-dispatch"``, or any custom registered name).
-    """
-
-    ELSA = "elsa"
-    FIFS = "fifs"
-    LEAST_LOADED = "least-loaded"
-    RANDOM = "random-dispatch"
-
-
-def _concretise_policy_spec(spec: Any, canonical_name: str, kind: str) -> Any:
-    """Turn a :class:`PolicySpec` naming a *built-in* policy into its typed spec.
-
-    The typed spec keeps the flat config fields in sync with what the policy
-    factory actually uses, and makes invalid options fail at config
-    construction rather than at deploy time.  PolicySpecs for custom
-    (externally registered) policies pass through untouched, as do typed
-    specs.
-    """
-    if not isinstance(spec, PolicySpec):
-        return spec
-    from repro.core.specs import (
-        PARTITIONER_SPECS,
-        SCHEDULER_SPECS,
-        build_builtin_spec,
-    )
-
-    builtin_specs = PARTITIONER_SPECS if kind == "partitioner" else SCHEDULER_SPECS
-    spec_type = builtin_specs.get(canonical_name)
-    if spec_type is None:
-        return spec
-    return build_builtin_spec(spec_type, canonical_name, spec.options, kind)
+def _policy_selection(policy: Any) -> Tuple[str, Any]:
+    """A policy selector — a registry name or a spec object — as
+    ``(name, spec)``; a bare name selects no spec."""
+    if isinstance(policy, str):
+        return policy, None
+    return spec_policy_name(policy), policy
 
 
 @dataclass(frozen=True)
@@ -116,31 +69,32 @@ class ServerConfig:
     Attributes:
         model: primary DNN model served (registry name); drives the
             partitioning plan and the SLA target.
-        partitioning: partitioner name in the policy registry (or a
-            deprecated :class:`PartitioningStrategy` member).
-        scheduler: scheduler name in the policy registry (or a deprecated
-            :class:`SchedulingPolicy` member).
+        partitioning: partitioner name in the policy registry.
+        scheduler: scheduler name in the policy registry.
         extra_models: additional models co-located on the same server; their
             profiles are loaded so mixed-model traces can be served.
         gpc_budget: GPCs available to the partitioning (e.g. 24/42/48 in
             Table I).  ``None`` uses the full server.
         num_gpus: physical GPUs in the server (8 in the paper).
-        homogeneous_gpcs: partition size for the homogeneous strategy.
         sla_multiplier: SLA target = multiplier x GPU(7) latency at the max
             batch size (1.5 default, 2.0 in the sensitivity study).
-        sla_reference_gpcs: partition size of the SLA reference device.
+        sla_reference_gpcs: partition size of the SLA reference device.  The
+            default 7 resolves to the (primary) architecture's largest
+            partition size where GPU(7) does not exist (e.g. a 4-GPC A30).
         max_batch: maximum batch size of the workload distribution.
-        alpha / beta: ELSA slack-predictor coefficients.
-        knee_threshold: PARIS utilization knee threshold.
-        random_seed: seed for the random partitioning strategy.
+        random_seed: the design's seed, used by every stochastic policy
+            whose spec leaves ``seed=None``.
         architecture: physical GPU architecture.
         frontend_capacity_qps: maximum dispatch rate of the server frontend
             in queries/second; ``None`` means the frontend is never the
             bottleneck.
-        partitioner_spec: per-policy spec object handed to the partitioner
-            factory (overrides the flat fields above when set).
-        scheduler_spec: per-policy spec object handed to the scheduler
-            factory (overrides the flat fields above when set).
+        partitioner_spec: the partitioner's spec, the only home of its
+            tunables (e.g. :class:`~repro.core.specs.ParisSpec`).  For a
+            built-in partitioner it is always its typed spec: ``None``
+            becomes the defaults and a
+            :class:`~repro.core.specs.PolicySpec` is converted, see
+            :func:`~repro.core.specs.resolve_policy_spec`.
+        scheduler_spec: the scheduler's spec, resolved the same way.
         fleet: optional fleet description — a sequence of
             :class:`~repro.gpu.fleet.FleetServerSpec` (or ``(num_gpus,
             architecture[, gpc_budget])`` tuples) composing possibly
@@ -154,16 +108,12 @@ class ServerConfig:
     """
 
     model: str
-    partitioning: Union[str, PartitioningStrategy] = "paris"
-    scheduler: Union[str, SchedulingPolicy] = "elsa"
+    partitioning: str = "paris"
+    scheduler: str = "elsa"
     gpc_budget: Optional[int] = None
     num_gpus: int = 8
-    homogeneous_gpcs: int = 7
     sla_multiplier: float = 1.5
     max_batch: int = 32
-    alpha: float = 1.0
-    beta: float = 1.0
-    knee_threshold: float = 0.8
     random_seed: int = 0
     architecture: GPUArchitecture = A100
     frontend_capacity_qps: Optional[float] = None
@@ -200,21 +150,26 @@ class ServerConfig:
                 sum(spec.effective_gpc_budget for spec in specs),
             )
         # normalise AND canonicalise (resolve registry aliases, e.g.
-        # scheduler "random" -> "random-dispatch") so equal design points
-        # compare equal and label identically however they were spelled
+        # scheduler "random" -> "random-dispatch") and resolve each built-in
+        # policy's typed spec, so equal design points compare equal and
+        # label identically however they were spelled
+        partitioning = PARTITIONERS.canonical(
+            normalize_policy_name(self.partitioning, "partitioning")
+        )
+        scheduler = SCHEDULERS.canonical(
+            normalize_policy_name(self.scheduler, "scheduler")
+        )
+        object.__setattr__(self, "partitioning", partitioning)
+        object.__setattr__(self, "scheduler", scheduler)
         object.__setattr__(
             self,
-            "partitioning",
-            PARTITIONERS.canonical(
-                normalize_policy_name(self.partitioning, "partitioning")
-            ),
+            "partitioner_spec",
+            resolve_policy_spec("partitioner", partitioning, self.partitioner_spec),
         )
         object.__setattr__(
             self,
-            "scheduler",
-            SCHEDULERS.canonical(
-                normalize_policy_name(self.scheduler, "scheduler")
-            ),
+            "scheduler_spec",
+            resolve_policy_spec("scheduler", scheduler, self.scheduler_spec),
         )
         if isinstance(self.extra_models, str):
             raise TypeError(
@@ -230,51 +185,42 @@ class ServerConfig:
             raise ValueError("num_gpus must be positive")
         if self.gpc_budget is not None and self.gpc_budget <= 0:
             raise ValueError("gpc_budget must be positive when set")
-        if self.fleet is not None:
-            # On a fleet the homogeneous size only matters to the homogeneous
-            # partitioner — which runs once per member architecture, so the
-            # size must be valid on *every* member (the union would accept
-            # configs that crash at deploy time).  The default SLA reference
-            # — "the largest partition" — resolves to the primary
-            # architecture's largest valid size when GPU(7) does not exist
-            # on it (e.g. a 4-GPC A30 primary).
-            if self.partitioning == "homogeneous":
-                common = set(self.fleet[0].architecture.valid_partition_sizes)
-                for spec in self.fleet[1:]:
-                    common &= set(spec.architecture.valid_partition_sizes)
-                if self.homogeneous_gpcs not in common:
-                    raise ValueError(
-                        f"homogeneous_gpcs={self.homogeneous_gpcs} is not a "
-                        f"valid partition size on every fleet architecture "
-                        f"(common sizes: {sorted(common)})"
-                    )
-            if self.sla_reference_gpcs not in self.architecture.valid_partition_sizes:
-                largest = max(self.architecture.valid_partition_sizes)
-                if self.sla_reference_gpcs == 7:
-                    object.__setattr__(self, "sla_reference_gpcs", largest)
-                else:
-                    raise ValueError(
-                        f"sla_reference_gpcs={self.sla_reference_gpcs} is not "
-                        f"a valid partition size of the fleet's primary "
-                        f"architecture {self.architecture.name}"
-                    )
-        else:
-            if self.homogeneous_gpcs not in self.architecture.valid_partition_sizes:
+        if self.partitioning == "homogeneous":
+            # the homogeneous partitioner runs once per member architecture
+            # on a fleet, so its size must be valid on every member (the
+            # union would accept configs that crash at deploy time)
+            members = [s.architecture for s in self.fleet] if self.fleet else [self.architecture]
+            common = set.intersection(*(set(a.valid_partition_sizes) for a in members))
+            gpcs = self.partitioner_spec.gpcs
+            if gpcs not in common:
+                where = "every fleet architecture" if self.fleet else self.architecture.name
                 raise ValueError(
-                    f"homogeneous_gpcs={self.homogeneous_gpcs} is not a valid "
-                    f"partition size of {self.architecture.name}"
+                    f"HomogeneousSpec(gpcs={gpcs}) is not a valid partition "
+                    f"size on {where} (valid sizes: {sorted(common)})"
                 )
-            if self.sla_reference_gpcs not in self.architecture.valid_partition_sizes:
+        # the default reference GPU(7) means "the largest partition": where
+        # the (primary) architecture has no 7-GPC size, its largest is used
+        valid = self.architecture.valid_partition_sizes
+        if self.sla_reference_gpcs not in valid:
+            if self.sla_reference_gpcs != 7:
                 raise ValueError(
-                    f"sla_reference_gpcs={self.sla_reference_gpcs} is not a valid "
-                    f"partition size of {self.architecture.name}"
+                    f"sla_reference_gpcs={self.sla_reference_gpcs} is not a "
+                    f"valid partition size of {self.architecture.name}"
                 )
-        if self.sla_multiplier <= 0:
-            raise ValueError("sla_multiplier must be positive")
+            object.__setattr__(self, "sla_reference_gpcs", max(valid))
+        if not 0 < self.sla_multiplier < math.inf:
+            raise ValueError(
+                f"sla_multiplier must be positive and finite, got {self.sla_multiplier}"
+            )
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.frontend_capacity_qps is not None and self.frontend_capacity_qps <= 0:
-            raise ValueError("frontend_capacity_qps must be positive when set")
+        if self.frontend_capacity_qps is not None and not (
+            0 < self.frontend_capacity_qps < math.inf
+        ):
+            raise ValueError(
+                "frontend_capacity_qps must be positive and finite when set, "
+                f"got {self.frontend_capacity_qps}"
+            )
 
     # ------------------------------------------------------------------ #
     # construction from composed specs
@@ -302,11 +248,11 @@ class ServerConfig:
             sla: optional :class:`~repro.core.specs.SlaSpec`.
             cluster: optional :class:`~repro.core.specs.ClusterSpec`.
             extra_models: additional co-located models.
-            overrides: any remaining flat :class:`ServerConfig` kwargs; they
-                win over values derived from the specs.
+            overrides: any remaining :class:`ServerConfig` fields; they win
+                over the values of ``sla`` and ``cluster``.
 
         Returns:
-            The composed (still frozen, still flat-compatible) config.
+            The composed (frozen) config.
         """
         reserved = {
             "model": "the first positional argument",
@@ -322,38 +268,7 @@ class ServerConfig:
             raise ValueError(
                 f"override(s) {clashes} collide with from_specs parameters: {hints}"
             )
-        if isinstance(extra_models, str):
-            raise TypeError(
-                "extra_models must be a sequence of model names, not a bare "
-                f"string; did you mean extra_models=({extra_models!r},)?"
-            )
         kwargs: Dict[str, Any] = {}
-        partitioner_spec = scheduler_spec = None
-
-        if isinstance(partitioner, (str, enum.Enum)):
-            partitioning = normalize_policy_name(partitioner, "partitioning")
-        else:
-            partitioning = normalize_policy_name(
-                spec_policy_name(partitioner), "partitioning"
-            )
-            partitioner_spec = _concretise_policy_spec(
-                partitioner, PARTITIONERS.canonical(partitioning), "partitioner"
-            )
-            kwargs.update(spec_flat_overrides(partitioner_spec))
-
-        if isinstance(scheduler, (str, enum.Enum)):
-            scheduler_name = normalize_policy_name(scheduler, "scheduler")
-        else:
-            scheduler_name = normalize_policy_name(
-                spec_policy_name(scheduler), "scheduler"
-            )
-            scheduler_spec = _concretise_policy_spec(
-                scheduler, SCHEDULERS.canonical(scheduler_name), "scheduler"
-            )
-            kwargs.update(spec_flat_overrides(scheduler_spec))
-
-        from repro.core.specs import ClusterSpec, SlaSpec
-
         for arg_name, spec, expected in (
             ("sla", sla, SlaSpec),
             ("cluster", cluster, ClusterSpec),
@@ -364,37 +279,15 @@ class ServerConfig:
                         f"{arg_name}= expects a {expected.__name__}(...), "
                         f"got {type(spec).__name__}"
                     )
-                kwargs.update(spec_flat_overrides(spec))
-
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise ValueError(
-                f"spec maps onto unknown ServerConfig fields {unknown}"
-            )
+                kwargs.update(spec.flat_overrides())
         kwargs.update(overrides)
-        # Explicit flat overrides win over the specs — including inside the
-        # spec objects themselves, which the policy factories read first.
-        # A PolicySpec's options cannot be rewritten that way (their names
-        # are policy-defined), so a collision there is ambiguous and raises.
-        for spec in (partitioner_spec, scheduler_spec):
-            if isinstance(spec, PolicySpec):
-                clashes = sorted(set(spec.options) & set(overrides))
-                if clashes:
-                    raise ValueError(
-                        f"{clashes} set both in PolicySpec({spec.policy!r}) "
-                        "options and as flat overrides; configure each "
-                        "tunable in one place"
-                    )
-        if partitioner_spec is not None:
-            partitioner_spec = spec_with_flat_overrides(partitioner_spec, overrides)
-        if scheduler_spec is not None:
-            scheduler_spec = spec_with_flat_overrides(scheduler_spec, overrides)
+        partitioning, partitioner_spec = _policy_selection(partitioner)
+        scheduler_name, scheduler_spec = _policy_selection(scheduler)
         return cls(
             model=model,
             partitioning=partitioning,
             scheduler=scheduler_name,
-            extra_models=tuple(extra_models),
+            extra_models=extra_models,
             partitioner_spec=partitioner_spec,
             scheduler_spec=scheduler_spec,
             **kwargs,
@@ -446,7 +339,7 @@ class ServerConfig:
     def label(self) -> str:
         """Readable design-point label, e.g. ``paris+elsa`` or ``gpu(3)+fifs``."""
         if self.partitioning == "homogeneous":
-            left = f"gpu({self.homogeneous_gpcs})"
+            left = f"gpu({self.partitioner_spec.gpcs})"
         else:
             left = self.partitioning
         return f"{left}+{self.scheduler}"

@@ -25,7 +25,6 @@ from repro.core.registry import (
     SchedulerContext,
     build_plan,
     build_scheduler,
-    resolve_spec,
 )
 from repro.gpu.partition import PartitionInstance
 from repro.gpu.server import MultiGPUServer
@@ -208,7 +207,6 @@ def _plan_and_place_fleet(
     per-architecture plans are merged.
     """
     from repro.core.paris import ParisConfig, shared_fleet_paris
-    from repro.core.specs import ParisSpec
 
     budgets = fleet.budgets_by_architecture()
     if arch_tables is None:
@@ -218,14 +216,7 @@ def _plan_and_place_fleet(
     }
 
     if config.partitioning == "paris":
-        spec_context = PartitionerContext(
-            profile=primary_tables[fleet.primary_architecture.name],
-            batch_pdf=batch_pdf,
-            budget=fleet.total_gpcs,
-            config=config,
-            spec=config.partitioner_spec,
-        )
-        spec = resolve_spec(spec_context, ParisSpec)
+        spec = config.partitioner_spec  # a ParisSpec: the config resolved it
         planner = shared_fleet_paris(
             primary_tables,
             ParisConfig(

@@ -77,11 +77,3 @@ class TestBuildPolicyNameNormalisation:
         tidy = settings.build("mobilenet", "homogeneous", "fifs")
         sloppy = settings.build("mobilenet", "  Homogeneous ", "fifs")
         assert sloppy.plan.total_gpcs == tidy.plan.total_gpcs == 28
-
-    def test_deprecated_enums_still_accepted(self, settings):
-        from repro.serving.config import PartitioningStrategy, SchedulingPolicy
-
-        deployment = settings.build(
-            "mobilenet", PartitioningStrategy.PARIS, SchedulingPolicy.ELSA
-        )
-        assert deployment.config.label() == "paris+elsa"

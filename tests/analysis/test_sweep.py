@@ -14,7 +14,7 @@ from repro.analysis.sweep import (
     point_seed,
     sweep_rates,
 )
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.workload.distributions import LogNormalBatchDistribution
 from repro.workload.generator import WorkloadConfig
@@ -24,9 +24,8 @@ from repro.workload.generator import WorkloadConfig
 def deployment(mobilenet_profile):
     config = ServerConfig(
         model="mobilenet",
-        partitioning=PartitioningStrategy.HOMOGENEOUS,
-        scheduler=SchedulingPolicy.FIFS,
-        homogeneous_gpcs=7,
+        partitioning="homogeneous",
+        scheduler="fifs",
         gpc_budget=28,
         num_gpus=4,
     )
@@ -64,8 +63,7 @@ class TestCapacityEstimate:
         small = build_deployment(
             ServerConfig(
                 model="mobilenet",
-                partitioning=PartitioningStrategy.HOMOGENEOUS,
-                homogeneous_gpcs=7,
+                partitioning="homogeneous",
                 gpc_budget=14,
                 num_gpus=2,
             ),
@@ -75,8 +73,7 @@ class TestCapacityEstimate:
         large = build_deployment(
             ServerConfig(
                 model="mobilenet",
-                partitioning=PartitioningStrategy.HOMOGENEOUS,
-                homogeneous_gpcs=7,
+                partitioning="homogeneous",
                 gpc_budget=28,
                 num_gpus=4,
             ),
@@ -158,19 +155,20 @@ class TestMultiModelSweep:
         )
 
 
-def double(value):
-    return 2 * value
+def shared_double(shared, value):
+    return shared * value
 
 
 class TestParallelRunner:
     def test_serial_map_preserves_order(self):
         runner = ParallelRunner(n_jobs=1)
-        assert runner.map(double, [3, 1, 2]) == [6, 2, 4]
+        assert runner.map_shared(shared_double, 2, [3, 1, 2]) == [6, 2, 4]
 
     def test_parallel_map_matches_serial(self):
         work = list(range(8))
-        serial = ParallelRunner(n_jobs=1).map(double, work)
-        parallel = ParallelRunner(n_jobs=2).map(double, work)
+        serial = ParallelRunner(n_jobs=1).map_shared(shared_double, 2, work)
+        with ParallelRunner(n_jobs=2) as runner:
+            parallel = runner.map_shared(shared_double, 2, work)
         assert parallel == serial
 
     def test_none_and_zero_use_every_core(self):
@@ -181,7 +179,9 @@ class TestParallelRunner:
         assert ParallelRunner(n_jobs=0).effective_jobs == cores
 
     def test_single_item_runs_inline(self):
-        assert ParallelRunner(n_jobs=4).map(double, [21]) == [42]
+        runner = ParallelRunner(n_jobs=4)
+        assert runner.map_shared(shared_double, 2, [21]) == [42]
+        assert not runner.warm
 
 
 class TestPointSeeds:
@@ -226,11 +226,7 @@ class TestBracketedSearch:
         assert result.rate_qps <= undersized
 
 
-def shared_double(shared, value):
-    return shared * value
-
-
-def worker_placement(delay):
+def worker_placement(delay, _index):
     time.sleep(delay)
     return os.getpid(), sorted(os.sched_getaffinity(0))
 
@@ -265,7 +261,7 @@ class TestWarmSharedPool:
         assert runner.map_shared(shared_double, 2, [1, 2, 3]) == [2, 4, 6]
         assert not runner.warm  # 1 core: no pool, no spawn tax
         monkeypatch.setattr(_os, "cpu_count", lambda: 8)
-        assert runner.map(double, [1, 2, 3], work_hint=10.0) == [2, 4, 6]
+        assert runner.map_shared(shared_double, 2, [1, 2, 3], work_hint=10.0) == [2, 4, 6]
         assert not runner.warm  # per-point work below min_fork_work
         runner.close()
 
@@ -279,7 +275,7 @@ class TestWarmSharedPool:
         try:
             with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
                 # long enough that the second task goes to the other worker
-                placements = dict(runner.map(worker_placement, [0.2, 0.2]))
+                placements = dict(runner.map_shared(worker_placement, 0.2, [0, 1]))
             assert sorted(os.sched_getaffinity(0)) == allowed  # the parent stays free
         finally:
             os.sched_setaffinity(0, host)
@@ -298,7 +294,7 @@ class TestWarmSharedPool:
         # on a host with more CPUs than jobs: no worker is pinned
         monkeypatch.setattr(sweep_module, "_owns_every_cpu", lambda jobs: False)
         with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
-            placements = runner.map(worker_placement, [0.0, 0.0])
+            placements = runner.map_shared(worker_placement, 0.0, [0, 1])
         assert all(cpus == sorted(os.sched_getaffinity(0)) for _, cpus in placements)
 
     def test_warm_runner_pickles_without_its_pool(self):

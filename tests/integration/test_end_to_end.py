@@ -8,7 +8,7 @@ assert the qualitative results of the paper's evaluation (Section VI).
 import pytest
 
 from repro.analysis.sweep import latency_bounded_throughput
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.workload.distributions import LogNormalBatchDistribution
 from repro.workload.generator import QueryGenerator, WorkloadConfig
@@ -19,14 +19,13 @@ def pdf():
     return LogNormalBatchDistribution(sigma=0.9, median=8, max_batch=32).pdf()
 
 
-def deploy(profile, model, partitioning, scheduler, budget, homogeneous=7):
+def deploy(profile, model, partitioning, scheduler, budget):
     config = ServerConfig(
         model=model,
         partitioning=partitioning,
         scheduler=scheduler,
         gpc_budget=budget,
         num_gpus=8,
-        homogeneous_gpcs=homogeneous,
     )
     pdf = LogNormalBatchDistribution(sigma=0.9, median=8, max_batch=32).pdf()
     return build_deployment(config, pdf, profile=profile)
@@ -40,7 +39,7 @@ def bounded_throughput(deployment, model, num_queries=300, seed=0):
 class TestServingPipeline:
     def test_every_query_is_served_exactly_once(self, bert_profile):
         deployment = deploy(
-            bert_profile, "bert", PartitioningStrategy.PARIS, SchedulingPolicy.ELSA, 42
+            bert_profile, "bert", "paris", "elsa", 42
         )
         workload = WorkloadConfig(model="bert", rate_qps=500.0, num_queries=400, seed=3)
         trace = QueryGenerator(workload).generate().with_sla(deployment.sla_target)
@@ -53,7 +52,7 @@ class TestServingPipeline:
 
     def test_deterministic_replay(self, resnet_profile):
         deployment = deploy(
-            resnet_profile, "resnet", PartitioningStrategy.PARIS, SchedulingPolicy.ELSA, 48
+            resnet_profile, "resnet", "paris", "elsa", 48
         )
         workload = WorkloadConfig(model="resnet", rate_qps=800.0, num_queries=300, seed=5)
         trace = QueryGenerator(workload).generate().with_sla(deployment.sla_target)
@@ -67,12 +66,12 @@ class TestPaperHeadlines:
     def test_elsa_beats_fifs_on_heterogeneous_server(self, mobilenet_profile):
         """Figure 12: given PARIS partitions, ELSA >= FIFS."""
         paris_fifs = deploy(
-            mobilenet_profile, "mobilenet", PartitioningStrategy.PARIS,
-            SchedulingPolicy.FIFS, 24
+            mobilenet_profile, "mobilenet", "paris",
+            "fifs", 24
         )
         paris_elsa = deploy(
-            mobilenet_profile, "mobilenet", PartitioningStrategy.PARIS,
-            SchedulingPolicy.ELSA, 24
+            mobilenet_profile, "mobilenet", "paris",
+            "elsa", 24
         )
         fifs_qps = bounded_throughput(paris_fifs, "mobilenet").throughput_qps
         elsa_qps = bounded_throughput(paris_elsa, "mobilenet").throughput_qps
@@ -81,12 +80,11 @@ class TestPaperHeadlines:
     def test_paris_elsa_beats_gpu7_baseline(self, resnet_profile):
         """Figure 12: PARIS+ELSA > GPU(7)+FIFS for a medium-weight model."""
         gpu7 = deploy(
-            resnet_profile, "resnet", PartitioningStrategy.HOMOGENEOUS,
-            SchedulingPolicy.FIFS, 56, homogeneous=7
+            resnet_profile, "resnet", "homogeneous", "fifs", 56
         )
         paris = deploy(
-            resnet_profile, "resnet", PartitioningStrategy.PARIS,
-            SchedulingPolicy.ELSA, 48
+            resnet_profile, "resnet", "paris",
+            "elsa", 48
         )
         gpu7_qps = bounded_throughput(gpu7, "resnet").throughput_qps
         paris_qps = bounded_throughput(paris, "resnet").throughput_qps
@@ -95,12 +93,12 @@ class TestPaperHeadlines:
     def test_elsa_reduces_sla_violations_at_equal_load(self, mobilenet_profile):
         """At the same offered load, ELSA violates SLA less often than FIFS."""
         paris_fifs = deploy(
-            mobilenet_profile, "mobilenet", PartitioningStrategy.PARIS,
-            SchedulingPolicy.FIFS, 24
+            mobilenet_profile, "mobilenet", "paris",
+            "fifs", 24
         )
         paris_elsa = deploy(
-            mobilenet_profile, "mobilenet", PartitioningStrategy.PARIS,
-            SchedulingPolicy.ELSA, 24
+            mobilenet_profile, "mobilenet", "paris",
+            "elsa", 24
         )
         workload = WorkloadConfig(
             model="mobilenet", rate_qps=1500.0, num_queries=600, seed=9

@@ -34,48 +34,56 @@ class TestFromSpecs:
         )
         assert config.partitioning == "paris"
         assert config.scheduler == "elsa"
-        # the flat legacy fields stay in sync with the specs
-        assert config.knee_threshold == 0.85
-        assert config.alpha == 1.2
-        assert config.beta == 0.8
+        # the SLA and cluster specs group plain config fields
         assert config.sla_multiplier == 2.0
         assert config.max_batch == 64
         assert config.num_gpus == 8
         assert config.gpc_budget == 48
-        # and the spec objects ride along for the registry factories
-        assert isinstance(config.partitioner_spec, ParisSpec)
-        assert isinstance(config.scheduler_spec, ElsaSpec)
+        # the policy specs are the only home of the policy tunables
+        assert config.partitioner_spec == ParisSpec(knee_threshold=0.85)
+        assert config.scheduler_spec == ElsaSpec(alpha=1.2, beta=0.8)
+        for removed in ("alpha", "beta", "knee_threshold", "homogeneous_gpcs"):
+            assert not hasattr(config, removed)
 
     def test_plain_strings_also_accepted(self):
         config = ServerConfig.from_specs("resnet", "homogeneous", "fifs")
         assert config.label() == "gpu(7)+fifs"
-        assert config.partitioner_spec is None
+        # a bare name selects the built-in policy's default spec
+        assert config.partitioner_spec == HomogeneousSpec()
+        assert config.scheduler_spec == FifsSpec()
 
     def test_overrides_win_over_spec_values(self):
         config = ServerConfig.from_specs(
             "resnet",
-            partitioner=ParisSpec(knee_threshold=0.85),
-            knee_threshold=0.7,
+            sla=SlaSpec(multiplier=2.0, max_batch=64),
+            sla_multiplier=3.0,
         )
-        assert config.knee_threshold == 0.7
-        # the override reaches the stored spec too, which is what the
-        # registry factory actually reads — regression for a silent
-        # flat-field / deployed-behavior divergence
-        assert config.partitioner_spec.knee_threshold == 0.7
+        assert config.sla_multiplier == 3.0
+        assert config.max_batch == 64
+        # a policy tunable is no config field, so it cannot be overridden
+        # past its spec
+        with pytest.raises(TypeError, match="knee_threshold"):
+            ServerConfig.from_specs(
+                "resnet",
+                partitioner=ParisSpec(knee_threshold=0.85),
+                knee_threshold=0.7,
+            )
 
     def test_overrides_preserve_spec_only_fields(self):
         config = ServerConfig.from_specs(
             "resnet",
             partitioner=ParisSpec(knee_threshold=0.85, partition_sizes=(1, 7)),
-            knee_threshold=0.7,
+            gpc_budget=48,
         )
-        assert config.partitioner_spec.partition_sizes == (1, 7)
+        assert config.partitioner_spec == ParisSpec(
+            knee_threshold=0.85, partition_sizes=(1, 7)
+        )
 
     def test_homogeneous_spec_sets_partition_size(self):
         config = ServerConfig.from_specs(
             "resnet", partitioner=HomogeneousSpec(gpcs=3), scheduler="fifs"
         )
-        assert config.homogeneous_gpcs == 3
+        assert config.partitioner_spec.gpcs == 3
         assert config.label() == "gpu(3)+fifs"
 
     def test_policy_spec_for_custom_names(self):
@@ -95,14 +103,15 @@ class TestFromSpecs:
             gpc_budget=24,
             num_gpus=4,
         )
-        # the PolicySpec is concretised into the typed built-in spec, so the
-        # flat field stays in sync with what the factory uses
+        # the PolicySpec is converted into the typed built-in spec
         assert config.partitioner_spec == ParisSpec(knee_threshold=0.5)
-        assert config.knee_threshold == 0.5
         deployment = build_deployment(config, pdf, profile=mobilenet_profile)
         reference = build_deployment(
             ServerConfig(
-                model="mobilenet", knee_threshold=0.5, gpc_budget=24, num_gpus=4
+                model="mobilenet",
+                partitioner_spec=ParisSpec(knee_threshold=0.5),
+                gpc_budget=24,
+                num_gpus=4,
             ),
             pdf,
             profile=mobilenet_profile,
@@ -128,20 +137,23 @@ class TestFromSpecs:
         with pytest.raises(ValueError, match="collide"):
             ServerBuilder("resnet").options(scheduler="fifs").build()
 
-    def test_mismatched_spec_type_rejected_at_deploy(
-        self, pdf, mobilenet_profile
-    ):
+    def test_mismatched_spec_type_rejected_at_construction(self):
         # an ElsaSpec paired with the fifs scheduler must raise, not be
         # silently replaced by defaults
-        config = ServerConfig(
-            model="mobilenet",
-            scheduler="fifs",
-            scheduler_spec=ElsaSpec(alpha=9.0),
-            gpc_budget=24,
-            num_gpus=4,
-        )
         with pytest.raises(TypeError, match="FifsSpec"):
-            build_deployment(config, pdf, profile=mobilenet_profile)
+            ServerConfig(
+                model="mobilenet",
+                scheduler="fifs",
+                scheduler_spec=ElsaSpec(alpha=9.0),
+                gpc_budget=24,
+                num_gpus=4,
+            )
+        with pytest.raises(TypeError, match="HomogeneousSpec"):
+            ServerConfig(
+                model="mobilenet",
+                partitioning="homogeneous",
+                partitioner_spec=ParisSpec(),
+            )
 
 
 class TestServerBuilder:
@@ -157,7 +169,7 @@ class TestServerBuilder:
         )
         assert isinstance(config, ServerConfig)
         assert config.label() == "paris+fifs"
-        assert config.knee_threshold == 0.9
+        assert config.partitioner_spec == ParisSpec(knee_threshold=0.9)
         # the scheduler seed stays spec-local (None = fall back to
         # config.random_seed at build time)
         assert config.scheduler_spec == FifsSpec(idle_preference="largest")
@@ -214,46 +226,37 @@ class TestServerBuilder:
             ServerBuilder("resnet").partitioner(ParisSpec(), knee_threshold=0.9)
 
     def test_direct_spec_object_fields_cannot_be_silently_overridden(self):
-        # a directly-passed spec claims everything it maps: its values were
-        # deliberately chosen, so a later .options() collision raises
-        with pytest.raises(ValueError, match="knee_threshold"):
-            (ServerBuilder("resnet")
-             .partitioner(ParisSpec(knee_threshold=0.95))
-             .options(knee_threshold=0.7))
+        # a directly-passed spec is the only home of its values: a policy
+        # tunable passed as a plain option is no config field and raises
+        builder = (ServerBuilder("resnet")
+                   .partitioner(ParisSpec(knee_threshold=0.95))
+                   .options(knee_threshold=0.7))
+        with pytest.raises(TypeError, match="knee_threshold"):
+            builder.build()
 
     def test_options_passthrough(self):
-        config = ServerBuilder("resnet").options(homogeneous_gpcs=2).build()
-        assert config.homogeneous_gpcs == 2
+        config = ServerBuilder("resnet").options(sla_reference_gpcs=4).build()
+        assert config.sla_reference_gpcs == 4
 
     def test_cross_step_field_collisions_raise_in_either_order(self):
         # a field EXPLICITLY set by two different steps is ambiguous —
         # no silent winner
-        with pytest.raises(ValueError, match="knee_threshold"):
+        with pytest.raises(ValueError, match="max_batch"):
             (ServerBuilder("resnet")
-             .options(knee_threshold=0.7)
-             .partitioner("paris", knee_threshold=0.9))
-        with pytest.raises(ValueError, match="knee_threshold"):
+             .options(max_batch=16)
+             .sla(max_batch=8))
+        with pytest.raises(ValueError, match="max_batch"):
             (ServerBuilder("resnet")
-             .partitioner("paris", knee_threshold=0.9)
-             .options(knee_threshold=0.7))
+             .sla(max_batch=8)
+             .options(max_batch=16))
         with pytest.raises(ValueError, match="num_gpus"):
             (ServerBuilder("resnet")
              .options(num_gpus=4)
              .cluster(num_gpus=8))
 
     def test_defaults_do_not_claim_fields(self):
-        # selecting a policy (or sizing the cluster) without touching a
-        # tunable leaves that tunable settable via .options(), and the
-        # override flows into the spec the factory reads
-        config = (
-            ServerBuilder("resnet")
-            .options(knee_threshold=0.9)
-            .partitioner("paris")
-            .build()
-        )
-        assert config.knee_threshold == 0.9
-        assert config.partitioner_spec.knee_threshold == 0.9
-
+        # sizing the cluster without touching a field leaves that field
+        # settable via .options()
         config = (
             ServerBuilder("resnet")
             .options(num_gpus=4)
@@ -275,22 +278,28 @@ class TestServerBuilder:
         assert builder.build().sla_multiplier == 2.0
 
     def test_rejected_step_leaves_the_builder_unchanged(self):
-        # a step that fails claim validation must not take partial effect
-        builder = ServerBuilder("resnet").options(homogeneous_gpcs=3)
-        with pytest.raises(ValueError, match="homogeneous_gpcs"):
-            builder.partitioner("homogeneous", gpcs=5)
+        # a step that fails validation must not take partial effect
+        builder = ServerBuilder("resnet").options(num_gpus=4)
+        with pytest.raises(ValueError, match="num_gpus"):
+            builder.cluster(num_gpus=8, gpc_budget=24)
+        with pytest.raises(ValueError, match="gpcz"):
+            builder.partitioner("homogeneous", gpcz=5)
         config = builder.build()
         assert config.partitioning == "paris"  # the default survived
-        assert config.homogeneous_gpcs == 3
+        assert config.num_gpus == 4
+        assert config.gpc_budget is None
 
     def test_rerunning_a_step_replaces_its_own_claims(self):
         config = (
             ServerBuilder("resnet")
             .partitioner("paris", knee_threshold=0.9)
             .partitioner("paris", knee_threshold=0.6)
+            .sla(max_batch=16)
+            .sla(max_batch=8)
             .build()
         )
-        assert config.knee_threshold == 0.6
+        assert config.partitioner_spec == ParisSpec(knee_threshold=0.6)
+        assert config.max_batch == 8
 
     def test_independent_partitioner_and_scheduler_seeds_coexist(self):
         # scheduler seeds are spec-local, so seeding both stochastic
@@ -305,16 +314,16 @@ class TestServerBuilder:
         )
         assert config.partitioner_spec == RandomPartitionSpec(seed=1)
         assert config.scheduler_spec == RandomDispatchSpec(seed=2)
-        # config.random_seed reflects the partitioner's seed (its
-        # documented meaning), untouched by the scheduler's
-        assert config.random_seed == 1
+        # no spec writes the design's seed: it stays the fallback of every
+        # spec that leaves seed=None
+        assert config.random_seed == 0
 
         via_specs = ServerConfig.from_specs(
             "resnet",
             partitioner=RandomPartitionSpec(seed=1),
             scheduler=RandomDispatchSpec(seed=2),
         )
-        assert via_specs.random_seed == 1
+        assert via_specs == config
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):

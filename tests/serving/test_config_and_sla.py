@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.core.specs import HomogeneousSpec
+from repro.serving.config import ServerConfig
 from repro.serving.sla import derive_sla_target
 from tests.sim.helpers import constant_profile, linear_profile
 
@@ -12,20 +13,8 @@ class TestServerConfig:
         config = ServerConfig(model="resnet")
         assert config.partitioning == "paris"
         assert config.scheduler == "elsa"
-        # the deprecated str-enums compare equal to the open strings
-        assert config.partitioning == PartitioningStrategy.PARIS
-        assert config.scheduler == SchedulingPolicy.ELSA
         assert config.effective_gpc_budget == 56
         assert config.label() == "paris+elsa"
-
-    def test_enum_members_normalise_to_strings(self):
-        config = ServerConfig(
-            model="resnet",
-            partitioning=PartitioningStrategy.RANDOM,
-            scheduler=SchedulingPolicy.RANDOM,
-        )
-        assert config.partitioning == "random"
-        assert config.scheduler == "random-dispatch"
 
     def test_open_policy_names_accepted(self):
         config = ServerConfig(
@@ -53,9 +42,9 @@ class TestServerConfig:
     def test_homogeneous_label_includes_size(self):
         config = ServerConfig(
             model="bert",
-            partitioning=PartitioningStrategy.HOMOGENEOUS,
-            scheduler=SchedulingPolicy.FIFS,
-            homogeneous_gpcs=3,
+            partitioning="homogeneous",
+            scheduler="fifs",
+            partitioner_spec=HomogeneousSpec(gpcs=3),
         )
         assert config.label() == "gpu(3)+fifs"
 
@@ -69,7 +58,11 @@ class TestServerConfig:
             {"model": ""},
             {"model": "resnet", "num_gpus": 0},
             {"model": "resnet", "gpc_budget": 0},
-            {"model": "resnet", "homogeneous_gpcs": 5},
+            {
+                "model": "resnet",
+                "partitioning": "homogeneous",
+                "partitioner_spec": HomogeneousSpec(gpcs=5),
+            },
             {"model": "resnet", "sla_multiplier": 0.0},
             {"model": "resnet", "max_batch": 0},
             {"model": "resnet", "frontend_capacity_qps": 0.0},
@@ -79,16 +72,42 @@ class TestServerConfig:
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
 
-    def test_enum_values_round_trip_from_strings(self):
-        assert PartitioningStrategy("paris") is PartitioningStrategy.PARIS
-        assert SchedulingPolicy("fifs") is SchedulingPolicy.FIFS
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("sla_multiplier", float("nan"),
+             r"^sla_multiplier must be positive and finite, got nan$"),
+            ("sla_multiplier", float("inf"),
+             r"^sla_multiplier must be positive and finite, got inf$"),
+            ("frontend_capacity_qps", float("nan"),
+             r"^frontend_capacity_qps must be positive and finite when set, got nan$"),
+            ("frontend_capacity_qps", float("inf"),
+             r"^frontend_capacity_qps must be positive and finite when set, got inf$"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value, message):
+        # a NaN frontend gap silently switched the frontend model off, and
+        # an infinite multiplier made every query meet its SLA
+        with pytest.raises(ValueError, match=message):
+            ServerConfig(model="resnet", **{field: value})
+
+    def test_homogeneous_size_checked_only_for_the_homogeneous_partitioner(self):
+        from repro.gpu.architecture import A30
+
+        # the default GPU(7) spec exists on no A30, but PARIS never reads it
+        assert ServerConfig(model="resnet", architecture=A30).label() == "paris+elsa"
+        with pytest.raises(
+            ValueError,
+            match=r"^HomogeneousSpec\(gpcs=7\) is not a valid partition size on A30 ",
+        ):
+            ServerConfig(model="resnet", partitioning="homogeneous", architecture=A30)
 
     def test_registry_aliases_canonicalise_to_equal_configs(self):
         # "random" is a registry alias of "random-dispatch": both spellings
         # must produce the same (equal, identically-labelled) design point
         via_alias = ServerConfig(model="resnet", scheduler="random")
-        via_enum = ServerConfig(model="resnet", scheduler=SchedulingPolicy.RANDOM)
-        assert via_alias == via_enum
+        via_name = ServerConfig(model="resnet", scheduler=" Random-Dispatch ")
+        assert via_alias == via_name
         assert via_alias.scheduler == "random-dispatch"
         assert via_alias.label() == "paris+random-dispatch"
 

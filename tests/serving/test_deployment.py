@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.core.specs import HomogeneousSpec
+from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.workload.distributions import LogNormalBatchDistribution
 
@@ -28,9 +29,9 @@ class TestBuildDeployment:
     def test_homogeneous_fifs_deployment(self, pdf, resnet_profile):
         config = ServerConfig(
             model="resnet",
-            partitioning=PartitioningStrategy.HOMOGENEOUS,
-            scheduler=SchedulingPolicy.FIFS,
-            homogeneous_gpcs=3,
+            partitioning="homogeneous",
+            scheduler="fifs",
+            partitioner_spec=HomogeneousSpec(gpcs=3),
             gpc_budget=48,
         )
         deployment = build_deployment(config, pdf, profile=resnet_profile)
@@ -40,8 +41,8 @@ class TestBuildDeployment:
     def test_random_deployment_respects_budget(self, pdf, mobilenet_profile):
         config = ServerConfig(
             model="mobilenet",
-            partitioning=PartitioningStrategy.RANDOM,
-            scheduler=SchedulingPolicy.LEAST_LOADED,
+            partitioning="random",
+            scheduler="least-loaded",
             gpc_budget=24,
             num_gpus=4,
         )

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.specs import HomogeneousSpec
 from repro.gpu.architecture import A30, A100, H100
 from repro.gpu.fleet import FleetServerSpec
 from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment, replan_deployment
 from repro.serving.session import ServingSession
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 
 PDF = {1: 0.4, 2: 0.3, 8: 0.2, 32: 0.1}
 MIXED = ((2, "a100", 14), (2, "a30"), (1, "h100", 7))
@@ -58,9 +59,35 @@ class TestFleetConfig:
             ServerConfig(
                 model="resnet",
                 partitioning="homogeneous",
-                homogeneous_gpcs=3,
+                partitioner_spec=HomogeneousSpec(gpcs=3),
                 fleet=MIXED,
             )
+
+
+    def test_single_a30_server_with_defaults_deploys_like_an_a30_fleet(self):
+        # the default SLA reference GPU(7) falls back to the largest A30
+        # size on a single server exactly as on a fleet
+        single = build_deployment(
+            ServerBuilder("resnet").cluster(architecture=A30).build(), PDF
+        )
+        fleet = build_deployment(
+            ServerBuilder("resnet").fleet((8, "a30")).build(), PDF
+        )
+        assert single.config.sla_reference_gpcs == 4
+        assert single.plan.counts == fleet.plan.counts_of(A30.name)
+        assert single.sla_target == fleet.sla_target == pytest.approx(5.72e-3, abs=5e-6)
+        trace = QueryGenerator(
+            WorkloadConfig(
+                model="resnet", rate_qps=3000.0, num_queries=400, seed=11,
+                sla_target=single.sla_target,
+            )
+        ).generate()
+        on_single = single.simulator().run(trace)
+        on_fleet = fleet.simulator().run(trace)
+        assert on_single.statistics.latency.p95 == on_fleet.statistics.latency.p95
+        assert on_single.per_instance_queries == on_fleet.per_instance_queries
+        with pytest.raises(ValueError, match=r"^sla_reference_gpcs=3 is not a valid"):
+            ServerBuilder("resnet").cluster(architecture=A30).sla(reference_gpcs=3).build()
 
 
 class TestFleetBuilder:
@@ -138,7 +165,7 @@ class TestFleetDeployment:
         config = ServerConfig(
             model="resnet",
             partitioning="homogeneous",
-            homogeneous_gpcs=2,
+            partitioner_spec=HomogeneousSpec(gpcs=2),
             fleet=((1, "a100", 6), (1, "a30", 4)),
         )
         deployment = build_deployment(config, PDF)

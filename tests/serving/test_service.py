@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving.config import PartitioningStrategy, SchedulingPolicy, ServerConfig
+from repro.serving.config import ServerConfig
 from repro.serving.service import InferenceService
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.trace import merge_traces
@@ -106,9 +106,8 @@ class TestInferenceService:
     def test_fifs_service_also_runs(self, profiler):
         config = ServerConfig(
             model="mobilenet",
-            partitioning=PartitioningStrategy.HOMOGENEOUS,
-            scheduler=SchedulingPolicy.FIFS,
-            homogeneous_gpcs=7,
+            partitioning="homogeneous",
+            scheduler="fifs",
             gpc_budget=28,
             num_gpus=4,
         )

@@ -21,7 +21,10 @@ Run with::
 """
 
 from repro.analysis.autoscaling import (
+    RECONFIG_COST,
+    SCALE_UNIT,
     TARGET_VIOLATION_RATE,
+    WINDOW,
     iso_sla_autoscaler,
     iso_sla_scenario,
     iso_sla_template,
@@ -30,12 +33,10 @@ from repro.autoscale import static_fleet_cost
 from repro.serving.config import config_with_fleet
 from repro.serving.session import ServingSession
 
-SCALE_UNIT = (2, "a100", 14)
-
 
 def run_static(scenario, pdf, num_servers: int):
     config = config_with_fleet(iso_sla_template(), (SCALE_UNIT,) * num_servers)
-    result = ServingSession(config, batch_pdf=pdf, window=0.05).run(scenario)
+    result = ServingSession(config, batch_pdf=pdf, window=WINDOW).run(scenario)
     cost = static_fleet_cost(config.fleet, result.simulation.statistics.makespan)
     return result, cost
 
@@ -53,9 +54,9 @@ def main() -> None:
     session = ServingSession(
         iso_sla_template(),
         batch_pdf=pdf,
-        window=0.05,
+        window=WINDOW,
         autoscaler=autoscaler,
-        reconfig_cost=0.01,
+        reconfig_cost=RECONFIG_COST,
     )
     scaled = session.run(scenario)
 
@@ -69,7 +70,7 @@ def main() -> None:
         print(f"{name:28s} {viol:14.4f} {cost:12.1f}")
 
     print("\nfleet timeline (servers per second):")
-    per_sec = [w.servers for w in scaled.fleet_windows][::20]
+    per_sec = [w.servers for w in scaled.fleet_windows][:: round(1 / WINDOW)]
     print("  " + " ".join(f"{s}" for s in per_sec))
     print(f"scale-outs: {sum(1 for e in scaled.fleet_events if e.kind == 'scale-out')}, "
           f"scale-ins: {sum(1 for e in scaled.fleet_events if e.kind == 'scale-in')}, "

@@ -18,7 +18,7 @@ The experiments follow the paper's methodology (Section V):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.sweep import (
     DesignPointResult,
@@ -36,6 +36,7 @@ from repro.core.registry import normalize_policy_name
 from repro.core.specs import HomogeneousSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
+from repro.serving.session import ServingSession, SessionResult
 from repro.workload.distributions import LogNormalBatchDistribution
 from repro.workload.generator import WorkloadConfig
 
@@ -92,6 +93,11 @@ DEFAULT_SLA_MULTIPLIER = 1.5
 DEFAULT_FRONTEND_QPS = 12000.0
 
 
+def _given(value: Any, default: Any) -> Any:
+    """``value`` unless it is ``None``: a falsy override still overrides."""
+    return default if value is None else value
+
+
 @dataclass
 class ExperimentSettings:
     """Knobs shared by all experiment runners.
@@ -143,10 +149,11 @@ class ExperimentSettings:
 
     def batch_pdf(self, max_batch: Optional[int] = None, sigma: Optional[float] = None):
         """Analytical batch-size PDF of the workload distribution."""
+        max_batch = _given(max_batch, self.max_batch)
         distribution = LogNormalBatchDistribution(
-            sigma=sigma if sigma is not None else self.sigma,
-            median=min(self.median_batch, float(max_batch or self.max_batch)),
-            max_batch=max_batch or self.max_batch,
+            sigma=_given(sigma, self.sigma),
+            median=min(self.median_batch, float(max_batch)),
+            max_batch=max_batch,
         )
         return distribution.pdf()
 
@@ -157,8 +164,8 @@ class ExperimentSettings:
             model=model,
             rate_qps=1.0,
             num_queries=self.num_queries,
-            max_batch=max_batch or self.max_batch,
-            sigma=sigma if sigma is not None else self.sigma,
+            max_batch=_given(max_batch, self.max_batch),
+            sigma=_given(sigma, self.sigma),
             median_batch=self.median_batch,
             seed=self.seed,
         )
@@ -204,8 +211,8 @@ class ExperimentSettings:
                 if partitioning == "homogeneous"
                 else None
             ),
-            sla_multiplier=sla_multiplier or self.sla_multiplier,
-            max_batch=max_batch or self.max_batch,
+            sla_multiplier=_given(sla_multiplier, self.sla_multiplier),
+            max_batch=_given(max_batch, self.max_batch),
             random_seed=self.seed,
             frontend_capacity_qps=self.frontend_qps,
         )
@@ -265,8 +272,8 @@ class ExperimentSettings:
             partitioning=partitioning,
             scheduler=scheduler,
             fleet=tuple(servers),
-            sla_multiplier=sla_multiplier or self.sla_multiplier,
-            max_batch=max_batch or self.max_batch,
+            sla_multiplier=_given(sla_multiplier, self.sla_multiplier),
+            max_batch=_given(max_batch, self.max_batch),
             random_seed=self.seed,
             frontend_capacity_qps=self.frontend_qps,
         )
@@ -704,24 +711,14 @@ def sla_sensitivity(
     rows = []
     for model in models:
         for multiplier in multipliers:
-            gpu7 = settings.build(
-                model,
-                "homogeneous",
-                "fifs",
-                homogeneous_gpcs=7,
-                sla_multiplier=multiplier,
-            )
-            gpu_max_name, gpu_max_result, _ = _best_homogeneous(
+            gpu_max_name, homogeneous, _ = _best_homogeneous(
                 model, settings, sla_multiplier=multiplier
             )
-            paris_elsa = settings.build(
-                model,
-                "paris",
-                "elsa",
-                sla_multiplier=multiplier,
+            gpu_max_result = homogeneous[gpu_max_name]
+            gpu7_result = homogeneous["gpu(7)+fifs"]
+            paris_result = settings.measure(
+                settings.build(model, "paris", "elsa", sla_multiplier=multiplier)
             )
-            gpu7_result = settings.measure(gpu7)
-            paris_result = settings.measure(paris_elsa)
             rows.append(
                 {
                     "model": model,
@@ -744,7 +741,7 @@ def sla_sensitivity(
 # --------------------------------------------------------------------------- #
 # dynamic scenarios — the observe -> repartition -> reconfigure loop
 # --------------------------------------------------------------------------- #
-def dynamic_scenario(
+def dynamic_scenario_results(
     scenario,
     settings: Optional[ExperimentSettings] = None,
     triggers: Sequence = (("pdf-drift", {"threshold": 0.2, "min_queries": 200}),),
@@ -753,8 +750,8 @@ def dynamic_scenario(
     partitioning: str = "paris",
     scheduler: str = "elsa",
     seed: int = 0,
-) -> List[dict]:
-    """Windowed trajectory of a time-varying scenario, triggered vs control.
+) -> Dict[str, SessionResult]:
+    """Replay a time-varying scenario triggered and as a control.
 
     Deploys the design for the scenario's *opening* phase (the operator's
     honest prior), then replays the scenario twice over the same trace:
@@ -763,12 +760,9 @@ def dynamic_scenario(
       reconfiguration downtime of ``reconfig_cost`` seconds;
     * ``control`` — the same deployment left alone.
 
-    Returns one row per (mode, window) with throughput, p95 latency, SLA
-    violation rate and whether the window overlapped a reconfiguration — the
-    dip-and-recover trajectory of the paper's elastic workflow.
+    Returns:
+        The two sessions' results, keyed ``"triggered"`` and ``"control"``.
     """
-    from repro.analysis.sweep import run_scenario
-
     settings = settings or ExperimentSettings()
     deployment = settings.build(
         scenario.model,
@@ -777,19 +771,27 @@ def dynamic_scenario(
         max_batch=max(phase.max_batch for phase in scenario.phases),
         batch_pdf=scenario.initial_pdf(),
     )
-    runs = {
-        "triggered": run_scenario(
-            deployment,
-            scenario,
-            triggers=triggers,
-            reconfig_cost=reconfig_cost,
-            window=window,
-            seed=seed,
-        ),
-        "control": run_scenario(
-            deployment, scenario, window=window, seed=seed
-        ),
-    }
+    triggered = ServingSession.from_deployment(
+        deployment, triggers=triggers, reconfig_cost=reconfig_cost, window=window
+    ).run(scenario, seed=seed)
+    control = ServingSession.from_deployment(deployment, window=window).run(
+        scenario, seed=seed
+    )
+    return {"triggered": triggered, "control": control}
+
+
+def dynamic_scenario(
+    scenario, settings: Optional[ExperimentSettings] = None, **options: Any
+) -> List[dict]:
+    """Windowed trajectory of a time-varying scenario, triggered vs control.
+
+    Runs :func:`dynamic_scenario_results` (``options`` are its remaining
+    keyword arguments) and returns one row per (mode, window) with
+    throughput, p95 latency, SLA violation rate and whether the window
+    overlapped a reconfiguration — the dip-and-recover trajectory of the
+    paper's elastic workflow.
+    """
+    runs = dynamic_scenario_results(scenario, settings, **options)
     rows: List[dict] = []
     for mode, result in runs.items():
         for stats in result.windows:
@@ -902,10 +904,10 @@ def named_designs(
     deployments: Dict[str, Deployment] = {}
     for name in designs:
         if name == "gpu(max)+fifs":
-            _, _, deployment = _best_homogeneous(
+            best, _, homogeneous = _best_homogeneous(
                 model, settings, max_batch=max_batch, sigma=sigma
             )
-            deployments[name] = deployment
+            deployments[name] = homogeneous[best]
             continue
         deployments[name] = _build_named(model, settings, name, max_batch, sigma)
     return deployments
@@ -944,8 +946,10 @@ def _best_homogeneous(
     max_batch: Optional[int] = None,
     sigma: Optional[float] = None,
     sla_multiplier: Optional[float] = None,
-) -> Tuple[str, DesignPointResult, Deployment]:
-    """GPU(max): the homogeneous design with the best latency-bounded throughput."""
+) -> Tuple[str, Dict[str, DesignPointResult], Dict[str, Deployment]]:
+    """GPU(max): the name of the homogeneous design with the best
+    latency-bounded throughput, with every homogeneous design's
+    measurement and deployment."""
     deployments = {
         f"gpu({gpcs})+fifs": settings.build(
             model,
@@ -959,8 +963,7 @@ def _best_homogeneous(
         for gpcs in HOMOGENEOUS_SIZES
     }
     results = measure_designs(settings, deployments, max_batch=max_batch, sigma=sigma)
-    best_name = _highest_throughput(results)
-    return best_name, results[best_name], deployments[best_name]
+    return _highest_throughput(results), results, deployments
 
 
 def _highest_throughput(results: Dict[str, DesignPointResult]) -> str:

@@ -21,22 +21,54 @@ the committed ``BENCH_faults.json``): the baseline is fully available with zero 
 every point conserves queries (completed + failed == submitted), and the
 highest fault rate measurably degrades availability below the baseline.
 
+:func:`fault_sweep_results` runs the sweep at either scale of its knob
+table: ``full`` (this artifact and the ``figures`` suite) or ``reduced``
+(the ``smoke`` suite's two-worker, three-point sweep).
+
 Everything is seeded; re-running the experiment reproduces the artifact
 bit-for-bit, which is what lets CI diff it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.faults import FaultSchedule, RetryPolicy
 from repro.serving.config import ServerConfig
-from repro.serving.session import ServingSession
+from repro.serving.session import ServingSession, SessionResult
 from repro.workload.generator import WorkloadConfig
+
+#: The sweep's knobs per scale.
+_KNOBS: Dict[str, Dict[str, Any]] = {
+    "full": {
+        "rates": (0.0, 1.0, 2.0, 4.0),
+        "workers": 4,
+        "gpc_budget": 24,
+        "horizon": 2.0,
+        "workload": {
+            "model": "mobilenet",
+            "rate_qps": 6000.0,
+            "num_queries": 12000,
+            "seed": 9,
+        },
+    },
+    "reduced": {
+        "rates": (0.0, 2.0, 4.0),
+        "workers": 2,
+        "gpc_budget": 12,
+        "horizon": 1.0,
+        "workload": {
+            "model": "mobilenet",
+            "rate_qps": 3000.0,
+            "num_queries": 3000,
+            "seed": 9,
+        },
+    },
+}
 
 #: Poisson crash rates (faults per simulated second) the sweep injects;
 #: 0.0 is the fault-free baseline (no schedule at all).
-FAULT_RATES = (0.0, 1.0, 2.0, 4.0)
+FAULT_RATES = _KNOBS["full"]["rates"]
 
 #: Mean time to repair handed to :meth:`FaultSchedule.sample` (seconds).
 MTTR = 0.3
@@ -48,17 +80,8 @@ FAULT_SEED = 7
 #: this far below the baseline's availability.
 MIN_DEGRADATION = 0.005
 
-_WORKLOAD: Dict[str, Any] = {
-    "model": "mobilenet",
-    "rate_qps": 6000.0,
-    "num_queries": 12000,
-    "seed": 9,
-}
-
 _WINDOW = 0.25
 _RECONFIG_COST = 0.05
-_HORIZON = 2.0
-_NUM_WORKERS = 4
 
 
 def fault_workload() -> WorkloadConfig:
@@ -68,12 +91,21 @@ def fault_workload() -> WorkloadConfig:
     work, so injected crashes genuinely displace queries (exercising the
     retry and failure paths) instead of hitting idle workers.
     """
-    return WorkloadConfig(**_WORKLOAD)
+    return WorkloadConfig(**_KNOBS["full"]["workload"])
 
 
 def fault_config() -> ServerConfig:
     """The pinned 4-GPU server every sweep point deploys."""
-    return ServerConfig(model=str(_WORKLOAD["model"]), gpc_budget=24, num_gpus=4)
+    return _config("full")
+
+
+def _config(scale: str) -> ServerConfig:
+    knobs = _KNOBS[scale]
+    return ServerConfig(
+        model=str(knobs["workload"]["model"]),
+        gpc_budget=knobs["gpc_budget"],
+        num_gpus=knobs["workers"],
+    )
 
 
 def fault_retry_policy() -> RetryPolicy:
@@ -81,25 +113,46 @@ def fault_retry_policy() -> RetryPolicy:
     return RetryPolicy(max_retries=1, backoff=0.05)
 
 
+def fault_sweep_results(
+    scale: str = "full", *, log: Any = None
+) -> Iterator[Tuple[float, WorkloadConfig, FaultSchedule, SessionResult]]:
+    """Run the sweep at ``scale`` (``"full"`` or ``"reduced"``).
+
+    Yields:
+        Per fault rate, as its replay finishes (so a caller holds one
+        point's result at a time): the rate, the replayed workload, the
+        injected schedule and the session's result.
+    """
+    knobs = _KNOBS[scale]
+    workload = WorkloadConfig(**knobs["workload"])
+    config = _config(scale)
+    for rate in knobs["rates"]:
+        if log is not None:
+            log(f"fault sweep: rate={rate:g}/s ...")
+        if rate > 0:
+            schedule = FaultSchedule.sample(
+                knobs["workers"], knobs["horizon"], rate=rate, mttr=MTTR,
+                seed=FAULT_SEED,
+            )
+        else:
+            schedule = FaultSchedule([])
+        session = ServingSession(
+            config,
+            window=_WINDOW,
+            reconfig_cost=_RECONFIG_COST,
+            faults=schedule,
+            retry_policy=fault_retry_policy(),
+        )
+        yield rate, workload, schedule, session.run(workload)
+
+
 def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
 
 
-def _run_point(rate: float) -> Dict[str, Any]:
-    if rate > 0:
-        schedule = FaultSchedule.sample(
-            _NUM_WORKERS, _HORIZON, rate=rate, mttr=MTTR, seed=FAULT_SEED
-        )
-    else:
-        schedule = FaultSchedule([])
-    session = ServingSession(
-        fault_config(),
-        window=_WINDOW,
-        reconfig_cost=_RECONFIG_COST,
-        faults=schedule,
-        retry_policy=fault_retry_policy(),
-    )
-    result = session.run(fault_workload())
+def _point_payload(
+    rate: float, schedule: FaultSchedule, result: SessionResult
+) -> Dict[str, Any]:
     stats = result.simulation.statistics
     records = result.fault_events
     return {
@@ -120,22 +173,21 @@ def _run_point(rate: float) -> Dict[str, Any]:
 
 
 def run_fault_experiment(*, log: Any = None) -> Dict[str, Any]:
-    """Run the availability sweep and return the artifact payload.
+    """Run the full-scale availability sweep and return the artifact payload.
 
     Returns:
         A JSON-friendly dict: the pinned workload/policy knobs plus one
         sweep row per fault rate (availability, failure/retry counts,
         MTTR, tail latency).
     """
-    sweep: List[Dict[str, Any]] = []
-    for rate in FAULT_RATES:
-        if log is not None:
-            log(f"fault sweep: rate={rate:g}/s ...")
-        sweep.append(_run_point(rate))
+    sweep = [
+        _point_payload(rate, schedule, result)
+        for rate, _, schedule, result in fault_sweep_results(log=log)
+    ]
     policy = fault_retry_policy()
     return {
         "experiment": "availability_vs_fault_rate",
-        "workload": dict(_WORKLOAD),
+        "workload": dict(_KNOBS["full"]["workload"]),
         "window": _WINDOW,
         "mttr": MTTR,
         "fault_seed": FAULT_SEED,
@@ -199,6 +251,7 @@ __all__ = [
     "check_fault_payload",
     "fault_config",
     "fault_retry_policy",
+    "fault_sweep_results",
     "fault_workload",
     "run_fault_experiment",
 ]

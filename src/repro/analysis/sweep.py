@@ -16,11 +16,11 @@ latency stays below a target (the SLA).  This module provides:
 * :class:`ParallelRunner` — a ``ProcessPoolExecutor`` fan-out that spreads
   independent replay points across cores with deterministic per-point seeds;
   every sweep accepts ``n_jobs`` and produces results identical to a serial
-  run;
-* :func:`run_scenario` — replay a time-varying
-  :class:`~repro.workload.scenario.Scenario` on a deployment through a
-  :class:`~repro.serving.session.ServingSession`, optionally with live
-  repartition triggers.
+  run.
+
+Time-varying scenarios replay through a
+:class:`~repro.serving.session.ServingSession` directly (see
+:func:`repro.analysis.experiments.dynamic_scenario_results`).
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from math import ceil
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.serving.deployment import Deployment
-from repro.serving.session import (
-    DEFAULT_RECONFIG_COST,
-    ServingSession,
-    SessionResult,
-)
 from repro.workload.generator import QueryGenerator, WorkloadConfig
-from repro.workload.scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -334,38 +328,6 @@ def measure_design(
         mean_utilization=stats.utilization.mean,
         sla_target=sla,
     )
-
-
-def run_scenario(
-    deployment: Deployment,
-    scenario: Scenario,
-    triggers: Sequence[Any] = (),
-    reconfig_cost: float = DEFAULT_RECONFIG_COST,
-    window: float = 1.0,
-    trigger_interval: Optional[float] = None,
-    seed: int = 0,
-    observers: Sequence[Any] = (),
-) -> SessionResult:
-    """Replay a time-varying scenario on ``deployment`` through a session.
-
-    With ``triggers`` the session runs the paper's full elastic loop —
-    observed drift or SLA pressure repartitions the server live, paying
-    ``reconfig_cost`` seconds of modeled MIG downtime.  Without triggers this
-    is the no-repartition control run over the same trace.
-
-    Returns:
-        The :class:`~repro.serving.session.SessionResult`, whose ``windows``
-        series exposes the per-window throughput / violation trajectory.
-    """
-    session = ServingSession.from_deployment(
-        deployment,
-        triggers=triggers,
-        reconfig_cost=reconfig_cost,
-        window=window,
-        trigger_interval=trigger_interval,
-        observers=observers,
-    )
-    return session.run(scenario, seed=seed)
 
 
 def capacity_estimate(deployment: Deployment, workload: WorkloadConfig) -> float:

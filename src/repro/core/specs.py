@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence
 
 from repro.core.knee import DEFAULT_KNEE_THRESHOLD
+from repro.core.registry import PARTITIONERS, SCHEDULERS
 from repro.gpu.architecture import A100, GPUArchitecture
 
 
@@ -275,7 +276,8 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
 
     Raises:
         ValueError: for a :class:`PolicySpec` option the spec type lacks.
-        TypeError: for another policy's spec object.
+        TypeError: for another policy's spec object, or a
+            :class:`PolicySpec` naming another policy.
     """
     builtin = PARTITIONER_SPECS if kind == "partitioner" else SCHEDULER_SPECS
     spec_type = builtin.get(policy)
@@ -283,7 +285,8 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
         return spec
     if spec is None:
         return spec_type()
-    if isinstance(spec, PolicySpec):
+    registry = PARTITIONERS if kind == "partitioner" else SCHEDULERS
+    if isinstance(spec, PolicySpec) and registry.canonical(spec.policy) == policy:
         valid = {f.name for f in dataclasses.fields(spec_type)}  # type: ignore[arg-type]
         unknown = sorted(set(spec.options) - valid)
         if unknown:
@@ -293,7 +296,7 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
             )
         return spec_type(**spec.options)
     raise TypeError(
-        f"{kind} {policy!r} expects a {spec_type.__name__} (or a PolicySpec), "
-        f"got {type(spec).__name__}; the configured spec does not match "
+        f"{kind} {policy!r} expects a {spec_type.__name__} (or a PolicySpec "
+        f"naming it), got {spec!r}; the configured spec does not match "
         "the selected policy"
     )

@@ -33,12 +33,9 @@ from repro.analysis.experiments import (
     sla_sensitivity,
     table1,
 )
-from repro.analysis.sweep import run_scenario
 from repro.gpu.cost import GPC_COST
 from repro.pipeline.table import RunRow
-from repro.serving.config import ServerConfig
-from repro.serving.session import ServingSession, SessionResult
-from repro.workload.generator import WorkloadConfig
+from repro.serving.session import SessionResult
 from repro.workload.scenario import build_scenario
 
 
@@ -62,6 +59,11 @@ class SuiteContext:
             )
         else:
             self.settings = ExperimentSettings(seed=self.seed, n_jobs=self.n_jobs)
+
+    @property
+    def scale(self) -> str:
+        """The analysis runners' knob-table key: ``reduced`` or ``full``."""
+        return "reduced" if self.reduced else "full"
 
     @property
     def models(self) -> Tuple[str, ...]:
@@ -390,6 +392,8 @@ def _session_metrics(result: SessionResult) -> Dict[str, Any]:
 
 @_experiment("dynamic_scenario")
 def _dynamic_scenario(ctx: SuiteContext) -> List[RunRow]:
+    from repro.analysis.experiments import dynamic_scenario_results
+
     model = ctx.models[0] if ctx.reduced else "bert"
     if ctx.reduced:
         scenario = build_scenario(
@@ -408,25 +412,13 @@ def _dynamic_scenario(ctx: SuiteContext) -> List[RunRow]:
             "batch-drift", model=model, rate_qps=600.0, seed=ctx.seed
         )
         window = 2.0
-    deployment = ctx.settings.build(
-        model,
-        "paris",
-        "elsa",
-        max_batch=max(phase.max_batch for phase in scenario.phases),
-        batch_pdf=scenario.initial_pdf(),
+    runs = dynamic_scenario_results(
+        scenario,
+        ctx.settings,
+        triggers=(("pdf-drift", {"threshold": 0.2, "min_queries": 100}),),
+        window=window,
+        seed=ctx.seed,
     )
-    triggers = (("pdf-drift", {"threshold": 0.2, "min_queries": 100}),)
-    runs = {
-        "triggered": run_scenario(
-            deployment,
-            scenario,
-            triggers=triggers,
-            reconfig_cost=2.0,
-            window=window,
-            seed=ctx.seed,
-        ),
-        "control": run_scenario(deployment, scenario, window=window, seed=ctx.seed),
-    }
     return [
         RunRow(
             experiment="dynamic_scenario",
@@ -479,72 +471,11 @@ def _heterogeneous_fleet(ctx: SuiteContext) -> List[RunRow]:
     ]
 
 
-#: The autoscale sweep's pinned knobs, per scale.  The full values mirror
-#: the committed iso-SLA experiment (`repro.analysis.autoscaling`); the
-#: reduced ones shrink the scenario to sub-second replays while still
-#: driving the autoscaler through genuine scale-out/in decisions.
-_AUTOSCALE_KNOBS: Dict[str, Dict[str, Any]] = {
-    "reduced": {
-        "unit": (1, "a100", 7),
-        "model": "mobilenet",
-        "trough_qps": 600.0,
-        "peak_qps": 9000.0,
-        "phase_duration": 1.0,
-        "cycles": 1,
-        "max_servers": 3,
-        "window": 0.1,
-        "lead_time": 0.1,
-        "reconfig_cost": 0.01,
-    },
-    "full": {
-        "unit": (2, "a100", 14),
-        "model": "resnet",
-        "trough_qps": 2500.0,
-        "peak_qps": 19000.0,
-        "phase_duration": 2.0,
-        "cycles": 2,
-        "max_servers": 4,
-        "window": 0.05,
-        "lead_time": 0.1,
-        "reconfig_cost": 0.01,
-    },
-}
-
-#: Feasibility bar shared with `repro.analysis.autoscaling`.
-_AUTOSCALE_TARGET = 0.05
-
-
 @_experiment("autoscale_sweep")
 def _autoscale_sweep(ctx: SuiteContext) -> List[RunRow]:
-    from repro.autoscale import Autoscaler, CapacityPlanner
+    from repro.analysis.autoscaling import TARGET_VIOLATION_RATE, iso_sla_results
 
-    knobs = _AUTOSCALE_KNOBS["reduced" if ctx.reduced else "full"]
-    unit = knobs["unit"]
-    scenario = build_scenario(
-        "diurnal",
-        model=knobs["model"],
-        trough_qps=knobs["trough_qps"],
-        peak_qps=knobs["peak_qps"],
-        phase_duration=knobs["phase_duration"],
-        cycles=knobs["cycles"],
-        max_batch=4,
-        sigma=0.8,
-        median_batch=1.5,
-        seed=ctx.seed,
-    )
-    template = ServerConfig(
-        model=knobs["model"], fleet=(unit,), sla_multiplier=3.0
-    )
-    pdf = scenario.average_pdf()
-    planner = CapacityPlanner(
-        template,
-        pdf,
-        scenario,
-        target_violation_rate=_AUTOSCALE_TARGET,
-        window=knobs["window"],
-        n_jobs=ctx.n_jobs,
-    )
-    ranked = planner.plan([unit], knobs["max_servers"])
+    ranked, result = iso_sla_results(ctx.scale, seed=ctx.seed, n_jobs=ctx.n_jobs)
     rows = [
         RunRow(
             experiment="autoscale_sweep",
@@ -555,35 +486,6 @@ def _autoscale_sweep(ctx: SuiteContext) -> List[RunRow]:
         )
         for r in ranked
     ]
-    autoscaler = Autoscaler(
-        unit,
-        triggers=[
-            ("scale-out-backlog", {"max_backlog": 24, "lookback_windows": 1}),
-            (
-                "scale-out-sla",
-                {"threshold": 0.02, "min_queries": 30, "lookback_windows": 2},
-            ),
-            (
-                "scale-in-idle",
-                {
-                    "max_violation_rate": 0.01,
-                    "max_backlog": 4,
-                    "lookback_windows": 3,
-                },
-            ),
-        ],
-        min_servers=1,
-        max_servers=knobs["max_servers"],
-        lead_time=knobs["lead_time"],
-    )
-    session = ServingSession(
-        template,
-        batch_pdf=pdf,
-        window=knobs["window"],
-        autoscaler=autoscaler,
-        reconfig_cost=knobs["reconfig_cost"],
-    )
-    result = session.run(scenario)
     rows.append(
         RunRow(
             experiment="autoscale_sweep",
@@ -605,72 +507,19 @@ def _autoscale_sweep(ctx: SuiteContext) -> List[RunRow]:
                 "scale_ins": sum(
                     1 for e in result.fleet_events if e.kind == "scale-in"
                 ),
-                "target_violation_rate": _AUTOSCALE_TARGET,
+                "target_violation_rate": TARGET_VIOLATION_RATE,
             },
         )
     )
     return rows
 
 
-#: The fault sweep's pinned knobs, per scale (full mirrors
-#: `repro.analysis.faults`'s committed experiment).
-_FAULT_KNOBS: Dict[str, Dict[str, Any]] = {
-    "reduced": {
-        "rates": (0.0, 2.0, 4.0),
-        "workers": 2,
-        "gpc_budget": 12,
-        "horizon": 1.0,
-        "workload": {
-            "model": "mobilenet",
-            "rate_qps": 3000.0,
-            "num_queries": 3000,
-            "seed": 9,
-        },
-    },
-    "full": {
-        "rates": (0.0, 1.0, 2.0, 4.0),
-        "workers": 4,
-        "gpc_budget": 24,
-        "horizon": 2.0,
-        "workload": {
-            "model": "mobilenet",
-            "rate_qps": 6000.0,
-            "num_queries": 12000,
-            "seed": 9,
-        },
-    },
-}
-
-
 @_experiment("fault_sweep")
 def _fault_sweep(ctx: SuiteContext) -> List[RunRow]:
-    from repro.analysis.faults import FAULT_SEED, MTTR, fault_retry_policy
-    from repro.faults import FaultSchedule
+    from repro.analysis.faults import fault_sweep_results
 
-    knobs = _FAULT_KNOBS["reduced" if ctx.reduced else "full"]
-    workload = WorkloadConfig(**knobs["workload"])
-    config = ServerConfig(
-        model=workload.model,
-        gpc_budget=knobs["gpc_budget"],
-        num_gpus=knobs["workers"],
-    )
     rows: List[RunRow] = []
-    for rate in knobs["rates"]:
-        if rate > 0:
-            schedule = FaultSchedule.sample(
-                knobs["workers"], knobs["horizon"], rate=rate, mttr=MTTR,
-                seed=FAULT_SEED,
-            )
-        else:
-            schedule = FaultSchedule([])
-        session = ServingSession(
-            config,
-            window=0.25,
-            reconfig_cost=0.05,
-            faults=schedule,
-            retry_policy=fault_retry_policy(),
-        )
-        result = session.run(workload)
+    for rate, workload, schedule, result in fault_sweep_results(ctx.scale):
         stats = result.simulation.statistics
         records = result.fault_events
         rows.append(

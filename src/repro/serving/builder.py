@@ -35,7 +35,7 @@ from repro.core.specs import (
     spec_policy_name,
 )
 from repro.gpu.architecture import GPUArchitecture
-from repro.serving.config import ServerConfig
+from repro.serving.config import ServerConfig, _check_flat_fields
 
 
 def _make_spec(kind: str, name_or_spec: Any, options: Dict[str, Any]):
@@ -218,7 +218,9 @@ class ServerBuilder:
         Fields owned by a dedicated builder step — whether structurally
         (``partitioning``, ``scheduler``, ...) or because that step already
         set them in this chain — are rejected here with a pointer to the
-        step, so a value can never be silently out-prioritised.
+        step, so a value can never be silently out-prioritised.  A name
+        that is no config field (e.g. a policy tunable, whose home is its
+        spec) raises ``TypeError`` here, not at :meth:`build`.
         """
         clashes = sorted(set(overrides) & set(self._RESERVED_OPTIONS))
         if clashes:
@@ -228,6 +230,7 @@ class ServerBuilder:
             raise ValueError(
                 f"option(s) {clashes} collide with dedicated builder steps: {hints}"
             )
+        _check_flat_fields(overrides, self._RESERVED_OPTIONS)
         self._claim(".options()", overrides)
         self._overrides.update(overrides)
         return self

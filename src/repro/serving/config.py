@@ -44,9 +44,10 @@ forms give equal configs for one design point:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.registry import PARTITIONERS, SCHEDULERS, normalize_policy_name
 from repro.core.specs import ClusterSpec, SlaSpec, resolve_policy_spec, spec_policy_name
@@ -253,6 +254,10 @@ class ServerConfig:
 
         Returns:
             The composed (frozen) config.
+
+        Raises:
+            ValueError: for an override of a from_specs parameter.
+            TypeError: for an override that is no config field.
         """
         reserved = {
             "model": "the first positional argument",
@@ -268,6 +273,7 @@ class ServerConfig:
             raise ValueError(
                 f"override(s) {clashes} collide with from_specs parameters: {hints}"
             )
+        _check_flat_fields(overrides, reserved)
         kwargs: Dict[str, Any] = {}
         for arg_name, spec, expected in (
             ("sla", sla, SlaSpec),
@@ -345,6 +351,22 @@ class ServerConfig:
         return f"{left}+{self.scheduler}"
 
 
+def _check_flat_fields(names: Iterable[str], reserved: Iterable[str]) -> None:
+    """Reject ``names`` that are not :class:`ServerConfig` fields.
+
+    Raises:
+        TypeError: listing the valid fields (those not in ``reserved``).
+    """
+    fields = {f.name for f in dataclasses.fields(ServerConfig)}
+    unknown = sorted(set(names) - fields)
+    if unknown:
+        raise TypeError(
+            f"unknown ServerConfig field(s) {unknown}; valid fields: "
+            f"{sorted(fields - set(reserved))}.  Policy tunables live in "
+            "their policy's spec, e.g. ParisSpec(knee_threshold=...)"
+        )
+
+
 def config_with_fleet(
     template: ServerConfig, servers: Sequence
 ) -> ServerConfig:
@@ -365,8 +387,6 @@ def config_with_fleet(
     Returns:
         A new frozen config deploying onto ``servers``.
     """
-    import dataclasses
-
     specs = tuple(FleetServerSpec.coerce(server) for server in servers)
     if not specs:
         raise ValueError("the new fleet must name at least one server")

@@ -867,7 +867,8 @@ class ServingSession:
         context = self._trigger_context(now)
         for trigger in self.triggers:
             decision = trigger.evaluate(context)
-            if not decision.fire:
+            # scale-out/in decisions belong to an autoscaler, not this loop
+            if not decision.fire or decision.action != "repartition":
                 continue
             if decision.new_pdf:
                 new_pdf = dict(decision.new_pdf)

@@ -77,3 +77,35 @@ class TestBuildPolicyNameNormalisation:
         tidy = settings.build("mobilenet", "homogeneous", "fifs")
         sloppy = settings.build("mobilenet", "  Homogeneous ", "fifs")
         assert sloppy.plan.total_gpcs == tidy.plan.total_gpcs == 28
+
+
+class TestSettingsOverrides:
+    def test_falsy_overrides_are_not_replaced_by_defaults(self, settings):
+        # 0 is an explicit value the config rejects, not "use the default"
+        with pytest.raises(ValueError, match="sla_multiplier"):
+            settings.build("mobilenet", "paris", "elsa", sla_multiplier=0.0)
+        with pytest.raises(ValueError, match="max_batch"):
+            settings.build("mobilenet", "paris", "elsa", max_batch=0)
+        with pytest.raises(ValueError, match="max_batch"):
+            settings.build_fleet_design("mobilenet", ((1, "a100", 7),), max_batch=0)
+
+
+class TestSlaSensitivity:
+    def test_gpu7_is_searched_once_per_point(self, settings, monkeypatch):
+        # GPU(max)'s homogeneous field already measures GPU(7): four
+        # homogeneous searches plus PARIS+ELSA per (model, multiplier)
+        searched = []
+        real = experiments.latency_bounded_throughput
+
+        def counting(deployment, *args, **kwargs):
+            searched.append(deployment.config.label())
+            return real(deployment, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "latency_bounded_throughput", counting)
+        rows = experiments.sla_sensitivity(
+            models=("mobilenet",), multipliers=(1.5,), settings=settings
+        )
+        assert len(rows) == 1
+        assert sorted(searched) == sorted(
+            ["gpu(1)+fifs", "gpu(2)+fifs", "gpu(3)+fifs", "gpu(7)+fifs", "paris+elsa"]
+        )

@@ -11,7 +11,10 @@ from repro.core.triggers import (
     build_trigger,
     resolve_triggers,
 )
+from repro.serving.config import ServerConfig
+from repro.serving.session import ServingSession
 from repro.sim.hooks import QueryArrived, QueryCompleted, WindowedMetrics
+from repro.workload.generator import WorkloadConfig
 from repro.workload.query import Query
 
 
@@ -140,3 +143,22 @@ class TestScaleInIdle:
         trigger = build_trigger("scale-in-idle", max_backlog=3, min_queries=7)
         assert trigger.max_backlog == 3
         assert trigger.min_queries == 7
+
+
+class TestPlainSessionIgnoresScaleTriggers:
+    def test_scale_trigger_without_autoscaler_never_repartitions(self):
+        # a deep backlog makes the scale-out trigger fire, but with no
+        # autoscaler to own it the session's repartition loop must skip it
+        session = ServingSession(
+            ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4),
+            window=0.05,
+            reconfig_cost=0.01,
+            triggers=[("scale-out-backlog", {"max_backlog": 5, "lookback_windows": 1})],
+        )
+        result = session.run(
+            WorkloadConfig(
+                model="mobilenet", rate_qps=20000.0, num_queries=4000, seed=3
+            )
+        )
+        assert result.trigger_firings == ()
+        assert result.reconfigurations == ()

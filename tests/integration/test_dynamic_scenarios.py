@@ -10,7 +10,7 @@ the no-trigger control run over the identical trace.
 import pytest
 
 from repro.analysis.experiments import ExperimentSettings, dynamic_scenario
-from repro.analysis.sweep import run_scenario
+from repro.serving.session import ServingSession
 from repro.workload.scenario import build_scenario
 
 
@@ -43,19 +43,16 @@ WINDOW = 2.0
 
 @pytest.fixture(scope="module")
 def triggered(deployment, scenario):
-    return run_scenario(
-        deployment,
-        scenario,
-        triggers=TRIGGERS,
-        reconfig_cost=RECONFIG_COST,
-        window=WINDOW,
-        seed=1,
+    session = ServingSession.from_deployment(
+        deployment, triggers=TRIGGERS, reconfig_cost=RECONFIG_COST, window=WINDOW
     )
+    return session.run(scenario, seed=1)
 
 
 @pytest.fixture(scope="module")
 def control(deployment, scenario):
-    return run_scenario(deployment, scenario, window=WINDOW, seed=1)
+    session = ServingSession.from_deployment(deployment, window=WINDOW)
+    return session.run(scenario, seed=1)
 
 
 class TestDriftTriggeredRepartition:

@@ -156,6 +156,31 @@ class TestFromSpecs:
             )
 
 
+    def test_policy_spec_naming_another_policy_rejected(self):
+        # the options of a PolicySpec for fifs must not be applied to elsa
+        with pytest.raises(TypeError, match="does not match the selected policy"):
+            ServerConfig(
+                model="mobilenet",
+                scheduler="elsa",
+                scheduler_spec=PolicySpec("fifs", {"alpha": 2.0}),
+            )
+        # an alias of the selected policy still names it
+        config = ServerConfig(
+            model="mobilenet",
+            scheduler="random-dispatch",
+            scheduler_spec=PolicySpec("random", {"seed": 3}),
+        )
+        assert config.scheduler_spec.seed == 3
+
+    def test_non_field_override_lists_the_valid_fields(self):
+        with pytest.raises(TypeError, match="valid fields") as info:
+            ServerConfig.from_specs("resnet", alpha=1.2)
+        message = str(info.value)
+        assert "'alpha'" in message
+        assert "'sla_multiplier'" in message
+        assert "spec" in message
+
+
 class TestServerBuilder:
     def test_fluent_chain_builds_a_config(self):
         config = (
@@ -228,11 +253,11 @@ class TestServerBuilder:
     def test_direct_spec_object_fields_cannot_be_silently_overridden(self):
         # a directly-passed spec is the only home of its values: a policy
         # tunable passed as a plain option is no config field and raises
-        builder = (ServerBuilder("resnet")
-                   .partitioner(ParisSpec(knee_threshold=0.95))
-                   .options(knee_threshold=0.7))
+        # at the call that passes it
+        builder = ServerBuilder("resnet").partitioner(ParisSpec(knee_threshold=0.95))
         with pytest.raises(TypeError, match="knee_threshold"):
-            builder.build()
+            builder.options(knee_threshold=0.7)
+        assert builder.build().partitioner_spec.knee_threshold == 0.95
 
     def test_options_passthrough(self):
         config = ServerBuilder("resnet").options(sla_reference_gpcs=4).build()

@@ -165,12 +165,15 @@ def iso_sla_results(
 
     knobs = _KNOBS[scale]
     scenario = build_scenario("diurnal", **_scenario_options(scale, seed))
+    # one trace for the planner and the autoscaled session: both plan from
+    # the explicit average PDF, never from the scenario's own
+    trace = scenario.generate()
     template = _template(scale)
     pdf = scenario.average_pdf()
     planner = CapacityPlanner(
         template,
         pdf,
-        scenario,
+        trace,
         target_violation_rate=TARGET_VIOLATION_RATE,
         window=knobs["window"],
         n_jobs=n_jobs,
@@ -183,7 +186,7 @@ def iso_sla_results(
         autoscaler=_autoscaler(scale),
         reconfig_cost=RECONFIG_COST,
     )
-    return ranked, session.run(scenario)
+    return ranked, session.run(trace)
 
 
 def _round(value: float, digits: int = 6) -> float:

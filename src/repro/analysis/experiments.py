@@ -31,7 +31,7 @@ from repro.core.paris import Paris, ParisConfig
 from repro.models.registry import PAPER_MODELS, get_model
 from repro.perf.latency_model import LatencyModel
 from repro.perf.lookup import ProfileEntry, ProfileTable
-from repro.perf.profiler import Profiler
+from repro.perf.profiler import DEFAULT_BATCH_SIZES, Profiler, cached_profile
 from repro.core.registry import normalize_policy_name
 from repro.core.specs import HomogeneousSpec
 from repro.serving.config import ServerConfig
@@ -129,23 +129,16 @@ class ExperimentSettings:
     frontend_qps: Optional[float] = DEFAULT_FRONTEND_QPS
     seed: int = 0
     n_jobs: Optional[int] = 1
-    _profiles: Dict[str, ProfileTable] = field(default_factory=dict, repr=False)
     _runner: Optional[ParallelRunner] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # shared building blocks
     # ------------------------------------------------------------------ #
     def profile(self, model: str) -> ProfileTable:
-        """Profiled lookup table for ``model`` (cached)."""
-        if model not in self._profiles:
-            profiler = Profiler(batch_sizes=self._profile_batches())
-            self._profiles[model] = profiler.profile(get_model(model))
-        return self._profiles[model]
-
-    def _profile_batches(self) -> Tuple[int, ...]:
-        base = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
-        base.add(self.max_batch)
-        return tuple(sorted(b for b in base if b <= max(64, self.max_batch)))
+        """Profiled lookup table for ``model``: the default batch sweep plus
+        ``max_batch``, shared process-wide through
+        :func:`~repro.perf.profiler.cached_profile`."""
+        return cached_profile(model, batch_sizes=(*DEFAULT_BATCH_SIZES, self.max_batch))
 
     def batch_pdf(self, max_batch: Optional[int] = None, sigma: Optional[float] = None):
         """Analytical batch-size PDF of the workload distribution."""
@@ -319,9 +312,9 @@ def measure_designs(
 
     Each design's bisection search is sequential, but different designs are
     independent full-replay pipelines, so they fan out across
-    ``settings.n_jobs`` processes (the settings — profiles included — ship
-    once per pool worker); the result mapping (insertion order included) is
-    identical to measuring each design serially.
+    ``settings.n_jobs`` processes (the settings ship once per pool worker);
+    the result mapping (insertion order included) is identical to measuring
+    each design serially.
     """
     names = list(deployments)
     # per point: the bracket probes + bisection steps each replay a trace

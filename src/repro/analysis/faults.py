@@ -35,10 +35,13 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.faults import FaultSchedule, RetryPolicy
 from repro.serving.config import ServerConfig
-from repro.serving.session import ServingSession, SessionResult
+from repro.serving.session import ServingSession, SessionResult, resolve_workload
 from repro.workload.generator import WorkloadConfig
 
-#: The sweep's knobs per scale.
+#: The sweep's knobs per scale.  Each workload is heavy enough that every
+#: partition usually holds in-flight and queued work, so injected crashes
+#: displace queries (exercising the retry and failure paths) instead of
+#: hitting idle workers.
 _KNOBS: Dict[str, Dict[str, Any]] = {
     "full": {
         "rates": (0.0, 1.0, 2.0, 4.0),
@@ -84,21 +87,6 @@ _WINDOW = 0.25
 _RECONFIG_COST = 0.05
 
 
-def fault_workload() -> WorkloadConfig:
-    """The experiment's pinned workload (12000 queries at 6000 qps).
-
-    Heavy enough that every partition usually holds in-flight and queued
-    work, so injected crashes genuinely displace queries (exercising the
-    retry and failure paths) instead of hitting idle workers.
-    """
-    return WorkloadConfig(**_KNOBS["full"]["workload"])
-
-
-def fault_config() -> ServerConfig:
-    """The pinned 4-GPU server every sweep point deploys."""
-    return _config("full")
-
-
 def _config(scale: str) -> ServerConfig:
     knobs = _KNOBS[scale]
     return ServerConfig(
@@ -125,6 +113,9 @@ def fault_sweep_results(
     """
     knobs = _KNOBS[scale]
     workload = WorkloadConfig(**knobs["workload"])
+    # one trace for every point; the explicit PDF keeps each deployment
+    # planned from the workload's PDF, not the trace's empirical one
+    trace, pdf = resolve_workload(workload)
     config = _config(scale)
     for rate in knobs["rates"]:
         if log is not None:
@@ -138,12 +129,13 @@ def fault_sweep_results(
             schedule = FaultSchedule([])
         session = ServingSession(
             config,
+            batch_pdf=pdf,
             window=_WINDOW,
             reconfig_cost=_RECONFIG_COST,
             faults=schedule,
             retry_policy=fault_retry_policy(),
         )
-        yield rate, workload, schedule, session.run(workload)
+        yield rate, workload, schedule, session.run(trace)
 
 
 def _round(value: float, digits: int = 6) -> float:
@@ -249,9 +241,7 @@ __all__ = [
     "MIN_DEGRADATION",
     "MTTR",
     "check_fault_payload",
-    "fault_config",
     "fault_retry_policy",
     "fault_sweep_results",
-    "fault_workload",
     "run_fault_experiment",
 ]

@@ -317,8 +317,10 @@ def measure_design(
     configured = replace(workload, rate_qps=rate_qps, sla_target=sla)
     trace = QueryGenerator(configured).generate()
     simulator = deployment.simulator(seed=seed)
-    result = simulator.run(trace)
-    stats = result.statistics
+    # the trace is fresh and replayed once, so it skips run()'s defensive copy
+    simulator.begin()
+    simulator.submit_trace(trace)
+    stats = simulator.finish(offered_load_qps=trace.arrival_rate()).statistics
     return DesignPointResult(
         rate_qps=rate_qps,
         throughput_qps=stats.throughput_qps,

@@ -106,11 +106,11 @@ def _evaluate_candidate(
     from repro.serving.config import config_with_fleet
     from repro.serving.session import ServingSession
 
-    template, batch_pdf, workload, window, target = shared
+    template, batch_pdf, trace, window, target = shared
     specs = tuple(item)
     config = config_with_fleet(template, specs)
     session = ServingSession(config, batch_pdf=batch_pdf, window=window)
-    result = session.run(workload)
+    result = session.run(trace)
     rate = fleet_gpc_cost(specs)
     horizon = result.simulation.statistics.makespan
     return CandidateResult(
@@ -133,7 +133,10 @@ class CapacityPlanner:
             whose model/scheduler/SLA settings every candidate inherits (its
             own fleet is ignored — candidates supply theirs).
         batch_pdf: the batch-size pdf candidates are planned with.
-        workload: the scenario to replay on every candidate.
+        workload: the scenario, workload config or trace to replay on every
+            candidate.  :meth:`plan` resolves it to one trace per call (a
+            scenario or workload config is generated once, a trace passes
+            through), and every candidate replays that trace.
         target_violation_rate: feasibility bar on the measured SLA violation
             rate (default 1%).
         window: metrics window for the candidate sessions.
@@ -197,16 +200,22 @@ class CapacityPlanner:
             log: optional sink for progress lines (e.g. ``print``); always
                 told how many candidates an early stop skipped.
         """
+        from repro.serving.session import resolve_workload
+
         mixes = enumerate_mixes(shapes, max_servers, min_servers)
         runner = self._resolve_runner()
+        # candidates get the explicit batch_pdf, so the workload's own
+        # planning PDF is never read
+        trace, _ = resolve_workload(self.workload)
         shared = (
             self.template,
             self.batch_pdf,
-            self.workload,
+            trace,
             self.window,
             self.target_violation_rate,
         )
-        work_hint = float(getattr(self.workload, "num_queries", 0) or 0)
+        # each candidate replays the whole trace
+        work_hint = float(len(trace))
         chunk = max(2 * runner.effective_jobs, 4)
         results: List[CandidateResult] = []
         feasible_seen = 0

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, ClassVar, List, Mapping, Optional, Sequence
 
 from repro.core.registry import FactoryT, PolicyRegistry
 from repro.sim.hooks import WindowedMetrics
@@ -110,9 +110,10 @@ class TriggerDecision:
         action: what firing means — ``"repartition"`` (the default; the
             session re-runs the partitioner in place), ``"scale-out"`` or
             ``"scale-in"`` (consumed by the :mod:`repro.autoscale` control
-            plane to add / drain whole fleet servers).  The session's own
-            repartition loop ignores non-repartition actions, so scale
-            triggers are inert unless an autoscaler owns them.
+            plane to add / drain whole fleet servers).  A session rejects a
+            trigger that declares a scale action at construction, and its
+            repartition loop skips non-repartition decisions of custom
+            triggers that declare none.
     """
 
     fire: bool
@@ -131,6 +132,11 @@ class RepartitionTrigger(abc.ABC):
 
     #: Registry name, used in session logs.
     name: str = "trigger"
+
+    #: What this trigger's firings ask for (see :attr:`TriggerDecision.action`).
+    #: A session's own ``triggers=`` accept only ``"repartition"``; scale
+    #: triggers belong to an :class:`~repro.autoscale.autoscaler.Autoscaler`.
+    action: ClassVar[str] = "repartition"
 
     @abc.abstractmethod
     def evaluate(self, context: TriggerContext) -> TriggerDecision:
@@ -288,6 +294,7 @@ class ScaleOutSlaTrigger(RepartitionTrigger):
     min_queries: int = 20
     cooldown: float = 0.0
     name: str = field(default="scale-out-sla", init=False)
+    action: ClassVar[str] = "scale-out"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold < 1.0:
@@ -320,7 +327,7 @@ class ScaleOutSlaTrigger(RepartitionTrigger):
                 f"SLA violation rate {rate:.3f} over the last "
                 f"{self.lookback_windows} windows exceeds {self.threshold}"
             ),
-            action="scale-out",
+            action=self.action,
         )
 
 
@@ -343,6 +350,7 @@ class ScaleOutBacklogTrigger(RepartitionTrigger):
     lookback_windows: int = 2
     cooldown: float = 0.0
     name: str = field(default="scale-out-backlog", init=False)
+    action: ClassVar[str] = "scale-out"
 
     def __post_init__(self) -> None:
         if self.max_backlog < 1:
@@ -363,7 +371,7 @@ class ScaleOutBacklogTrigger(RepartitionTrigger):
         return TriggerDecision(
             fire=True,
             reason=f"frontend backlog {backlog} exceeds {self.max_backlog}",
-            action="scale-out",
+            action=self.action,
         )
 
 
@@ -392,6 +400,7 @@ class ScaleInIdleTrigger(RepartitionTrigger):
     min_queries: int = 20
     cooldown: float = 0.0
     name: str = field(default="scale-in-idle", init=False)
+    action: ClassVar[str] = "scale-in"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.max_violation_rate < 1.0:
@@ -430,7 +439,7 @@ class ScaleInIdleTrigger(RepartitionTrigger):
                 f"backlog {backlog} <= {self.max_backlog} over the last "
                 f"{self.lookback_windows} windows"
             ),
-            action="scale-in",
+            action=self.action,
         )
 
 

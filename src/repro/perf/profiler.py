@@ -116,11 +116,13 @@ def profile_model(
 # per-architecture profile-table cache
 # --------------------------------------------------------------------------- #
 #: Process-wide cache of profiled tables keyed by
-#: (model name, architecture, roofline params, batch sizes, partition sizes).
+#: (model name, architecture, roofline params, batch sizes, partition sizes),
+#: the two sweeps sorted and deduplicated as :class:`Profiler` sweeps them.
 #: All key components are hashable frozen dataclasses / tuples, so two
 #: requests for the same (model, architecture) sweep share one ProfileTable
 #: *object* — which in turn lets Paris plan memos, CachedEstimator memos and
-#: the shared_paris registry hit across deployments of the same fleet.
+#: the shared_paris registry hit across deployments, sessions and
+#: experiment settings.
 _TABLE_CACHE: Dict[Tuple, ProfileTable] = {}
 _TABLE_CACHE_LIMIT = 256
 
@@ -149,16 +151,15 @@ def cached_profile(
         partition_sizes: partition sizes to sweep (the architecture's valid
             sizes).
 
+    Any spelling of one sweep (a list or a tuple, in any order, with
+    repeats, or the default spelled out) shares one table.
+
     Returns:
         The (shared) profiled :class:`~repro.perf.lookup.ProfileTable`.
     """
-    key = (
-        model_name,
-        architecture,
-        params,
-        None if batch_sizes is None else tuple(batch_sizes),
-        None if partition_sizes is None else tuple(partition_sizes),
-    )
+    batches = tuple(sorted(set(batch_sizes or DEFAULT_BATCH_SIZES)))
+    sizes = tuple(sorted(set(partition_sizes or architecture.valid_partition_sizes)))
+    key = (model_name, architecture, params, batches, sizes)
     table = _TABLE_CACHE.get(key)
     if table is None:
         if len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
@@ -167,8 +168,8 @@ def cached_profile(
             model_name,
             architecture=architecture,
             params=params,
-            batch_sizes=batch_sizes,
-            partition_sizes=partition_sizes,
+            batch_sizes=batches,
+            partition_sizes=sizes,
         )
     return table
 

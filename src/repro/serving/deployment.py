@@ -364,8 +364,9 @@ def build_deployment(
             entry in ``profiles`` — the explicit single-model argument is
             the more specific one.
         profiler: profiler used for any model lacking a pre-built profile;
-            a default :class:`~repro.perf.profiler.Profiler` over the
-            configured architecture is created otherwise.
+            ``None`` takes the default sweep over the configured
+            architecture from the process-wide cache
+            (:func:`~repro.perf.profiler.cached_profile`).
         profiles: pre-built profile tables keyed by model name; models in
             ``config.models`` missing from the mapping are profiled.
 

@@ -97,7 +97,10 @@ class InferenceService:
     Args:
         config: the server design point to realise.  ``config.extra_models``
             names additional co-located models to serve.
-        profiler: optional custom profiler (e.g. different batch sweep).
+        profiler: optional custom profiler (e.g. different batch sweep) for
+            models lacking a pre-built profile; ``None`` (the default) takes
+            their tables from the process-wide cache
+            (:func:`~repro.perf.profiler.cached_profile`).
         batch_pdf: optional explicit batch-size PDF for the partitioner;
             when omitted, the analytical PDF of the workload passed to
             :meth:`serve` is used (the common case).  Must be non-empty when
@@ -131,8 +134,9 @@ class InferenceService:
         return self._session.config
 
     @property
-    def profiler(self) -> Profiler:
-        """The profiler used for models lacking a pre-built profile."""
+    def profiler(self) -> Optional[Profiler]:
+        """The custom profiler for models lacking a pre-built profile
+        (``None``: their tables come from the process-wide cache)."""
         return self._session.profiler
 
     @property

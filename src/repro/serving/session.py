@@ -244,14 +244,20 @@ class ServingSession:
         config: the design point — a :class:`~repro.serving.config.ServerConfig`
             or anything with a ``build()`` method returning one (e.g. a
             :class:`~repro.serving.builder.ServerBuilder`).
-        profiler: optional custom profiler.
+        profiler: optional custom profiler for models lacking a pre-built
+            profile; ``None`` (the default) takes their tables from the
+            process-wide cache (:func:`~repro.perf.profiler.cached_profile`),
+            shared with every other deployment of the same sweep.
         batch_pdf: optional explicit batch PDF for the initial deployment;
             when omitted the workload's own planning PDF is used.
         profiles: pre-built profile tables keyed by model name.
         reconfig_cost: modeled MIG reconfiguration downtime in seconds paid
             by every live repartition.
         triggers: repartition triggers — registry names, ``(name, options)``
-            pairs or trigger objects (see :mod:`repro.core.triggers`).
+            pairs or trigger objects (see :mod:`repro.core.triggers`).  A
+            trigger whose declared ``action`` is not ``"repartition"`` (the
+            scale triggers) raises ``ValueError``: it belongs to an
+            :class:`~repro.autoscale.autoscaler.Autoscaler`.
         trigger_interval: simulation-time cadence of trigger evaluation;
             defaults to ``window``.
         window: :class:`~repro.sim.hooks.WindowedMetrics` window length in
@@ -347,10 +353,20 @@ class ServingSession:
                 "pass a window length instead of window=None"
             )
         self.config: ServerConfig = config
-        self.profiler = profiler or Profiler(architecture=config.architecture)
+        self.profiler = profiler
         self.reconfig_cost = reconfig_cost
         self.window = window
         self.triggers: List[RepartitionTrigger] = resolve_triggers(triggers)
+        for trigger in self.triggers:
+            action = getattr(trigger, "action", "repartition")
+            if action != "repartition":
+                name = getattr(trigger, "name", type(trigger).__name__)
+                raise ValueError(
+                    f"trigger {name!r} fires {action!r} decisions, which "
+                    "only an autoscaler executes; pass it as "
+                    "Autoscaler(triggers=...) and the autoscaler as "
+                    "autoscaler=..."
+                )
         if self.triggers and window is None:
             raise ValueError(
                 "triggers observe the windowed metrics; pass a window length "
@@ -434,7 +450,7 @@ class ServingSession:
             )
         if self.config.is_fleet:
             # per-architecture tables come from the process-wide cache; the
-            # session's profiler/profile stash only serves flat configs
+            # session's profile stash only serves flat configs
             self._deployment = build_deployment(self.config, pdf)
         else:
             self._deployment = build_deployment(
@@ -542,7 +558,7 @@ class ServingSession:
         """
         if self.running:
             raise RuntimeError("a run is already in progress on this session")
-        trace, planning_pdf = self._resolve_workload(workload, seed)
+        trace, planning_pdf = resolve_workload(workload, seed)
         if self._deployment is None:
             pdf = self._explicit_pdf if self._explicit_pdf is not None else planning_pdf
             if pdf is None:
@@ -868,6 +884,7 @@ class ServingSession:
         for trigger in self.triggers:
             decision = trigger.evaluate(context)
             # scale-out/in decisions belong to an autoscaler, not this loop
+            # (custom triggers may fire them without declaring an action)
             if not decision.fire or decision.action != "repartition":
                 continue
             if decision.new_pdf:
@@ -1374,26 +1391,31 @@ class ServingSession:
             return ()
         return tuple(self._windowed.series())
 
-    # ------------------------------------------------------------------ #
-    # workload resolution
-    # ------------------------------------------------------------------ #
-    def _resolve_workload(
-        self, workload: SessionWorkload, seed: Optional[int]
-    ) -> Tuple[QueryTrace, Optional[Dict[int, float]]]:
-        if isinstance(workload, Scenario):
-            # seed=None lets Scenario.generate fall back to Scenario.seed
-            return workload.generate(seed=seed), workload.initial_pdf()
-        if isinstance(workload, QueryTrace):
-            return workload, None
-        if isinstance(workload, WorkloadConfig):
-            if seed is not None and seed != workload.seed:
-                workload = dataclasses.replace(workload, seed=seed)
-            generator = QueryGenerator(workload)
-            return generator.generate(), generator.batch_pdf()
-        raise TypeError(
-            "run() accepts a Scenario, QueryTrace or WorkloadConfig; got "
-            f"{type(workload).__name__}"
-        )
+
+def resolve_workload(
+    workload: SessionWorkload, seed: Optional[int] = None
+) -> Tuple[QueryTrace, Optional[Dict[int, float]]]:
+    """The trace :meth:`ServingSession.run` replays for ``workload``, and
+    the workload's planning PDF (``None`` for a bare trace).
+
+    A scenario or workload config is generated here (``seed`` overrides its
+    own seed); a trace passes through.  Callers that replay one workload on
+    several sessions resolve it once and hand each session the trace.
+    """
+    if isinstance(workload, Scenario):
+        # seed=None lets Scenario.generate fall back to Scenario.seed
+        return workload.generate(seed=seed), workload.initial_pdf()
+    if isinstance(workload, QueryTrace):
+        return workload, None
+    if isinstance(workload, WorkloadConfig):
+        if seed is not None and seed != workload.seed:
+            workload = dataclasses.replace(workload, seed=seed)
+        generator = QueryGenerator(workload)
+        return generator.generate(), generator.batch_pdf()
+    raise TypeError(
+        "run() accepts a Scenario, QueryTrace or WorkloadConfig; got "
+        f"{type(workload).__name__}"
+    )
 
 
 __all__ = [
@@ -1402,4 +1424,5 @@ __all__ = [
     "SessionResult",
     "SessionWorkload",
     "TriggerFiring",
+    "resolve_workload",
 ]

@@ -5,10 +5,13 @@ runner is exercised at a reduced scale to validate structure and the headline
 qualitative claims.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import experiments
 from repro.analysis.experiments import ExperimentSettings
+from repro.perf.profiler import cached_profile
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,18 @@ class TestSettingsOverrides:
             settings.build("mobilenet", "paris", "elsa", max_batch=0)
         with pytest.raises(ValueError, match="max_batch"):
             settings.build_fleet_design("mobilenet", ((1, "a100", 7),), max_batch=0)
+
+
+class TestSettingsProfiles:
+    def test_default_settings_share_the_process_cache(self):
+        assert ExperimentSettings().profile("mobilenet") is cached_profile("mobilenet")
+
+    def test_replaced_settings_profile_their_own_max_batch(self):
+        settings = ExperimentSettings()
+        assert settings.profile("mobilenet").max_batch == 64
+        wider = dataclasses.replace(settings, max_batch=100)
+        assert wider.profile("mobilenet").max_batch == 100
+        assert settings.profile("mobilenet").max_batch == 64
 
 
 class TestSlaSensitivity:

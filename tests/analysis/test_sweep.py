@@ -17,7 +17,8 @@ from repro.analysis.sweep import (
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.workload.distributions import LogNormalBatchDistribution
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import QueryGenerator, WorkloadConfig
+from repro.workload.trace import QueryTrace
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,29 @@ class TestMeasureDesign:
         assert result.throughput_qps > 0
         assert result.p95_latency > 0
         assert 0 <= result.sla_violation_rate <= 1
+
+    def test_replays_its_fresh_trace_without_copying_it(
+        self, deployment, workload, spy
+    ):
+        copies = spy(QueryTrace, "fresh_copy")
+        generated = spy(QueryGenerator, "generate")
+        result = measure_design(deployment, workload, rate_qps=300.0, seed=3)
+        assert copies == []
+        (call,) = generated
+        stats = deployment.simulator(seed=3).run(call.result).statistics
+        assert (
+            result.throughput_qps,
+            result.p95_latency,
+            result.mean_latency,
+            result.sla_violation_rate,
+            result.mean_utilization,
+        ) == (
+            stats.throughput_qps,
+            stats.latency.p95,
+            stats.latency.mean,
+            stats.latency.sla_violation_rate,
+            stats.utilization.mean,
+        )
 
     def test_invalid_rate_rejected(self, deployment, workload):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.sweep import ParallelRunner
 from repro.autoscale.planner import CapacityPlanner, enumerate_mixes
 from repro.gpu.cost import fleet_gpc_cost
 from repro.serving.config import ServerConfig, config_with_fleet
 from repro.serving.session import ServingSession
 from repro.workload.generator import WorkloadConfig
+from repro.workload.scenario import build_scenario
 
 SMALL = (2, "a100", 6)
 BIG = (2, "a100", 12)
@@ -16,6 +18,16 @@ PDF = {1: 0.5, 2: 0.3, 4: 0.2}
 
 WORKLOAD = WorkloadConfig(
     model="mobilenet", rate_qps=200.0, num_queries=400, seed=13
+)
+
+SCENARIO = build_scenario(
+    "diurnal",
+    model="mobilenet",
+    trough_qps=200.0,
+    peak_qps=800.0,
+    phase_duration=0.4,
+    max_batch=4,
+    seed=13,
 )
 
 
@@ -114,3 +126,26 @@ class TestPlanFrontier:
         assert len(ranked) == 4
         assert ranked[0].feasible
         assert any("early stop" in line and "skipped 1" in line for line in lines)
+
+
+class TestOneTracePerPlan:
+    def test_fan_out_hint_is_the_replayed_trace_length(self, spy):
+        # a scenario has no num_queries; the hint must still count the
+        # queries every candidate replays, or no pool ever pays off
+        calls = spy(ParallelRunner, "map_shared")
+        planner = CapacityPlanner(TEMPLATE, PDF, SCENARIO, window=0.25)
+        planner.plan([SMALL], max_servers=2)
+        (call,) = calls
+        assert call.kwargs["work_hint"] == len(SCENARIO.generate()) > 0
+
+    def test_forced_two_job_runner_matches_inline(self):
+        inline = CapacityPlanner(TEMPLATE, PDF, SCENARIO, window=0.25).plan(
+            [SMALL, BIG], max_servers=2
+        )
+        with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
+            planner = CapacityPlanner(
+                TEMPLATE, PDF, SCENARIO, window=0.25, runner=runner
+            )
+            forked = planner.plan([SMALL, BIG], max_servers=2)
+            assert runner.warm
+        assert forked == inline

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.triggers import (
+    PdfDriftTrigger,
     ScaleInIdleTrigger,
     ScaleOutBacklogTrigger,
     ScaleOutSlaTrigger,
+    SlaViolationTrigger,
     TriggerContext,
     TriggerDecision,
     build_trigger,
@@ -145,15 +147,46 @@ class TestScaleInIdle:
         assert trigger.min_queries == 7
 
 
-class TestPlainSessionIgnoresScaleTriggers:
-    def test_scale_trigger_without_autoscaler_never_repartitions(self):
-        # a deep backlog makes the scale-out trigger fire, but with no
-        # autoscaler to own it the session's repartition loop must skip it
+class TestPlainSessionRejectsScaleTriggers:
+    CONFIG = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
+
+    def test_declared_actions(self):
+        assert ScaleOutSlaTrigger.action == "scale-out"
+        assert ScaleOutBacklogTrigger.action == "scale-out"
+        assert ScaleInIdleTrigger.action == "scale-in"
+        assert PdfDriftTrigger.action == SlaViolationTrigger.action == "repartition"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "scale-out-sla",
+            ("scale-out-backlog", {"max_backlog": 5, "lookback_windows": 1}),
+            ScaleInIdleTrigger(),
+        ],
+    )
+    def test_scale_trigger_without_autoscaler_is_rejected(self, entry):
+        with pytest.raises(
+            ValueError,
+            match=r"^trigger '[a-z-]+' fires 'scale-(out|in)' decisions, which "
+            r"only an autoscaler executes; pass it as Autoscaler\(triggers=\.\.\.\) "
+            r"and the autoscaler as autoscaler=\.\.\.$",
+        ):
+            ServingSession(self.CONFIG, window=0.05, triggers=[entry])
+
+    def test_undeclared_scale_decisions_are_skipped_at_run_time(self):
+        # a custom trigger that declares no action passes construction; its
+        # scale-out firings still never repartition a plain session
+        class AlwaysScaleOut:
+            name = "always-scale-out"
+
+            def evaluate(self, context):
+                return TriggerDecision(fire=True, action="scale-out")
+
         session = ServingSession(
-            ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4),
+            self.CONFIG,
             window=0.05,
             reconfig_cost=0.01,
-            triggers=[("scale-out-backlog", {"max_backlog": 5, "lookback_windows": 1})],
+            triggers=[AlwaysScaleOut()],
         )
         result = session.run(
             WorkloadConfig(

@@ -6,6 +6,8 @@ so profile tables and latency models are session-scoped fixtures.
 
 from __future__ import annotations
 
+from typing import Any, NamedTuple
+
 import pytest
 
 from repro.gpu.architecture import a100_spec
@@ -59,3 +61,31 @@ def all_profiles(profiler):
     from repro.models.registry import PAPER_MODELS
 
     return {name: profiler.profile(get_model(name)) for name in PAPER_MODELS}
+
+
+class Call(NamedTuple):
+    """One recorded call of a spied function."""
+
+    args: tuple
+    kwargs: dict
+    result: Any
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` wraps ``owner.name`` for the test's duration and
+    returns the list of its :class:`Call` records, one per call."""
+
+    def install(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(Call(args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(owner, name, recording)
+        return calls
+
+    return install

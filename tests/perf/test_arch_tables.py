@@ -4,6 +4,7 @@ import pytest
 
 from repro.gpu.architecture import A30, A100, A100_80GB, H100
 from repro.perf.profiler import (
+    DEFAULT_BATCH_SIZES,
     Profiler,
     cached_profile,
     clear_profile_cache,
@@ -51,6 +52,20 @@ class TestCachedProfile:
         narrow = cached_profile("mobilenet", architecture=A30, batch_sizes=(1, 8))
         assert default is not narrow
         assert narrow.batch_sizes(1) == [1, 8]
+
+    def test_sweep_spellings_share_one_key(self):
+        default = cached_profile("mobilenet")
+        spellings = (
+            list(DEFAULT_BATCH_SIZES),
+            tuple(reversed(DEFAULT_BATCH_SIZES)),
+            (*DEFAULT_BATCH_SIZES, 8, 1, 64),
+            DEFAULT_BATCH_SIZES,
+        )
+        for batches in spellings:
+            assert cached_profile("mobilenet", batch_sizes=batches) is default
+        assert cached_profile("mobilenet", partition_sizes=[7, 4, 3, 2, 1, 1]) is default
+        narrow = cached_profile("mobilenet", batch_sizes=[8, 1])
+        assert cached_profile("mobilenet", batch_sizes=(1, 8, 8)) is narrow
 
     def test_values_match_direct_profiling(self):
         cached = cached_profile("shufflenet", architecture=A30)

@@ -125,6 +125,7 @@ from repro.sim.cluster import (
     ReconfigurationRecord,
     SimulationResult,
 )
+from repro.sim.columnar import QueryRecord
 from repro.sim.hooks import SimulationObserver, WindowedMetrics
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.query import Query
@@ -177,6 +178,7 @@ __all__ = [
     "Profiler",
     "Query",
     "QueryGenerator",
+    "QueryRecord",
     "QueryTrace",
     "RandomDispatchSpec",
     "RandomPartitionSpec",

@@ -36,7 +36,7 @@ from repro.core.registry import normalize_policy_name
 from repro.core.specs import HomogeneousSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
-from repro.serving.session import ServingSession, SessionResult
+from repro.serving.session import ServingSession, SessionResult, resolve_workload
 from repro.workload.distributions import LogNormalBatchDistribution
 from repro.workload.generator import WorkloadConfig
 
@@ -134,11 +134,13 @@ class ExperimentSettings:
     # ------------------------------------------------------------------ #
     # shared building blocks
     # ------------------------------------------------------------------ #
-    def profile(self, model: str) -> ProfileTable:
+    def profile(self, model: str, max_batch: Optional[int] = None) -> ProfileTable:
         """Profiled lookup table for ``model``: the default batch sweep plus
-        ``max_batch``, shared process-wide through
-        :func:`~repro.perf.profiler.cached_profile`."""
-        return cached_profile(model, batch_sizes=(*DEFAULT_BATCH_SIZES, self.max_batch))
+        the design's ``max_batch`` (the settings' own by default), shared
+        process-wide through :func:`~repro.perf.profiler.cached_profile`."""
+        return cached_profile(
+            model, batch_sizes=(*DEFAULT_BATCH_SIZES, _given(max_batch, self.max_batch))
+        )
 
     def batch_pdf(self, max_batch: Optional[int] = None, sigma: Optional[float] = None):
         """Analytical batch-size PDF of the workload distribution."""
@@ -214,7 +216,7 @@ class ExperimentSettings:
             if batch_pdf is not None
             else self.batch_pdf(max_batch=max_batch, sigma=sigma)
         )
-        return build_deployment(config, pdf, profile=self.profile(model))
+        return build_deployment(config, pdf, profile=self.profile(model, max_batch))
 
     def measure(
         self,
@@ -757,18 +759,23 @@ def dynamic_scenario_results(
         The two sessions' results, keyed ``"triggered"`` and ``"control"``.
     """
     settings = settings or ExperimentSettings()
+    trace, pdf = resolve_workload(scenario, seed)  # pdf: the scenario's initial_pdf()
     deployment = settings.build(
         scenario.model,
         partitioning,
         scheduler,
         max_batch=max(phase.max_batch for phase in scenario.phases),
-        batch_pdf=scenario.initial_pdf(),
+        batch_pdf=pdf,
     )
     triggered = ServingSession.from_deployment(
-        deployment, triggers=triggers, reconfig_cost=reconfig_cost, window=window
-    ).run(scenario, seed=seed)
-    control = ServingSession.from_deployment(deployment, window=window).run(
-        scenario, seed=seed
+        deployment,
+        triggers=triggers,
+        reconfig_cost=reconfig_cost,
+        window=window,
+        batch_pdf=pdf,
+    ).run(trace, seed=seed)
+    control = ServingSession.from_deployment(deployment, window=window, batch_pdf=pdf).run(
+        trace, seed=seed
     )
     return {"triggered": triggered, "control": control}
 

@@ -316,11 +316,7 @@ def measure_design(
     sla = deployment.sla_target_for(workload.model)
     configured = replace(workload, rate_qps=rate_qps, sla_target=sla)
     trace = QueryGenerator(configured).generate()
-    simulator = deployment.simulator(seed=seed)
-    # the trace is fresh and replayed once, so it skips run()'s defensive copy
-    simulator.begin()
-    simulator.submit_trace(trace)
-    stats = simulator.finish(offered_load_qps=trace.arrival_rate()).statistics
+    stats = deployment.simulator(seed=seed).run(trace).statistics
     return DesignPointResult(
         rate_qps=rate_qps,
         throughput_qps=stats.throughput_qps,

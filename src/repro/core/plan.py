@@ -205,10 +205,6 @@ class FleetPlan:
             if name == architecture and count > 0
         }
 
-    def plan_of(self, architecture: str) -> Optional[PartitionPlan]:
-        """The per-architecture sub-plan, when one was recorded."""
-        return self.per_architecture.get(architecture)
-
     def describe(self) -> str:
         """Readable description, e.g. ``A30[4xGPU(1)] + A100[2xGPU(3)+...]``."""
         parts = []

@@ -111,8 +111,8 @@ class FifsScheduler(Scheduler):
 
     def on_worker_idle(
         self, worker: PartitionWorker, context: SchedulingContext
-    ) -> Optional[Query]:
-        # Strict FIFO drain of the central queue.
+    ) -> Optional[int]:
+        # Strict FIFO drain of the central queue (it holds rows).
         if not context.central_queue:
             return None
         return context.central_queue[0]

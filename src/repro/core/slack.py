@@ -131,11 +131,6 @@ class SlackEstimator:
             return self.estimator
         return oracles.get(worker.arch_name, self.estimator)
 
-    def _table_for(self, model: Optional[str]) -> ProfileTable:
-        if model is None:
-            return self.profile
-        return self.profiles.get(model, self.profile)
-
     def estimated_execution_time(
         self, batch: int, gpcs: int, model: Optional[str] = None
     ) -> float:

@@ -66,10 +66,6 @@ class ModelSpec:
         """Convenience: total GFLOPs for one query."""
         return self.flops(batch) / 1e9
 
-    def arithmetic_intensity(self, batch: int = 1) -> float:
-        """FLOPs per byte moved, the classic roofline x-axis."""
-        return self.flops(batch) / self.bytes_moved(batch)
-
     def summary(self) -> dict:
         """Return a metadata dictionary (handy for reports and tests)."""
         return {

@@ -20,7 +20,7 @@ from repro.models.base import ModelSpec
 from repro.models.registry import get_model
 from repro.perf.latency_model import LatencyModel
 from repro.perf.lookup import ProfileEntry, ProfileTable
-from repro.perf.roofline import RooflineParameters
+from repro.perf.roofline import RooflineParameters, params_for
 
 #: Batch sizes profiled by default: powers of two from 1 to 64, matching the
 #: x-axes of Figure 4, plus every batch size up to 8 so the table is dense in
@@ -152,11 +152,14 @@ def cached_profile(
             sizes).
 
     Any spelling of one sweep (a list or a tuple, in any order, with
-    repeats, or the default spelled out) shares one table.
+    repeats, or the default spelled out) shares one table, and so do
+    ``params=None`` and the architecture's defaults spelled out.
 
     Returns:
         The (shared) profiled :class:`~repro.perf.lookup.ProfileTable`.
     """
+    if params is None:
+        params = params_for(architecture)
     batches = tuple(sorted(set(batch_sizes or DEFAULT_BATCH_SIZES)))
     sizes = tuple(sorted(set(partition_sizes or architecture.valid_partition_sizes)))
     key = (model_name, architecture, params, batches, sizes)

@@ -248,8 +248,10 @@ class ServingSession:
             profile; ``None`` (the default) takes their tables from the
             process-wide cache (:func:`~repro.perf.profiler.cached_profile`),
             shared with every other deployment of the same sweep.
-        batch_pdf: optional explicit batch PDF for the initial deployment;
-            when omitted the workload's own planning PDF is used.
+        batch_pdf: optional explicit batch PDF the deployment is planned
+            for (over a :meth:`from_deployment` deployment: the PDF it was
+            planned for), which drift triggers compare against; when omitted
+            the workload's own planning PDF is used.
         profiles: pre-built profile tables keyed by model name.
         reconfig_cost: modeled MIG reconfiguration downtime in seconds paid
             by every live repartition.
@@ -559,11 +561,11 @@ class ServingSession:
         if self.running:
             raise RuntimeError("a run is already in progress on this session")
         trace, planning_pdf = resolve_workload(workload, seed)
+        # The explicit PDF comes first, as in deploy().
+        if self._explicit_pdf is not None:
+            planning_pdf = self._explicit_pdf
         if self._deployment is None:
-            pdf = self._explicit_pdf if self._explicit_pdf is not None else planning_pdf
-            if pdf is None:
-                pdf = trace.batch_pdf()
-            self.deploy(batch_pdf=pdf)
+            self.deploy(batch_pdf=planning_pdf if planning_pdf is not None else trace.batch_pdf())
         deployment = self._deployment
         assert deployment is not None
         if self._planned_pdf is None and planning_pdf is not None:
@@ -843,8 +845,13 @@ class ServingSession:
         return result
 
     def _prepare_trace(self, trace: QueryTrace) -> QueryTrace:
-        """Validate served models, then copy the trace with runtime state
-        cleared and derived SLA targets filled, in one pass."""
+        """Validate served models, then stamp each query without an SLA
+        target with its model's derived target.
+
+        Only those queries are rebuilt; a trace whose queries all carry a
+        target passes through unchanged.  The stamp belongs on the request,
+        because ELSA reads ``query.sla_target``.
+        """
         deployment = self._deployment
         assert deployment is not None
         unknown = sorted({q.model for q in trace} - set(deployment.profiles))
@@ -854,16 +861,14 @@ class ServingSession:
                 f"deployment; served models: {sorted(deployment.profiles)}"
             )
         unset = sorted({q.model for q in trace if q.sla_target is None})
+        if not unset:
+            return trace
         targets = {model: deployment.sla_target_for(model) for model in unset}
         return QueryTrace(
             tuple(
-                Query(
-                    q.query_id,
-                    q.model,
-                    q.batch,
-                    q.arrival_time,
-                    targets[q.model] if q.sla_target is None else q.sla_target,
-                )
+                q
+                if q.sla_target is not None
+                else Query(q.query_id, q.model, q.batch, q.arrival_time, targets[q.model])
                 for q in trace
             )
         )

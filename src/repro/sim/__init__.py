@@ -5,6 +5,9 @@ runtime (a heavily modified DeepRecInfra on real A100s):
 
 * :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a minimal, deterministic
   discrete-event engine (tuple-keyed priority queue over timestamped events).
+* :mod:`repro.sim.columnar` — a run's per-query state, one row per
+  submitted query, and the :class:`~repro.sim.columnar.QueryRecord` rows a
+  finished run hands out.
 * :mod:`repro.sim.worker` — a GPU partition worker: local FIFO scheduling
   queue, the currently executing query and the profiled execution model.
 * :mod:`repro.sim.scheduler_api` — the scheduler interface the simulator
@@ -20,7 +23,7 @@ runtime (a heavily modified DeepRecInfra on real A100s):
 
 from repro.sim.events import EventKind
 from repro.sim.engine import SimulationClock, TupleEventQueue
-from repro.sim.columnar import QueryColumns
+from repro.sim.columnar import QueryColumns, QueryRecord, QueryRecords
 from repro.sim.worker import PartitionWorker
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
 from repro.sim.cluster import (
@@ -39,7 +42,6 @@ from repro.sim.hooks import (
     SimEvent,
     SimulationObserver,
     SlaViolated,
-    StatisticsCollector,
     WindowedMetrics,
     WindowStats,
     WorkerIdle,
@@ -64,6 +66,8 @@ __all__ = [
     "QueryColumns",
     "QueryCompleted",
     "QueryDispatched",
+    "QueryRecord",
+    "QueryRecords",
     "QueryRequeued",
     "ReconfigFinished",
     "ReconfigStarted",
@@ -75,7 +79,6 @@ __all__ = [
     "SimulationObserver",
     "SimulationResult",
     "SlaViolated",
-    "StatisticsCollector",
     "TupleEventQueue",
     "UtilizationStatistics",
     "WindowStats",

@@ -34,10 +34,12 @@ entirely, so the one-shot replay loop costs the same as before it existed.
 The replay loop is columnar: events are plain tuples
 (:class:`~repro.sim.engine.TupleEventQueue`: the submitted trace is a sorted
 run read through a cursor, and only in-flight events sit on a heap; C-level
-comparisons, no event objects), per-query runtime state lives in a
+comparisons, no event objects), per-query runtime state lives only in a
 struct-of-arrays store (:class:`~repro.sim.columnar.QueryColumns`,
-registered a batch at a time) that statistics digestion reads zero-copy, a
-dispatch onto an idle worker starts the query without queueing it,
+registered a batch at a time) that statistics digestion reads zero-copy,
+events, queues and workers carry a query's row in that store (never the
+query object, which no run writes), a dispatch onto an idle worker starts
+the query without queueing it,
 execution and wait estimates go through one memoized
 :class:`~repro.perf.lookup.CachedEstimator`, and one reused
 :class:`~repro.sim.scheduler_api.SchedulingContext` stands in for
@@ -62,7 +64,7 @@ import numpy as np
 
 from repro.gpu.partition import PartitionInstance
 from repro.perf.lookup import CachedEstimator, ProfileTable
-from repro.sim.columnar import NAN, QueryColumns
+from repro.sim.columnar import NAN, QueryColumns, QueryRecords
 from repro.sim.engine import SimulationClock, TupleEventQueue
 from repro.sim.events import EventKind
 from repro.sim.hooks import (
@@ -156,7 +158,9 @@ class SimulationResult:
 
     Attributes:
         statistics: aggregate latency/utilization/throughput statistics.
-        queries: the replayed queries with their execution timestamps filled.
+        queries: one :class:`~repro.sim.columnar.QueryRecord` per submitted
+            query, in submission order, built from the run's columns on
+            first element access.
         per_instance_queries: number of queries each partition instance served.
         scheduler_name: the policy that produced this result.
         reconfigurations: live repartitions performed during the run (empty
@@ -164,7 +168,7 @@ class SimulationResult:
     """
 
     statistics: ServerStatistics
-    queries: Sequence[Query]
+    queries: QueryRecords
     per_instance_queries: Dict[int, int]
     scheduler_name: str
     reconfigurations: Tuple[ReconfigurationRecord, ...] = ()
@@ -192,7 +196,7 @@ class _StagedReconfig:
     started: float
     drain_deadline: float
     new_workers: List[PartitionWorker]
-    requeued: List[Query]
+    requeued: List[int]
     old_instance_ids: Tuple[int, ...]
 
 
@@ -299,7 +303,6 @@ class InferenceServerSimulator:
                 noise_std=self._noise,
                 seed=self._seed + idx,
                 columns=self._columns,
-                write_through=self._write_through,
             )
             for idx, instance in enumerate(self._instances)
         ]
@@ -308,7 +311,7 @@ class InferenceServerSimulator:
     def _reset_run_state(self) -> None:
         self._clock = SimulationClock()
         self._events = TupleEventQueue()
-        self._central_queue: Deque[Query] = deque()
+        self._central_queue: Deque[int] = deque()
         self._events_processed = 0
         self._context: Optional[SchedulingContext] = None
         # The change feed (``SchedulingContext.changed``): workers whose
@@ -320,13 +323,12 @@ class InferenceServerSimulator:
         self._frontend_available = 0.0
         # The FIFO frontend queue, the time of its pending slot event, and
         # how many queries went ahead of the waiting ones while it is stale.
-        self._frontend_queue: Deque[Query] = deque()
+        self._frontend_queue: Deque[int] = deque()
         self._slot_time: Optional[float] = None
         self._slot_front = 0
-        self._submitted: List[Query] = []
         self._retired_workers: List[PartitionWorker] = []
         self._draining_ids: Set[int] = set()
-        self._held: List[Query] = []
+        self._held: List[int] = []
         self._staged: Optional[_StagedReconfig] = None
         self._reconfig_log: List[ReconfigurationRecord] = []
         self._next_instance_id = 1 + max(i.instance_id for i in self._instances)
@@ -334,9 +336,9 @@ class InferenceServerSimulator:
         # crash order), queries that exhausted their retry budget, and
         # tombstones discarding the already-scheduled completion events of
         # aborted in-flight queries.  Keys are fully deterministic
-        # (finish time, query id, instance id) — never object identity.
+        # (finish time, row, instance id) — never object identity.
         self._crashed: Dict[int, PartitionWorker] = {}
-        self._failed: List[Query] = []
+        self._failed: List[int] = []
         self._tombstones: Dict[Tuple[float, int, int], int] = {}
 
     def _rebind_handlers(self) -> None:
@@ -373,30 +375,11 @@ class InferenceServerSimulator:
         self._h_failed = get(QueryFailed, ())
         self._h_crashed = get(WorkerCrashed, ())
         self._h_recovered = get(WorkerRecovered, ())
-        #: With per-query handlers attached, workers also write the query
-        #: objects so handlers can read e.g. ``query.finish_time`` the
-        #: moment the event fires.
-        self._write_through = bool(
-            self._h_arrived
-            or self._h_dispatched
-            or self._h_completed
-            or self._h_sla
-            or self._h_requeued
-            or self._h_failed
-        )
 
     def add_observer(self, observer: SimulationObserver) -> None:
         """Attach a lifecycle-event observer."""
         self._observers.append(observer)
         self._rebind_handlers()
-        if self._write_through:
-            staged = self._staged.new_workers if self._staged is not None else ()
-            for worker in (*self.workers, *self._retired_workers, *staged):
-                worker.enable_write_through()
-            # queries already dispatched before write-through turned on have
-            # runtime state only in the columns; materialise it so the new
-            # handlers read current timestamps
-            self._columns.write_back()
 
     # ------------------------------------------------------------------ #
     # scheduling context
@@ -438,14 +421,13 @@ class InferenceServerSimulator:
     def run(self, trace: QueryTrace) -> SimulationResult:
         """Replay ``trace`` and return the resulting statistics.
 
-        The input trace is copied (with runtime state cleared) before the
-        replay, so a single trace object can safely be reused across designs.
+        The trace is read, never written, so one trace object can be
+        replayed against any number of designs.
         """
-        replay = trace.fresh_copy()
         self.begin()
-        self.submit_trace(replay)
+        self.submit_trace(trace)
         self.run_until(None)
-        return self.finish(offered_load_qps=replay.arrival_rate())
+        return self.finish(offered_load_qps=trace.arrival_rate())
 
     # ------------------------------------------------------------------ #
     # streaming surface
@@ -497,13 +479,9 @@ class InferenceServerSimulator:
 
     @property
     def submitted_queries(self) -> Sequence[Query]:
-        """Every query submitted to the open (or just-finished) run.
-
-        The columnar runtime state is materialised onto the query objects
-        first, so callers always see current timestamps.
-        """
-        self._columns.write_back()
-        return tuple(self._submitted)
+        """Every query submitted to the open (or just-finished) run, in
+        submission order."""
+        return tuple(self._columns.queries)
 
     def begin(self) -> None:
         """Open a streaming run: fresh clock, queues, workers and scheduler.
@@ -531,12 +509,13 @@ class InferenceServerSimulator:
                 f"query {query.query_id} arrives at {query.arrival_time}, "
                 f"before the current simulation time {self._clock.now}"
             )
-        self._submitted.append(query)
-        self._columns.extend((query,))
-        self._events.push(query.arrival_time, EventKind.ARRIVAL, query)
+        columns = self._columns
+        row = len(columns)
+        columns.extend((query,))
+        self._events.push(query.arrival_time, EventKind.ARRIVAL, row)
 
     def submit_trace(self, trace: QueryTrace) -> None:
-        """Inject every query of ``trace`` (not copied — pass a fresh copy).
+        """Inject every query of ``trace``.
 
         A whole-trace submission into an empty event queue is bulk-loaded:
         the queries register in one batch and become the event queue's
@@ -561,9 +540,9 @@ class InferenceServerSimulator:
                 f"query {queries[0].query_id} arrives at {times[0]}, "
                 f"before the current simulation time {self._clock.now}"
             )
+        base = len(self._columns)
         self._columns.extend(queries)
-        self._submitted.extend(queries)
-        self._events.extend_sorted(times, _ARRIVAL, queries)
+        self._events.extend_sorted(times, _ARRIVAL, range(base, base + len(queries)))
 
     def run_until(self, time: Optional[float] = None) -> float:
         """Process events up to and including ``time`` (``None`` = drain all).
@@ -621,21 +600,18 @@ class InferenceServerSimulator:
         all_workers = (
             self._retired_workers + list(self._crashed.values()) + self.workers
         )
-        self._columns.write_back()
         statistics = compute_statistics_from_arrays(
             completed_arrays_from_columns(self._columns),
             all_workers,
             makespan,
-            total_queries=len(self._submitted),
+            total_queries=len(self._columns),
             offered_load_qps=offered_load_qps,
             failed=len(self._failed),
         )
-        per_instance = {
-            worker.instance_id: len(worker.completed) for worker in all_workers
-        }
+        per_instance = {worker.instance_id: worker.completed for worker in all_workers}
         return SimulationResult(
             statistics=statistics,
-            queries=list(self._submitted),
+            queries=QueryRecords(self._columns),
             per_instance_queries=per_instance,
             scheduler_name=self.scheduler.name,
             reconfigurations=tuple(self._reconfig_log),
@@ -655,7 +631,7 @@ class InferenceServerSimulator:
             completed_arrays_from_columns(self._columns),
             all_workers,
             self._clock.now,
-            total_queries=len(self._submitted),
+            total_queries=len(self._columns),
             offered_load_qps=self._observed_arrival_rate(),
             failed=len(self._failed),
         )
@@ -736,22 +712,20 @@ class InferenceServerSimulator:
 
         # Pull back every query that has not started executing.
         requeue_handlers = self._h_requeued
-        requeued: List[Query] = []
-        for query in self._central_queue:
+        queries = self._columns.queries
+        requeued: List[int] = []
+        for row in self._central_queue:
             for handler in requeue_handlers:
-                handler(QueryRequeued(now, query, None))
-            requeued.append(query)
+                handler(QueryRequeued(now, queries[row], None))
+            requeued.append(row)
         self._central_queue.clear()
         drain_deadline = now
         for worker in self.workers:
-            for query in worker.drain_queue():
-                self._columns.clear_dispatch(query.index)
-                if self._write_through:
-                    query.dispatch_time = None
-                    query.instance_id = None
+            for row in worker.drain_queue():
+                self._columns.clear_dispatch(row)
                 for handler in requeue_handlers:
-                    handler(QueryRequeued(now, query, worker.instance_id))
-                requeued.append(query)
+                    handler(QueryRequeued(now, queries[row], worker.instance_id))
+                requeued.append(row)
             if worker.current_finish_time is not None:
                 drain_deadline = max(drain_deadline, worker.current_finish_time)
                 # A busy worker stays accountable until its in-flight query
@@ -776,7 +750,6 @@ class InferenceServerSimulator:
                 noise_std=self._noise,
                 seed=self._seed + instance.instance_id,
                 columns=self._columns,
-                write_through=self._write_through,
             )
             for instance in renumbered
         ]
@@ -836,16 +809,17 @@ class InferenceServerSimulator:
         # dispatch times.
         backlog = staged.requeued + self._held
         self._held = []
-        backlog.sort(key=lambda q: (q.arrival_time, q.query_id))
+        arrival, queries = self._columns.arrival, self._columns.queries
+        backlog.sort(key=lambda row: (arrival[row], queries[row].query_id))
         gap = self._frontend_gap
         start = max(now, self._frontend_available) if gap > 0 else now
-        for position, query in enumerate(backlog):
-            self._reenter(start + position * gap, query)
+        for position, row in enumerate(backlog):
+            self._reenter(start + position * gap, row)
 
     # ------------------------------------------------------------------ #
     # the rate-limited frontend
     # ------------------------------------------------------------------ #
-    # One pending slot event (an ARRIVAL-kind heap entry with no query)
+    # One pending slot event (an ARRIVAL-kind heap entry with no row)
     # admits the head of the FIFO frontend queue and re-arms one gap later,
     # so a backlog costs one event per admission.  Two rules for events at
     # the slot's instant keep the admission order of the former scheme, in
@@ -862,22 +836,22 @@ class InferenceServerSimulator:
         self._slot_time = time
         self._events.push(time, _ARRIVAL)
 
-    def _wait_at_frontend(self, query: Query, available: float) -> None:
-        """Queue ``query``, which found the frontend busy until ``available``."""
+    def _wait_at_frontend(self, row: int, available: float) -> None:
+        """Queue ``row``, which found the frontend busy until ``available``."""
         queue = self._frontend_queue
         slot = self._slot_time
         if slot is None:
-            queue.append(query)
+            queue.append(row)
             self._arm_slot(available)
         elif available > slot + _FRONTEND_SLACK:
             # Rule 1: the slot is stale.
-            queue.insert(self._slot_front, query)
+            queue.insert(self._slot_front, row)
             self._slot_front += 1
         else:
-            queue.append(query)
+            queue.append(row)
 
-    def _fire_slot(self, now: float) -> Optional[Query]:
-        """The slot event at ``now``: the query it admits, if any."""
+    def _fire_slot(self, now: float) -> Optional[int]:
+        """The slot event at ``now``: the row it admits, if any."""
         queue = self._frontend_queue
         self._slot_front = 0
         if self._staged is not None:
@@ -892,20 +866,20 @@ class InferenceServerSimulator:
             self._arm_slot(available)
             return None
         self._frontend_available = available = now + self._frontend_gap
-        query = queue.popleft()
+        row = queue.popleft()
         if queue:
             self._arm_slot(available)
         else:
             self._slot_time = None
-        return query
+        return row
 
-    def _reenter(self, time: float, query: Query) -> None:
+    def _reenter(self, time: float, row: int) -> None:
         """Send an arrived query back through the frontend at ``time``."""
         if self._slot_time == time and self._frontend_available <= time + _FRONTEND_SLACK:
             # Rule 2: due exactly at the pending, non-stale slot.
-            self._frontend_queue.append(query)
+            self._frontend_queue.append(row)
         else:
-            self._events.push(time, _ARRIVAL, query)
+            self._events.push(time, _ARRIVAL, row)
 
     # ------------------------------------------------------------------ #
     # fault injection (worker crashes, stragglers)
@@ -918,7 +892,8 @@ class InferenceServerSimulator:
     @property
     def failed_queries(self) -> Tuple[Query, ...]:
         """Queries that exhausted their retry budget, in failure order."""
-        return tuple(self._failed)
+        queries = self._columns.queries
+        return tuple(queries[row] for row in self._failed)
 
     def crash_worker(
         self, instance_id: int, retry_policy: RetryPolicyLike
@@ -967,54 +942,45 @@ class InferenceServerSimulator:
             for handler in handlers:
                 handler(crashed)
 
-        displaced: List[Query] = []
+        displaced: List[int] = []
         in_flight_finish = worker.current_finish_time
         if in_flight_finish is not None:
             aborted = worker.abort_current(now)
-            key = (in_flight_finish, aborted.query_id, instance_id)
+            key = (in_flight_finish, aborted, instance_id)
             self._tombstones[key] = self._tombstones.get(key, 0) + 1
             displaced.append(aborted)
         displaced.extend(worker.drain_queue())
         self._changed.append(worker)
 
         columns = self._columns
-        materialise = self._write_through
+        queries = columns.queries
         requeued = failed = 0
-        for query in displaced:
-            index = query.index
-            columns.start[index] = NAN
-            columns.clear_dispatch(index)
-            retries = int(columns.retries[index])
-            if materialise:
-                query.dispatch_time = None
-                query.start_time = None
-                query.instance_id = None
+        for row in displaced:
+            columns.start[row] = NAN
+            columns.clear_dispatch(row)
+            retries = int(columns.retries[row])
             if retries >= retry_policy.max_retries:
                 failed += 1
-                columns.fail_time[index] = now
-                if materialise:
-                    query.fail_time = now
-                self._failed.append(query)
+                columns.fail_time[row] = now
+                self._failed.append(row)
                 fail_handlers = self._h_failed
                 if fail_handlers:
-                    failed_event = QueryFailed(now, query, instance_id, retries)
+                    failed_event = QueryFailed(now, queries[row], instance_id, retries)
                     for handler in fail_handlers:
                         handler(failed_event)
                 continue
             attempt = retries + 1
-            columns.retries[index] = attempt
-            if materialise:
-                query.retries = attempt
+            columns.retries[row] = attempt
             requeued += 1
             requeue_handlers = self._h_requeued
             if requeue_handlers:
-                requeue_event = QueryRequeued(now, query, instance_id)
+                requeue_event = QueryRequeued(now, queries[row], instance_id)
                 for handler in requeue_handlers:
                     handler(requeue_event)
             # Re-enters through the frontend as a regular arrival: the
             # arrival-announce flag is already raised, so observers still
             # see the query arrive exactly once.
-            self._reenter(now + retry_policy.delay(attempt), query)
+            self._reenter(now + retry_policy.delay(attempt), row)
         return requeued, failed
 
     def restore_worker(self, instance_id: int) -> None:
@@ -1052,7 +1018,7 @@ class InferenceServerSimulator:
             pulled = self.scheduler.on_worker_idle(worker, self._context_at(now))
             if pulled is not None:
                 queue = self._central_queue
-                if queue[0] is pulled:
+                if queue[0] == pulled:
                     queue.popleft()
                 else:
                     queue.remove(pulled)
@@ -1098,7 +1064,7 @@ class InferenceServerSimulator:
     def _replay(self, until: Optional[float]) -> float:
         """Drain the event queue up to ``until`` with the hot logic inline.
 
-        Entries are ``(time, kind, seq, query, worker)`` tuples; the loop
+        Entries are ``(time, kind, seq, row, worker)`` tuples; the loop
         unpacks them directly — no event objects, no per-event method
         dispatch, one clock write per event.  Each step takes the smaller of
         the run's head and ``heap[0]`` by full tuple comparison
@@ -1116,6 +1082,7 @@ class InferenceServerSimulator:
         central = self._central_queue
         gap = self._frontend_gap
         announced = self._columns.announced
+        queries = self._columns.queries
         tombstones = self._tombstones
         changed = self._changed
         processed = self._events_processed
@@ -1146,51 +1113,50 @@ class InferenceServerSimulator:
                 clock._now = now
                 kind = entry[1]
                 if kind == _ARRIVAL:
-                    query = entry[3]
-                    if query is None:
+                    row = entry[3]
+                    if row is None:
                         # The frontend's slot event.
-                        query = self._fire_slot(now)
-                        if query is None:
+                        row = self._fire_slot(now)
+                        if row is None:
                             continue
                     else:
-                        index = query.index
-                        if not announced[index]:
+                        if not announced[row]:
                             # First firing of this query's arrival event: the
                             # flag is both the QueryArrived dedupe (crash
                             # retries and reconfig buffering re-enqueue the
-                            # query) and the columnar "this arrival happened"
+                            # row) and the columnar "this arrival happened"
                             # marker the lazy metrics digestion filters on.
-                            announced[index] = 1
+                            announced[row] = 1
                             handlers = self._h_arrived
                             if handlers:
-                                arrived = QueryArrived(now, query)
+                                arrived = QueryArrived(now, queries[row])
                                 for handler in handlers:
                                     handler(arrived)
                         if self._staged is not None:
                             # Draining/reconfiguring: buffer at the frontend.
-                            self._held.append(query)
+                            self._held.append(row)
                             continue
                         if gap > 0.0:
                             # The frontend dispatches queries serially; an
                             # arrival that finds it busy waits in its queue.
                             available = self._frontend_available
                             if available > now + _FRONTEND_SLACK:
-                                self._wait_at_frontend(query, available)
+                                self._wait_at_frontend(row, available)
                                 continue
                             self._frontend_available = now + gap
-                    worker = scheduler.on_arrival(query, self._context_at(now))
+                    worker = scheduler.on_arrival(queries[row], self._context_at(now))
                     # the scheduler has seen every change up to this decision
                     changed.clear()
                     if worker is None:
-                        central.append(query)
+                        central.append(row)
                     else:
-                        self._dispatch(worker, query, now)
+                        self._dispatch(worker, row, now)
                 elif kind == _COMPLETION:
                     if tombstones:
                         # A crash aborted this completion's query; the event
                         # is stale.  Fault-free runs never populate the dict,
                         # so the hot path pays one truthiness check.
-                        key = (now, entry[3].query_id, entry[4].instance_id)
+                        key = (now, entry[3], entry[4].instance_id)
                         count = tombstones.get(key)
                         if count:
                             if count == 1:
@@ -1208,17 +1174,20 @@ class InferenceServerSimulator:
     def _complete(self, worker: PartitionWorker, now: float) -> None:
         """Completion handling (the worker comes straight off the heap
         entry — no id -> worker map lookup)."""
-        query = worker.complete_current(now)
+        row = worker.complete_current(now)
         handlers = self._h_completed
         if handlers:
-            completed = QueryCompleted(now, query, worker.instance_id)
+            completed = QueryCompleted(now, self._columns.queries[row], worker.instance_id)
             for handler in handlers:
                 handler(completed)
         handlers = self._h_sla
-        if handlers and query.sla_violated:
-            violated = SlaViolated(now, query, worker.instance_id)
-            for handler in handlers:
-                handler(violated)
+        if handlers:
+            query = self._columns.queries[row]
+            sla = query.sla_target
+            if sla is not None and now - query.arrival_time > sla:
+                violated = SlaViolated(now, query, worker.instance_id)
+                for handler in handlers:
+                    handler(violated)
 
         if worker.instance_id in self._draining_ids:
             # A draining partition takes no further work; its local queue was
@@ -1230,7 +1199,7 @@ class InferenceServerSimulator:
             # Start the next locally queued query.
             finish = worker.start_next(now)
             assert finish is not None  # the worker was just freed
-            self._events.push(finish, _COMPLETION, worker.current_query, worker)
+            self._events.push(finish, _COMPLETION, worker.current_row, worker)
             return
 
         # Otherwise offer the now fully idle worker a query from the central
@@ -1239,7 +1208,7 @@ class InferenceServerSimulator:
             pulled = self.scheduler.on_worker_idle(worker, self._context_at(now))
             if pulled is not None:
                 queue = self._central_queue
-                if queue[0] is pulled:
+                if queue[0] == pulled:
                     # FIFO drain is the overwhelmingly common case; popping
                     # the head avoids an O(queue) scan-and-remove.
                     queue.popleft()
@@ -1253,26 +1222,21 @@ class InferenceServerSimulator:
             for handler in handlers:
                 handler(idle)
 
-    def _dispatch(
-        self,
-        worker: PartitionWorker,
-        query: Query,
-        now: float,
-    ) -> None:
+    def _dispatch(self, worker: PartitionWorker, row: int, now: float) -> None:
         self._changed.append(worker)
         # A worker with nothing executing and nothing queued starts the
         # query at once, without the local-queue round trip.  Either way
         # observers see the query dispatched but not yet started.
-        direct = worker.current_query is None and not worker.queue
+        direct = worker.current_row is None and not worker.queue
         if direct:
-            worker.assign(query, now)
+            worker.assign(row, now)
         else:
-            worker.enqueue(query, now)
+            worker.enqueue(row, now)
         dispatch_handlers = self._h_dispatched
         if dispatch_handlers:
-            dispatched = QueryDispatched(now, query, worker.instance_id)
+            dispatched = QueryDispatched(now, self._columns.queries[row], worker.instance_id)
             for handler in dispatch_handlers:
                 handler(dispatched)
-        finish = worker.start(query, now) if direct else worker.start_next(now)
+        finish = worker.start(row, now) if direct else worker.start_next(now)
         if finish is not None:
-            self._events.push(finish, _COMPLETION, worker.current_query, worker)
+            self._events.push(finish, _COMPLETION, worker.current_row, worker)

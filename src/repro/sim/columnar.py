@@ -1,31 +1,34 @@
 """Columnar (struct-of-arrays) per-query runtime state of a replay.
 
 A query's runtime state — dispatch, start, finish, executing instance,
-retries, failure — is kept here during a replay rather than as attributes on
-each :class:`~repro.workload.query.Query` object, as flat ``array('d')`` /
-``array('q')`` columns indexed by submission order:
+retries, failure — lives here and only here, as flat ``array('d')`` /
+``array('q')`` columns indexed by *row*, the query's position in the run's
+submission order:
 
-* the replay loop writes plain array slots instead of object attributes;
+* the replay loop carries rows and writes plain array slots; the
+  :class:`~repro.workload.query.Query` objects are the requests alone and
+  are never written, so one trace can feed any number of runs;
 * statistics digestion (:func:`repro.sim.metrics.completed_arrays_from_columns`)
   wraps the columns in numpy views via the buffer protocol — zero copies, no
-  per-query Python loop — and produces results bit-identical to an object
+  per-query Python loop — and produces results bit-identical to a record
   scan (:func:`repro.sim.metrics.compute_statistics`: same IEEE operations
   over the same float64 values in the same, submission, order);
-* :meth:`QueryColumns.write_back` materialises the columns onto the Query
-  objects once at the end of a run, so ``SimulationResult.queries`` carries
-  every timestamp.
+* a finished run's :class:`QueryRecords` builds one :class:`QueryRecord` per
+  row from the columns on first element access, so a result that is only
+  digested never pays for them.
 
 ``NaN`` marks an unset timestamp (and a query without an SLA deadline);
-``-1`` marks an unset instance id.  The ``announced`` flags replace the
-per-run "emitted QueryArrived already?" identity set: crash retries and
-reconfiguration buffering re-enqueue the same query as a new arrival event,
-but observers must see each query arrive exactly once.
+``-1`` marks an unset instance id.  The ``announced`` flags mark the rows
+whose arrival has fired: crash retries and reconfiguration buffering
+re-enqueue the same row as a new arrival event, but observers must see each
+query arrive exactly once.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, List, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator, List, MutableSequence, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.query import Query
@@ -44,10 +47,10 @@ _ZERO_COUNT_ROW = array("q", [0]).tobytes()
 class QueryColumns:
     """Struct-of-arrays runtime state of every query submitted to one run.
 
-    One row per submitted query, indexed by submission order; the row index
-    is stored on the query object (``Query.index``) so workers can address
-    their columns in O(1).  Static per-query facts (model, batch) stay on the
-    Query object — they are written once by the generator and only read here.
+    Row ``i`` holds the ``i``-th submitted query: ``queries[i]`` is its
+    request, and every column's slot ``i`` one piece of its outcome.  The
+    request's arrival, deadline and batch are copied into columns so
+    digestion reads them zero-copy.
     """
 
     __slots__ = (
@@ -83,15 +86,13 @@ class QueryColumns:
     def extend(self, queries: Sequence["Query"]) -> None:
         """Register ``queries`` as the next rows, in order.
 
-        Each query's row index is set on it (``Query.index``).  Every column
-        grows by one C-level extend, the runtime columns from repeated
-        initial rows.  The batch column is converted first: a validated
-        query's arrival and SLA are real numbers, so a non-integer batch is
-        what can fail, and it raises before any column grows.
+        The queries themselves are not touched.  Every column grows by one
+        C-level extend, the runtime columns from repeated initial rows.  The
+        batch column is converted first: a validated query's arrival and SLA
+        are real numbers, so a non-integer batch is what can fail, and it
+        raises before any column grows.
         """
         batch = array("q", [query.batch for query in queries])
-        for index, query in enumerate(queries, len(self.queries)):
-            query.index = index
         self.queries.extend(queries)
         self.batch += batch
         self.arrival.fromlist([query.arrival_time for query in queries])
@@ -108,36 +109,158 @@ class QueryColumns:
         self.announced.frombytes(_ZERO_FLAG_ROW * count)
         self.retries.frombytes(_ZERO_COUNT_ROW * count)
 
-    def clear_dispatch(self, index: int) -> None:
+    def clear_dispatch(self, row: int) -> None:
         """Forget a query's dispatch (a reconfiguration requeued it)."""
-        self.dispatch[index] = NAN
-        self.instance[index] = -1
+        self.dispatch[row] = NAN
+        self.instance[row] = -1
 
-    def write_back(self) -> None:
-        """Materialise the columns onto the Query objects.
 
-        Idempotent; called once when a run finishes (and by introspection
-        surfaces that hand out the query objects mid-run) so the objects
-        carry exactly the runtime state recorded in the columns.
+@dataclass(slots=True)
+class QueryRecord:
+    """One query of a finished run: its request and the run's outcome.
+
+    Built from a run's columns by :class:`QueryRecords`; an unset timestamp
+    or instance is ``None``.
+
+    Attributes:
+        query_id / model / batch / arrival_time / sla_target: the request
+            (:class:`~repro.workload.query.Query`).
+        dispatch_time: when the scheduler assigned the query to a partition.
+        start_time: when execution began on the partition.
+        finish_time: when execution completed.
+        instance_id: partition instance that executed the query.
+        retries: times the query was displaced by a worker crash and
+            requeued (0 without fault injection).
+        fail_time: when the query exhausted its retry budget and failed
+            (``None`` for queries that completed or never failed).
+    """
+
+    query_id: int
+    model: str
+    batch: int
+    arrival_time: float
+    sla_target: Optional[float] = None
+    dispatch_time: Optional[float] = None
+    start_time: Optional[float] = None
+    finish_time: Optional[float] = None
+    instance_id: Optional[int] = None
+    retries: int = 0
+    fail_time: Optional[float] = None
+
+    @property
+    def completed(self) -> bool:
+        """Whether the query has finished execution."""
+        return self.finish_time is not None
+
+    @property
+    def failed(self) -> bool:
+        """Whether the query exhausted its crash-retry budget and failed."""
+        return self.fail_time is not None
+
+    @property
+    def latency(self) -> float:
+        """End-to-end latency (finish - arrival) in seconds.
+
+        Raises:
+            ValueError: if the query has not completed.
         """
-        dispatch = self.dispatch
-        start = self.start
-        finish = self.finish
-        instance = self.instance
-        fail_time = self.fail_time
-        retries = self.retries
-        for index, query in enumerate(self.queries):
-            value = dispatch[index]
-            query.dispatch_time = value if value == value else None
-            value = start[index]
-            query.start_time = value if value == value else None
-            value = finish[index]
-            query.finish_time = value if value == value else None
-            assigned = instance[index]
-            query.instance_id = assigned if assigned >= 0 else None
-            value = fail_time[index]
-            query.fail_time = value if value == value else None
-            query.retries = retries[index]
+        if self.finish_time is None:
+            raise ValueError(f"query {self.query_id} has not completed")
+        return self.finish_time - self.arrival_time
+
+    @property
+    def queueing_delay(self) -> float:
+        """Time spent waiting before execution started, in seconds."""
+        if self.start_time is None:
+            raise ValueError(f"query {self.query_id} has not started")
+        return self.start_time - self.arrival_time
+
+    @property
+    def service_time(self) -> float:
+        """Pure execution time on the partition, in seconds."""
+        if self.start_time is None or self.finish_time is None:
+            raise ValueError(f"query {self.query_id} has not completed")
+        return self.finish_time - self.start_time
+
+    @property
+    def sla_violated(self) -> bool:
+        """Whether the completed query missed its SLA (False if no SLA set)."""
+        if self.sla_target is None:
+            return False
+        return self.latency > self.sla_target
 
 
-__all__ = ["NAN", "QueryColumns"]
+class QueryRecords(MutableSequence[QueryRecord]):
+    """The per-query outcomes of one run, in submission order.
+
+    ``len()`` reads the columns; the first element access (indexing,
+    iteration, ``pop``, ...) builds every :class:`QueryRecord` once, into
+    one list that later accesses, and any edits, share.  The columns must
+    no longer change, so only closed runs hand these out.
+    """
+
+    __slots__ = ("_columns", "_records")
+
+    def __init__(self, columns: QueryColumns) -> None:
+        self._columns = columns
+        self._records: Optional[List[QueryRecord]] = None
+
+    def _built(self) -> List[QueryRecord]:
+        records = self._records
+        if records is None:
+            columns = self._columns
+            records = self._records = [
+                QueryRecord(
+                    query.query_id,
+                    query.model,
+                    query.batch,
+                    query.arrival_time,
+                    query.sla_target,
+                    dispatch if dispatch == dispatch else None,
+                    start if start == start else None,
+                    finish if finish == finish else None,
+                    instance if instance >= 0 else None,
+                    retries,
+                    fail_time if fail_time == fail_time else None,
+                )
+                for query, dispatch, start, finish, instance, retries, fail_time in zip(
+                    columns.queries,
+                    columns.dispatch,
+                    columns.start,
+                    columns.finish,
+                    columns.instance,
+                    columns.retries,
+                    columns.fail_time,
+                )
+            ]
+        return records
+
+    def __len__(self) -> int:
+        records = self._records
+        return len(self._columns) if records is None else len(records)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._built()[index]
+
+    def __setitem__(self, index: Any, value: Any) -> None:
+        self._built()[index] = value
+
+    def __delitem__(self, index: Any) -> None:
+        del self._built()[index]
+
+    def insert(self, index: int, value: QueryRecord) -> None:
+        self._built().insert(index, value)
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QueryRecords):
+            other = other._built()
+        return isinstance(other, list) and self._built() == other
+
+    def __repr__(self) -> str:
+        return f"QueryRecords({len(self)} queries)"
+
+
+__all__ = ["NAN", "QueryColumns", "QueryRecord", "QueryRecords"]

@@ -5,7 +5,7 @@ monotonically advancing clock.  The interesting behaviour (queueing,
 scheduling, execution) lives in :mod:`repro.sim.cluster`; keeping the engine
 separate makes it independently testable.
 
-:class:`TupleEventQueue` orders plain ``(time, kind, seq, query, worker)``
+:class:`TupleEventQueue` orders plain ``(time, kind, seq, row, worker)``
 tuples.  Tuples compare element-wise in C, so no event object is ever
 constructed in the replay loop.  Entries order by ``(time, kind,
 sequence)``: completions beat arrivals at equal timestamps, and
@@ -26,16 +26,14 @@ from __future__ import annotations
 import heapq
 from itertools import repeat
 from operator import le
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.workload.query import Query
-
-#: A queue entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
-#: unique per queue, so comparisons never reach the non-comparable payload
-#: slots; completions carry the worker object directly (no id -> worker map
-#: lookup when the event fires), and the simulator's frontend slot events
-#: are arrivals without a query.
-TupleEvent = Tuple[float, int, int, Optional[Query], Any]
+#: A queue entry: ``(time, kind, seq, row, worker)``.  ``seq`` is unique
+#: per queue, so comparisons never reach the payload slots; ``row`` is the
+#: query's row in the run's columnar store, completions carry the worker
+#: object directly (no id -> worker map lookup when the event fires), and
+#: the simulator's frontend slot events are arrivals without a row.
+TupleEvent = Tuple[float, int, int, Optional[int], Any]
 
 
 class SimulationClock:
@@ -58,8 +56,8 @@ class TupleEventQueue:
     A deterministic ``(time, kind, sequence)`` total order over plain tuples:
     no object construction per event, and comparisons run entirely in C.
 
-    The run is the bulk-loaded queries and their arrival times, the sequence
-    number of the first one and a cursor (a ``zip`` over the two lists).
+    The run is the bulk-loaded rows and their arrival times, the sequence
+    number of the first one and a cursor (a ``zip`` over the two).
     ``_head`` is the run's next entry, built when it becomes the next
     candidate (``None`` once the run is exhausted); ``_run_end`` is the
     sequence number one past the run's last entry.  The replay loop in
@@ -88,23 +86,23 @@ class TupleEventQueue:
         self,
         time: float,
         kind: int,
-        query: Optional[Query] = None,
+        row: Optional[int] = None,
         worker: Any = None,
     ) -> TupleEvent:
-        """Enqueue ``(time, kind, seq, query, worker)`` and return the entry."""
-        entry = (time, int(kind), self._sequence, query, worker)
+        """Enqueue ``(time, kind, seq, row, worker)`` and return the entry."""
+        entry = (time, int(kind), self._sequence, row, worker)
         self._sequence += 1
         heapq.heappush(self._heap, entry)
         return entry
 
-    def extend_sorted(self, times: List[float], kind: int, queries: List[Query]) -> None:
+    def extend_sorted(self, times: List[float], kind: int, rows: Sequence[int]) -> None:
         """Bulk-enqueue already-sorted same-kind events into an *empty* queue.
 
         The events become the queue's run: they take the next
         ``len(times)`` sequence numbers, so they fire exactly as if each had
         been pushed in turn, but they never enter the heap and only the
         run's next entry exists as a tuple.  The queue keeps ``times`` and
-        ``queries`` (not copies) until the run is exhausted.
+        ``rows`` (not copies) until the run is exhausted.
 
         Raises:
             ValueError: when the queue is non-empty (its heap holds entries
@@ -121,7 +119,7 @@ class TupleEventQueue:
         base = self._sequence
         self._sequence = self._run_end = base + len(times)
         sequences = range(base, self._run_end)
-        self._run = zip(times, repeat(int(kind)), sequences, queries, repeat(None))
+        self._run = zip(times, repeat(int(kind)), sequences, rows, repeat(None))
         self._advance()
 
     def _advance(self) -> None:

@@ -3,13 +3,15 @@
 :class:`~repro.sim.cluster.InferenceServerSimulator` no longer only
 accumulates per-query timestamps: every interesting moment of a run is
 published as a typed event to registered :class:`SimulationObserver`
-instances.  The statistics digestion of :mod:`repro.sim.metrics` is
-available as one such observer (:class:`StatisticsCollector`, for callers
-that poll statistics frequently); :class:`WindowedMetrics` is the one the
-serving session attaches by default, producing per-time-window latency /
-throughput / SLA-violation series *incrementally* — each event touches
-exactly one window bucket, so building the series never re-scans the full
-query list.
+instances.  An event carries the query's request
+(:class:`~repro.workload.query.Query`) and the run state of its moment:
+``QueryCompleted.time`` is the finish time, ``QueryFailed.retries`` the
+retries spent.  Mid-run statistics come from
+:meth:`~repro.sim.cluster.InferenceServerSimulator.snapshot_statistics`.
+:class:`WindowedMetrics` is the observer the serving session attaches by
+default, producing per-time-window latency / throughput / SLA-violation
+series *incrementally* — each event touches exactly one window bucket, so
+building the series never re-scans the full query list.
 
 Events published per run:
 
@@ -64,7 +66,6 @@ from repro.workload.query import Query
 
 if TYPE_CHECKING:
     from repro.sim.columnar import QueryColumns
-    from repro.sim.metrics import LatencyStatistics
 
 # --------------------------------------------------------------------------- #
 # typed lifecycle events
@@ -354,65 +355,6 @@ class EventLog(SimulationObserver):
         return [e for e in self.events if isinstance(e, event_type)]
 
 
-class StatisticsCollector(SimulationObserver):
-    """Opt-in incremental accumulator of the completed-query digestion rows.
-
-    The latency digestion of :mod:`repro.sim.metrics` recast as an observer:
-    each completion appends one flat (latency, delay, SLA) row, and
-    :meth:`latency_statistics` digests the columns in one vectorised pass
-    (:func:`repro.sim.metrics.latency_statistics_from_arrays`) without
-    touching the query list.  Attach one when you poll statistics *often*
-    (live dashboards, per-checkpoint logging); for occasional snapshots the
-    simulator's own :meth:`~repro.sim.cluster.InferenceServerSimulator.snapshot_statistics`
-    — a single-pass scan per call — is the simpler tool.
-    """
-
-    def __init__(self) -> None:
-        self.arrived = 0
-        #: one row per completion: (latency, queueing delay, has_sla, violated)
-        self._rows: List[Tuple[float, float, bool, bool]] = []
-
-    @property
-    def completed(self) -> int:
-        """Number of completions digested so far."""
-        return len(self._rows)
-
-    def on_query_arrived(self, event: QueryArrived) -> None:
-        self.arrived += 1
-
-    def on_query_completed(self, event: QueryCompleted) -> None:
-        query = event.query
-        arrival = query.arrival_time
-        finish = query.finish_time
-        latency = finish - arrival
-        start = query.start_time
-        sla = query.sla_target
-        self._rows.append(
-            (
-                latency,
-                (start if start is not None else finish) - arrival,
-                sla is not None,
-                sla is not None and latency > sla,
-            )
-        )
-
-    def latency_statistics(self) -> "LatencyStatistics":
-        """Vectorised latency statistics of everything completed so far."""
-        from repro.sim.metrics import CompletedArrays, latency_statistics_from_arrays
-
-        if self._rows:
-            latencies, delays, has_sla, violated = zip(*self._rows)
-        else:
-            latencies = delays = has_sla = violated = ()
-        arrays = CompletedArrays(
-            latencies=np.asarray(latencies, dtype=float),
-            delays=np.asarray(delays, dtype=float),
-            has_sla=np.asarray(has_sla, dtype=bool),
-            violated=np.asarray(violated, dtype=bool),
-        )
-        return latency_statistics_from_arrays(arrays)
-
-
 class ReconfigEventsOnly(SimulationObserver):
     """Delivery view forwarding only reconfiguration events to ``target``.
 
@@ -664,7 +606,7 @@ class WindowedMetrics(SimulationObserver):
 
     def on_query_completed(self, event: QueryCompleted) -> None:
         query = event.query
-        latency = query.finish_time - query.arrival_time
+        latency = event.time - query.arrival_time
         bucket = self._bucket(event.time)
         bucket.completions += 1
         bucket.latencies.append(latency)

@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from repro.sim.worker import PartitionWorker
-from repro.workload.query import Query
+from repro.sim.columnar import QueryRecord
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class ServerStatistics:
 class CompletedArrays:
     """Flat digestion columns of the completed queries of one snapshot.
 
-    Built in a single pass over the queries (or accumulated incrementally by
-    :class:`repro.sim.hooks.StatisticsCollector`), then digested entirely
-    with vectorised numpy operations — no per-statistic Python re-scan.
+    Built in one pass over a run's columns (or over query records), then
+    digested entirely with vectorised numpy operations — no per-statistic
+    Python re-scan.
     """
 
     latencies: np.ndarray
@@ -97,10 +97,9 @@ def completed_arrays_from_columns(columns: Any) -> CompletedArrays:
     avoid an import cycle).  The ``array('d')`` columns are wrapped in numpy
     views through the buffer protocol — zero copies, no per-query Python
     loop — and the derived values are bit-identical to
-    :func:`completed_arrays` over the materialised query objects: the same
-    float64 subtractions over the same values in the same (submission)
-    order, with NaN marking "not set" exactly where the object scan sees
-    ``None``.
+    :func:`completed_arrays` over the run's query records: the same float64
+    subtractions over the same values in the same (submission) order, with
+    NaN marking "not set" exactly where a record holds ``None``.
     """
     finish = np.frombuffer(columns.finish, dtype=np.float64)
     if finish.size == 0:
@@ -124,7 +123,7 @@ def completed_arrays_from_columns(columns: Any) -> CompletedArrays:
     delays = np.where(np.isnan(start), finish, start) - arrival
     has_sla = ~np.isnan(deadline)
     # NaN compares False, so queries without a deadline never count as
-    # violated — the same truth table as the object scan's
+    # violated — the same truth table as the record scan's
     # ``sla is not None and latency > sla``.
     violated = latencies > deadline
     return CompletedArrays(
@@ -132,7 +131,7 @@ def completed_arrays_from_columns(columns: Any) -> CompletedArrays:
     )
 
 
-def completed_arrays(queries: Sequence[Query]) -> CompletedArrays:
+def completed_arrays(queries: Sequence[QueryRecord]) -> CompletedArrays:
     """Build the digestion columns in one pass over ``queries``.
 
     Queries that never completed are skipped; the arrays hold, per completed
@@ -186,7 +185,7 @@ def latency_statistics_from_arrays(
 
 
 def latency_statistics(
-    queries: Sequence[Query], percentile_method: str = "linear"
+    queries: Sequence[QueryRecord], percentile_method: str = "linear"
 ) -> LatencyStatistics:
     """Summarise the latency distribution of completed queries.
 
@@ -228,7 +227,7 @@ def utilization_statistics(
 
 
 def compute_statistics(
-    queries: Sequence[Query],
+    queries: Sequence[QueryRecord],
     workers: Sequence[PartitionWorker],
     makespan: float,
     offered_load_qps: Optional[float] = None,
@@ -237,7 +236,7 @@ def compute_statistics(
     """Digest one simulation run into a :class:`ServerStatistics` record.
 
     Args:
-        queries: every query of the replayed trace.
+        queries: the record of every query of the run.
         workers: the partition workers after the run.
         makespan: simulation end time (seconds).
         offered_load_qps: the offered arrival rate, when known (reported

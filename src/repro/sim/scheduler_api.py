@@ -11,7 +11,8 @@ Two queueing disciplines are expressible through this interface:
 * *central queue* policies (the baseline FIFS of Triton-style servers):
   ``on_arrival`` returns ``None`` when no partition is idle, parking the
   query in the server-wide FIFO; idle partitions later pull from that FIFO
-  via ``on_worker_idle``.
+  via ``on_worker_idle``.  The FIFO holds *rows*: each query's position in
+  the run's columnar store (:mod:`repro.sim.columnar`).
 * *per-partition queue* policies (ELSA): ``on_arrival`` always picks a
   partition immediately, and ``on_worker_idle`` returns ``None`` because
   every query already sits in some partition's local queue.
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
 from repro.sim.worker import LatencyFn, PartitionWorker
-from repro.workload.query import Query
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.query import Query
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,10 @@ class SchedulingContext:
             then instance id.  ELSA and the least-loaded baseline do not
             depend on this order: they break ties by instance id, then by
             list position.
-        central_queue: read-only view of the queries currently parked in the
-            server-wide FIFO (relevant to central-queue policies).  Must not
-            be mutated — the simulator shares its live queue here
-            instead of copying it per event.
+        central_queue: read-only view of the rows of the queries currently
+            parked in the server-wide FIFO, oldest first (relevant to
+            central-queue policies).  Must not be mutated — the simulator
+            shares its live queue here instead of copying it per event.
         estimator: the profiled latency oracle (model, batch, gpcs) -> seconds,
             i.e. the ``T_estimated`` lookup of Section IV-C.  On a
             mixed-architecture fleet this is the *primary* architecture's
@@ -66,7 +69,7 @@ class SchedulingContext:
 
     now: float
     workers: Sequence[PartitionWorker]
-    central_queue: Sequence[Query]
+    central_queue: Sequence[int]
     estimator: LatencyFn
     estimators: Optional[Mapping[str, LatencyFn]] = None
     changed: Optional[Sequence[PartitionWorker]] = None
@@ -103,13 +106,13 @@ class Scheduler(abc.ABC):
 
     def on_worker_idle(
         self, worker: PartitionWorker, context: SchedulingContext
-    ) -> Optional[Query]:
-        """Pick a query from the central queue for a newly idle worker.
+    ) -> Optional[int]:
+        """Pick a row from the central queue for a newly idle worker.
 
-        The returned query must be an element of ``context.central_queue``;
-        the simulator removes it from the central queue and enqueues it on
-        ``worker``.  The default implementation returns ``None`` (nothing to
-        pull), which suits per-partition-queue policies.
+        The returned row must be an element of ``context.central_queue``;
+        the simulator removes it from the central queue and enqueues its
+        query on ``worker``.  The default implementation returns ``None``
+        (nothing to pull), which suits per-partition-queue policies.
         """
         del worker, context
         return None
@@ -120,7 +123,7 @@ class Scheduler(abc.ABC):
         The simulator calls this both when a run opens and when it closes.
         One policy object serves every simulator a deployment builds, so
         state kept past the close (an index over the run's workers, say)
-        would pin the finished run's workers and their completed queries
+        would pin the finished run's workers and the columns they write
         while the next run allocates its own.
         """
 

@@ -10,24 +10,24 @@ Execution times come from the model's :class:`~repro.perf.lookup.ProfileTable`
 — the same table ELSA's estimator reads — with an optional multiplicative
 noise term to model run-to-run variance of real hardware.
 
-Runtime state lives in the simulator's columnar store
-(:class:`~repro.sim.columnar.QueryColumns`) when one is given: the worker
-writes array slots instead of :class:`~repro.workload.query.Query` attributes,
-and the objects are materialised from the columns when the run finishes (or
-eagerly, per query, when lifecycle observers need to read them mid-run).
-Without a store (standalone use) the worker writes the query objects.
+The worker holds *rows* of the run's columnar store
+(:class:`~repro.sim.columnar.QueryColumns`), never query objects: its queue
+and in-flight slot are row numbers, its timestamps go into the store's
+array slots, and the requests are read through ``columns.queries``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional
 
 import numpy as np
 
 from repro.gpu.partition import PartitionInstance
 from repro.sim.columnar import QueryColumns
-from repro.workload.query import Query
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.query import Query
 
 #: Signature of the execution-latency oracle: (model, batch, gpcs) -> seconds.
 LatencyFn = Callable[[str, int, int], float]
@@ -60,12 +60,9 @@ class PartitionWorker:
         created_at: simulation time this worker came online (0 for the
             initial partition set; the reconfiguration completion time for
             workers added by a live repartition).
-        columns: the simulator's columnar runtime-state store.  When given,
-            dispatch/start/finish timestamps are written to array slots
-            (``Query.index`` addresses the row) instead of query attributes.
-        write_through: with ``columns``, *also* write the query attributes —
-            enabled when lifecycle observers are attached, so handlers can
-            read e.g. ``query.finish_time`` the moment the event fires.
+        columns: the run's columnar store, whose rows the worker's queue
+            and in-flight slot address and whose dispatch/start/finish
+            slots it writes.
     """
 
     def __init__(
@@ -75,8 +72,8 @@ class PartitionWorker:
         noise_std: float = 0.0,
         seed: Optional[int] = None,
         created_at: float = 0.0,
-        columns: Optional[QueryColumns] = None,
-        write_through: bool = False,
+        *,
+        columns: QueryColumns,
     ) -> None:
         if noise_std < 0:
             raise ValueError("noise_std must be non-negative")
@@ -94,11 +91,14 @@ class PartitionWorker:
         self._seed = seed
         self._rng: Optional[np.random.Generator] = None
 
-        self.queue: Deque[Query] = deque()
-        self.current_query: Optional[Query] = None
+        #: Rows of the queued (dispatched, not started) queries, in order.
+        self.queue: Deque[int] = deque()
+        #: Row of the executing query (``None`` when nothing executes).
+        self.current_row: Optional[int] = None
         self.current_finish_time: Optional[float] = None
         self.busy_time = 0.0
-        self.completed: List[Query] = []
+        #: Number of queries this worker finished.
+        self.completed = 0
 
         #: Active-span bookkeeping for utilization accounting: a worker is
         #: only accountable for the window it actually existed in.
@@ -112,7 +112,7 @@ class PartitionWorker:
         self.slow_factor: float = 1.0
 
         self._columns = columns
-        self._write_objects = columns is None or write_through
+        self._queries = columns.queries
         self._current_start = 0.0
 
         #: The queued-work estimate is cached between queue mutations, so
@@ -134,21 +134,17 @@ class PartitionWorker:
     @property
     def is_idle(self) -> bool:
         """True when nothing is executing and the local queue is empty."""
-        return self.current_query is None and not self.queue
+        return self.current_row is None and not self.queue
 
     @property
     def is_executing(self) -> bool:
         """True when a query is currently executing."""
-        return self.current_query is not None
+        return self.current_row is not None
 
     @property
     def queue_depth(self) -> int:
         """Number of queries waiting in the local queue (excluding executing)."""
         return len(self.queue)
-
-    def enable_write_through(self) -> None:
-        """Mirror columnar writes onto the query objects from now on."""
-        self._write_objects = True
 
     # ------------------------------------------------------------------ #
     # execution model
@@ -174,48 +170,41 @@ class PartitionWorker:
     # ------------------------------------------------------------------ #
     # queue operations (driven by the cluster simulator)
     # ------------------------------------------------------------------ #
-    def assign(self, query: Query, now: float) -> None:
-        """Record that ``query`` was dispatched to this worker at ``now``."""
+    def assign(self, row: int, now: float) -> None:
+        """Record that the query of ``row`` was dispatched here at ``now``."""
         columns = self._columns
-        if columns is not None:
-            index = query.index
-            columns.dispatch[index] = now
-            columns.instance[index] = self.instance_id
-        if self._write_objects:
-            query.dispatch_time = now
-            query.instance_id = self.instance_id
+        columns.dispatch[row] = now
+        columns.instance[row] = self.instance_id
 
-    def enqueue(self, query: Query, now: float) -> None:
-        """Dispatch ``query`` at ``now`` into this worker's local queue."""
-        self.assign(query, now)
+    def enqueue(self, row: int, now: float) -> None:
+        """Dispatch the query of ``row`` at ``now`` into the local queue."""
+        self.assign(row, now)
         if self._qw_estimator is not None:
             # Estimate before mutating, so an estimator error cannot leave
             # the queue and its estimate cache out of sync.
+            query = self._queries[row]
             estimate = self._qw_estimator(query.model, query.batch, self.gpcs)
-            self.queue.append(query)
+            self.queue.append(row)
             self._qw_estimates.append(estimate)
             if not self._qw_dirty:
                 # Appending on the right extends the cached left-to-right
                 # sum exactly (same fold order as a fresh scan).
                 self._qw_total += estimate
         else:
-            self.queue.append(query)
+            self.queue.append(row)
 
-    def start(self, query: Query, now: float) -> float:
-        """Begin executing ``query`` at ``now``; returns its completion time.
+    def start(self, row: int, now: float) -> float:
+        """Begin executing the query of ``row`` at ``now``; returns its
+        completion time.
 
         The worker must have nothing executing.  A query dispatched to a
         worker with nothing executing and nothing queued starts here at
         once (after :meth:`assign`), without passing through the queue.
         """
-        columns = self._columns
-        if columns is not None:
-            columns.start[query.index] = now
-        if self._write_objects:
-            query.start_time = now
+        self._columns.start[row] = now
         self._current_start = now
-        duration = self.service_time(query)
-        self.current_query = query
+        duration = self.service_time(self._queries[row])
+        self.current_row = row
         finish = self.current_finish_time = now + duration
         return finish
 
@@ -226,35 +215,32 @@ class PartitionWorker:
             The completion timestamp of the started query, or ``None`` when
             nothing was started (already busy, or queue empty).
         """
-        if self.current_query is not None or not self.queue:
+        if self.current_row is not None or not self.queue:
             return None
-        query = self.queue.popleft()
+        row = self.queue.popleft()
         if self._qw_estimates:
             self._qw_estimates.popleft()
         self._qw_dirty = True
-        return self.start(query, now)
+        return self.start(row, now)
 
-    def complete_current(self, now: float) -> Query:
-        """Finish the currently executing query at time ``now``.
+    def complete_current(self, now: float) -> int:
+        """Finish the currently executing query at time ``now``; returns
+        its row.
 
         Raises:
             RuntimeError: if no query is executing.
         """
-        if self.current_query is None or self.current_finish_time is None:
+        row = self.current_row
+        if row is None or self.current_finish_time is None:
             raise RuntimeError(
                 f"worker {self.instance_id} has no executing query to complete"
             )
-        query = self.current_query
-        columns = self._columns
-        if columns is not None:
-            columns.finish[query.index] = now
-        if self._write_objects:
-            query.finish_time = now
+        self._columns.finish[row] = now
         self.busy_time += now - self._current_start
-        self.completed.append(query)
-        self.current_query = None
+        self.completed += 1
+        self.current_row = None
         self.current_finish_time = None
-        return query
+        return row
 
     # ------------------------------------------------------------------ #
     # introspection used by schedulers (ELSA's T_wait, Equation 1)
@@ -280,7 +266,8 @@ class PartitionWorker:
         if estimator is not self._qw_estimator:
             gpcs = self.gpcs
             self._qw_estimates = deque(
-                estimator(query.model, query.batch, gpcs) for query in self.queue
+                estimator(query.model, query.batch, gpcs)
+                for query in map(self._queries.__getitem__, self.queue)
             )
             self._qw_estimator = estimator
             self._qw_total = _left_fold(self._qw_estimates)
@@ -313,7 +300,7 @@ class PartitionWorker:
         remaining = finish - now
         return queued + (remaining if remaining > 0.0 else 0.0)
 
-    def abort_current(self, now: float) -> Optional[Query]:
+    def abort_current(self, now: float) -> Optional[int]:
         """Abort the in-flight query at ``now`` (the worker crashed).
 
         The partial execution still counts as busy time — the partition
@@ -322,18 +309,19 @@ class PartitionWorker:
         already-scheduled completion event.
 
         Returns:
-            The aborted query, or ``None`` when nothing was executing.
+            The aborted query's row, or ``None`` when nothing was executing.
         """
-        query = self.current_query
-        if query is None:
+        row = self.current_row
+        if row is None:
             return None
         self.busy_time += now - self._current_start
-        self.current_query = None
+        self.current_row = None
         self.current_finish_time = None
-        return query
+        return row
 
-    def drain_queue(self) -> List[Query]:
-        """Remove and return every queued (not started) query, in order.
+    def drain_queue(self) -> List[int]:
+        """Remove and return the rows of every queued (not started) query,
+        in order.
 
         Used by live reconfiguration to pull un-started work back off a
         retiring partition; keeps the queued-work cache consistent.

@@ -9,10 +9,9 @@ paper replays identical query streams against each configuration).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from operator import le
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 from repro.workload.query import Query
 
@@ -86,22 +85,16 @@ class QueryTrace:
             )
         return {batch: count / total for batch, count in hist.items()}
 
-    def fresh_copy(self) -> "QueryTrace":
-        """Deep-copy the trace with all runtime state cleared.
-
-        Use this when replaying one trace against multiple server designs so
-        each simulation starts from pristine queries.
-        """
-        return QueryTrace(tuple(query.clone_fresh() for query in self.queries))
-
     def with_sla(self, sla_target: float) -> "QueryTrace":
-        """Return a copy of the trace with every query's SLA set to ``sla_target``."""
-        if not sla_target > 0:  # NaN too: the copies are not re-validated
+        """A trace of the same requests, every query's SLA set to ``sla_target``."""
+        if not sla_target > 0:  # NaN too; checked even when the trace is empty
             raise ValueError("sla_target must be positive")
-        trace = self.fresh_copy()
-        for query in trace.queries:
-            query.sla_target = sla_target
-        return trace
+        return QueryTrace(
+            tuple(
+                Query(q.query_id, q.model, q.batch, q.arrival_time, sla_target)
+                for q in self.queries
+            )
+        )
 
 
 def merge_traces(traces: Iterable[QueryTrace]) -> QueryTrace:
@@ -111,13 +104,10 @@ def merge_traces(traces: Iterable[QueryTrace]) -> QueryTrace:
     multi-tenant experiments where several models share one server.  Merging
     no traces (or only empty ones) yields an empty trace.
     """
-    merged: List[Query] = []
-    for trace in traces:
-        merged.extend(trace.fresh_copy().queries)
-    merged.sort(key=lambda q: q.arrival_time)
-    renumbered = []
-    for idx, query in enumerate(merged):
-        clone = copy.copy(query)
-        clone.query_id = idx
-        renumbered.append(clone)
-    return QueryTrace(tuple(renumbered))
+    merged = sorted((q for trace in traces for q in trace), key=lambda q: q.arrival_time)
+    return QueryTrace(
+        tuple(
+            Query(index, q.model, q.batch, q.arrival_time, q.sla_target)
+            for index, q in enumerate(merged)
+        )
+    )

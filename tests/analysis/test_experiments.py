@@ -104,6 +104,12 @@ class TestSettingsProfiles:
         assert wider.profile("mobilenet").max_batch == 100
         assert settings.profile("mobilenet").max_batch == 64
 
+    def test_build_profiles_the_designs_max_batch(self):
+        overridden = ExperimentSettings().build("mobilenet", "paris", "elsa", max_batch=100)
+        wider = ExperimentSettings(max_batch=100).build("mobilenet", "paris", "elsa")
+        assert overridden.profiles["mobilenet"] is wider.profiles["mobilenet"]
+        assert overridden.sla_target == wider.sla_target
+
 
 class TestSlaSensitivity:
     def test_gpu7_is_searched_once_per_point(self, settings, monkeypatch):

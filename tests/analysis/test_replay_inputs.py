@@ -4,6 +4,7 @@ table per (model, sweep) and one trace for every session it replays."""
 from repro.analysis.autoscaling import iso_sla_results
 from repro.analysis.faults import fault_sweep_results
 from repro.perf.profiler import Profiler, cached_profile, clear_profile_cache
+from repro.pipeline.suites import make_context, run_experiment
 from repro.workload.generator import QueryGenerator
 from repro.workload.scenario import Scenario
 
@@ -29,3 +30,10 @@ def test_iso_sla_generates_its_scenario_once(spy):
     assert len(generated) == 1
     assert len(ranked) == 3
     assert result.simulation.statistics.total_queries == len(generated[0].result)
+
+
+def test_dynamic_scenario_generates_its_scenario_once(spy):
+    generated = spy(Scenario, "generate")
+    rows = run_experiment("dynamic_scenario", make_context("smoke", seed=0))
+    assert len(generated) == 1
+    assert sorted(row.design.split("/")[1] for row in rows) == ["control", "triggered"]

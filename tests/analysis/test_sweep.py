@@ -16,9 +16,9 @@ from repro.analysis.sweep import (
 )
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
+from repro.sim.cluster import InferenceServerSimulator
 from repro.workload.distributions import LogNormalBatchDistribution
 from repro.workload.generator import QueryGenerator, WorkloadConfig
-from repro.workload.trace import QueryTrace
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +50,12 @@ class TestMeasureDesign:
     def test_replays_its_fresh_trace_without_copying_it(
         self, deployment, workload, spy
     ):
-        copies = spy(QueryTrace, "fresh_copy")
+        runs = spy(InferenceServerSimulator, "run")
         generated = spy(QueryGenerator, "generate")
         result = measure_design(deployment, workload, rate_qps=300.0, seed=3)
-        assert copies == []
         (call,) = generated
+        (run,) = runs
+        assert run.args[1] is call.result
         stats = deployment.simulator(seed=3).run(call.result).statistics
         assert (
             result.throughput_qps,

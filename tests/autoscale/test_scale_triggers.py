@@ -32,9 +32,8 @@ def metrics_with(
         )
         metrics.on_event(QueryArrived(time, query))
         if idx < completed:
-            query.start_time = time
-            query.finish_time = time + (2.0 if idx < violated else 0.5)
-            metrics.on_event(QueryCompleted(query.finish_time, query, 0))
+            finish = time + (2.0 if idx < violated else 0.5)
+            metrics.on_event(QueryCompleted(finish, query, 0))
     return metrics
 
 

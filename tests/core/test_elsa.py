@@ -9,10 +9,11 @@ from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import LeastLoadedScheduler
 from repro.gpu.partition import GPUPartition, PartitionInstance
 from repro.perf.lookup import ProfileEntry, ProfileTable
+from repro.sim.columnar import QueryColumns
 from repro.sim.scheduler_api import SchedulingContext
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
-from tests.sim.helpers import constant_profile
+from tests.sim.helpers import constant_profile, enqueue
 
 
 LATENCIES = {1: 3.0, 3: 2.0, 7: 1.0}
@@ -27,6 +28,7 @@ def make_workers(sizes=(1, 3, 7)):
             PartitionWorker(
                 instance,
                 latency_fn=lambda model, batch, g: profile.latency(g, batch),
+                columns=QueryColumns(),
             )
         )
     return workers
@@ -68,7 +70,7 @@ class TestStepA:
         workers = make_workers()
         # Load the GPU(3) instance so its wait pushes it over the SLA.
         gpu3 = [w for w in workers if w.gpcs == 3][0]
-        gpu3.enqueue(make_query(99), 0.0)
+        enqueue(gpu3, make_query(99), 0.0)
         gpu3.start_next(0.0)
         scheduler = make_scheduler()
         chosen = scheduler.on_arrival(make_query(sla=2.5), make_context(workers))
@@ -76,7 +78,7 @@ class TestStepA:
 
     def test_balances_load_across_equal_partitions(self):
         workers = make_workers(sizes=(1, 1))
-        workers[0].enqueue(make_query(99), 0.0)
+        enqueue(workers[0], make_query(99), 0.0)
         workers[0].start_next(0.0)
         scheduler = make_scheduler()
         chosen = scheduler.on_arrival(make_query(sla=100.0), make_context(workers))
@@ -107,7 +109,7 @@ class TestStepB:
         workers = make_workers()
         gpu7 = [w for w in workers if w.gpcs == 7][0]
         for i in range(5):
-            gpu7.enqueue(make_query(100 + i), 0.0)
+            enqueue(gpu7, make_query(100 + i), 0.0)
         gpu7.start_next(0.0)
         scheduler = make_scheduler()
         # GPU(7) now has ~6 s of work; GPU(3) (2 s) completes sooner.
@@ -175,7 +177,7 @@ class TestLeanArrivalMatchesPredictions:
         workers = make_workers([size for size, _, _, _ in members])
         for worker, (_, queued, started, slow) in zip(workers, members):
             for i in range(queued):
-                worker.enqueue(make_query(100 + i), 0.0)
+                enqueue(worker, make_query(100 + i), 0.0)
             if queued and started:
                 worker.start_next(0.0)
             worker.slow_factor = slow
@@ -224,10 +226,11 @@ class TestNearTie:
             worker = PartitionWorker(
                 PartitionInstance(instance_id, GPUPartition(1)),
                 latency_fn=lambda model, batch, g: profile.latency(g, batch),
+                columns=QueryColumns(),
             )
-            worker.enqueue(make_query(10 + running, batch=running), 0.0)
+            enqueue(worker, make_query(10 + running, batch=running), 0.0)
             worker.start_next(0.0)  # finishes at exactly NEAR_TIE_LATENCY[running]
-            worker.enqueue(make_query(10 + queued, batch=queued), 0.0)
+            enqueue(worker, make_query(10 + queued, batch=queued), 0.0)
             return worker
 
         return profile, sibling(1, 1, 2), sibling(0, 3, 4)
@@ -260,7 +263,7 @@ class TestMisc:
     def test_never_returns_none(self):
         workers = make_workers()
         for worker in workers:
-            worker.enqueue(make_query(50 + worker.instance_id), 0.0)
+            enqueue(worker, make_query(50 + worker.instance_id), 0.0)
             worker.start_next(0.0)
         scheduler = make_scheduler()
         assert scheduler.on_arrival(make_query(sla=1.0), make_context(workers)) is not None

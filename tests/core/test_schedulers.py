@@ -8,16 +8,20 @@ from repro.core.schedulers import (
     RandomDispatchScheduler,
 )
 from repro.gpu.partition import GPUPartition, PartitionInstance
+from repro.sim.columnar import QueryColumns
 from repro.sim.scheduler_api import SchedulingContext
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
+from tests.sim.helpers import enqueue
 
 
 def make_workers(sizes, latency=1.0):
     workers = []
     for idx, size in enumerate(sorted(sizes)):
         instance = PartitionInstance(idx, GPUPartition(size))
-        workers.append(PartitionWorker(instance, latency_fn=lambda *a: latency))
+        workers.append(
+            PartitionWorker(instance, latency_fn=lambda *a: latency, columns=QueryColumns())
+        )
     return workers
 
 
@@ -37,7 +41,7 @@ def make_query(qid=0, batch=2):
 class TestFifsScheduler:
     def test_parks_in_central_queue_when_all_busy(self):
         workers = make_workers([1])
-        workers[0].enqueue(make_query(99), 0.0)
+        enqueue(workers[0], make_query(99), 0.0)
         workers[0].start_next(0.0)
         scheduler = FifsScheduler()
         assert scheduler.on_arrival(make_query(), make_context(workers)) is None
@@ -78,12 +82,10 @@ class TestFifsScheduler:
 
     def test_worker_idle_drains_fifo_order(self):
         workers = make_workers([1])
-        first, second = make_query(0), make_query(1)
         scheduler = FifsScheduler()
-        chosen = scheduler.on_worker_idle(
-            workers[0], make_context(workers, central=[first, second])
-        )
-        assert chosen is first
+        # the central queue holds rows, oldest first
+        chosen = scheduler.on_worker_idle(workers[0], make_context(workers, central=[5, 2]))
+        assert chosen == 5
 
     def test_worker_idle_with_empty_queue(self):
         workers = make_workers([1])
@@ -107,7 +109,7 @@ class TestFifsScheduler:
         for i in range(30):
             # instance 2 is busy (a query waits on it) on even arrivals
             if i % 2 == 0:
-                workers[2].enqueue(make_query(100 + i), 0.0)
+                enqueue(workers[2], make_query(100 + i), 0.0)
             else:
                 workers[2].drain_queue()
             assert [w.is_idle for w in workers] == [True, True, i % 2 == 1]
@@ -150,14 +152,14 @@ class TestFifsScheduler:
 class TestLeastLoadedScheduler:
     def test_picks_emptiest_queue(self):
         workers = make_workers([1, 1])
-        workers[0].enqueue(make_query(5), 0.0)
+        enqueue(workers[0], make_query(5), 0.0)
         scheduler = LeastLoadedScheduler()
         chosen = scheduler.on_arrival(make_query(), make_context(workers))
         assert chosen is workers[1]
 
     def test_never_returns_none(self):
         workers = make_workers([1])
-        workers[0].enqueue(make_query(5), 0.0)
+        enqueue(workers[0], make_query(5), 0.0)
         workers[0].start_next(0.0)
         assert LeastLoadedScheduler().on_arrival(
             make_query(), make_context(workers)

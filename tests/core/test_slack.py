@@ -4,14 +4,15 @@ import pytest
 
 from repro.core.slack import SlackEstimator
 from repro.gpu.partition import GPUPartition, PartitionInstance
+from repro.sim.columnar import QueryColumns
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
-from tests.sim.helpers import constant_profile
+from tests.sim.helpers import constant_profile, enqueue
 
 
 def make_worker(gpcs=1, latency=2.0):
     instance = PartitionInstance(0, GPUPartition(gpcs))
-    return PartitionWorker(instance, latency_fn=lambda *a: latency)
+    return PartitionWorker(instance, latency_fn=lambda *a: latency, columns=QueryColumns())
 
 
 def make_query(qid=0, batch=4):
@@ -34,9 +35,9 @@ class TestSlackEstimator:
         profile = constant_profile({1: 2.0})
         estimator = SlackEstimator(profile)
         worker = make_worker(latency=2.0)
-        worker.enqueue(make_query(0), 0.0)
+        enqueue(worker, make_query(0), 0.0)
         worker.start_next(0.0)          # runs [0, 2]
-        worker.enqueue(make_query(1), 0.0)  # queued: 2 s
+        enqueue(worker, make_query(1), 0.0)  # queued: 2 s
 
         prediction = estimator.predict(worker, batch=4, sla_target=10.0, now=0.5)
         assert prediction.wait_time == pytest.approx(1.5 + 2.0)

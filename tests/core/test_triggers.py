@@ -100,9 +100,8 @@ class TestSlaViolationTrigger:
             query = Query(
                 query_id=idx, model="toy", batch=4, arrival_time=0.1, sla_target=1.0
             )
-            query.start_time = 0.1
-            query.finish_time = 0.1 + (2.0 if idx < violated else 0.5)
-            metrics.on_event(QueryCompleted(query.finish_time, query, 0))
+            finish = 0.1 + (2.0 if idx < violated else 0.5)
+            metrics.on_event(QueryCompleted(finish, query, 0))
             metrics.on_event(QueryArrived(0.1, query))
         return metrics
 

@@ -53,6 +53,12 @@ class TestCachedProfile:
         assert default is not narrow
         assert narrow.batch_sizes(1) == [1, 8]
 
+    def test_default_params_spelled_out_share_one_key(self):
+        assert cached_profile("mobilenet") is cached_profile("mobilenet", params=params_for(A100))
+        assert cached_profile("mobilenet", architecture=H100) is cached_profile(
+            "mobilenet", architecture=H100, params=params_for(H100)
+        )
+
     def test_sweep_spellings_share_one_key(self):
         default = cached_profile("mobilenet")
         spellings = (

@@ -129,6 +129,7 @@ class TestExtrapolationFloor:
 
     def test_worker_service_time_no_longer_crashes(self):
         from repro.gpu.partition import GPUPartition, PartitionInstance
+        from repro.sim.columnar import QueryColumns
         from repro.sim.worker import PartitionWorker
         from repro.workload.query import Query
 
@@ -136,6 +137,7 @@ class TestExtrapolationFloor:
         worker = PartitionWorker(
             PartitionInstance(0, GPUPartition(7)),
             latency_fn=lambda model, batch, gpcs: table.latency(gpcs, batch),
+            columns=QueryColumns(),
         )
         query = Query(query_id=0, model="negative-slope", batch=16, arrival_time=0.0)
         assert worker.service_time(query) > 0.0

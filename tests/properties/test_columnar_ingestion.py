@@ -5,8 +5,7 @@ registration.
 batch, and ``submit()`` registers a single query through the same routine.
 The reference below appends one query at a time, column by column, as the
 store did before batch ingestion; both must give byte-equal column buffers
-and the same ``Query.index`` values, into an empty store and after earlier
-registrations.
+and the same rows, into an empty store and after earlier registrations.
 """
 
 from array import array
@@ -57,7 +56,6 @@ def assert_matches_reference(store, queries):
     for name in COLUMNS:
         assert getattr(store, name).tobytes() == reference[name].tobytes(), name
     assert store.queries == queries
-    assert [query.index for query in queries] == list(range(len(queries)))
 
 
 query_fields = st.tuples(
@@ -118,7 +116,7 @@ def test_submit_trace_registers_like_per_query_submits(batch, mid_run):
     reference = reference_columns(later)
     for name in COLUMNS:
         assert getattr(store, name).tobytes() == before[name] + reference[name].tobytes()
-    assert [query.index for query in later] == list(range(len(first), len(first) + len(later)))
+    assert store.queries[len(first):] == later
     result = simulator.finish()
     assert result.statistics.completed_queries == len(first) + len(later)
 
@@ -152,7 +150,6 @@ def test_past_arrival_raises_before_any_state_changes():
     assert simulator.pending_events == 0
     assert simulator._events._sequence == sequence
     assert {name: getattr(store, name).tobytes() for name in COLUMNS} == before
-    assert [query.index for query in late] == [None, None]
 
 
 def test_a_batch_that_does_not_fit_raises_before_any_column_grows():
@@ -165,4 +162,3 @@ def test_a_batch_that_does_not_fit_raises_before_any_column_grows():
         store.extend([good, bad])
     assert {name: getattr(store, name).tobytes() for name in COLUMNS} == before
     assert store.queries == first
-    assert good.index is None

@@ -118,7 +118,7 @@ def test_indexed_pick_matches_full_scan_at_every_arrival(
     crash_at, slow_at, restore_at, fast_at, reconfigure_at = sorted(m * horizon for m in marks)
 
     simulator.begin()
-    simulator.submit_trace(trace.fresh_copy())
+    simulator.submit_trace(trace)
     simulator.run_until(crash_at)
     crashed = simulator.workers[victims[0] % len(simulator.workers)].instance_id
     simulator.crash_worker(crashed, RetryPolicy(max_retries=2, backoff=0.001))

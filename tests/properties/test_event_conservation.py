@@ -94,7 +94,7 @@ def test_conservation_across_mid_run_reconfiguration(
         observers=[log],
     )
     simulator.begin()
-    simulator.submit_trace(make_trace(arrivals).fresh_copy())
+    simulator.submit_trace(make_trace(arrivals))
     simulator.run_until(cut)
     simulator.reconfigure(make_instances(new_sizes), reconfig_cost=cost)
     result = simulator.finish()

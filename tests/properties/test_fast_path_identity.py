@@ -112,7 +112,7 @@ def test_windowed_metrics_columnar_counts_match_event_driven(spec):
     columnar, log = WindowedMetrics(window=0.5), EventLog()
     simulator.add_observer(columnar)
     simulator.add_observer(log)
-    simulator.run(trace.fresh_copy())
+    simulator.run(trace)
     event_driven = WindowedMetrics(window=0.5)
     for event in log.events:
         event_driven.on_event(event)

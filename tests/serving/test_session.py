@@ -7,6 +7,7 @@ from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
 from repro.serving.service import InferenceService
 from repro.serving.session import ServingSession
+from repro.sim.cluster import InferenceServerSimulator
 from repro.sim.hooks import EventLog, QueryCompleted
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.scenario import Phase, Scenario
@@ -97,10 +98,8 @@ class TestOneShotFacade:
         # reproduce the seed path by hand: same trace, same SLA attachment,
         # same simulator — byte-for-byte equal summaries expected
         deployment = service.deployment
-        trace = QueryGenerator(workload).generate().fresh_copy()
-        for query in trace:
-            if query.sla_target is None:
-                query.sla_target = deployment.sla_target_for(query.model)
+        trace = QueryGenerator(workload).generate()
+        trace = trace.with_sla(deployment.sla_target_for(workload.model))
         direct = deployment.simulator(seed=7).run(trace)
 
         assert result.simulation.statistics == direct.statistics
@@ -164,6 +163,31 @@ class TestSessionRuns:
         assert sum(w.completions for w in result.windows) == total
         assert result.reconfigurations == ()
         assert session.windows() == result.windows
+
+    def test_explicit_pdf_is_the_plan_over_a_given_deployment(self, deployment):
+        # The drift trigger compares against the planned PDF: over a given
+        # deployment it is the explicit one, not the trace's empirical PDF.
+        pdf = {1: 0.25, 8: 0.75}
+        trace = QueryGenerator(
+            WorkloadConfig(model="mobilenet", rate_qps=100.0, num_queries=50, seed=2)
+        ).generate()
+        session = ServingSession.from_deployment(
+            deployment, batch_pdf=pdf, triggers=["pdf-drift"], window=1.0
+        )
+        session.begin(trace)
+        assert session.planned_pdf == pdf
+        session.abort()
+
+    def test_sla_stamped_trace_passes_through_unchanged(self, deployment, spy):
+        trace = QueryGenerator(
+            WorkloadConfig(
+                model="mobilenet", rate_qps=100.0, num_queries=30, seed=3, sla_target=0.05
+            )
+        ).generate()
+        submitted = spy(InferenceServerSimulator, "submit_trace")
+        ServingSession.from_deployment(deployment, window=None).run(trace)
+        (call,) = submitted
+        assert call.args[1] is trace
 
     def test_unknown_model_in_trace_rejected(self, deployment):
         session = ServingSession.from_deployment(deployment)

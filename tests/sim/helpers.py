@@ -87,3 +87,13 @@ def make_trace(specs, sla=None) -> QueryTrace:
         for idx, (arrival, batch) in enumerate(specs)
     )
     return QueryTrace(queries)
+
+
+def enqueue(worker, query: Query, now: float) -> int:
+    """Register ``query`` as the next row of ``worker``'s store and dispatch
+    that row to ``worker`` at ``now``; returns the row."""
+    columns = worker._columns
+    columns.extend((query,))
+    row = len(columns) - 1
+    worker.enqueue(row, now)
+    return row

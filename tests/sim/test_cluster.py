@@ -87,9 +87,10 @@ class TestFifsBehaviour:
 class TestReplayIsolation:
     def test_trace_is_not_mutated(self):
         simulator = make_simulator()
-        trace = make_trace([(0.0, 1), (1.0, 2)])
+        spec = [(0.0, 1), (1.0, 2)]
+        trace = make_trace(spec)
         simulator.run(trace)
-        assert all(not q.completed for q in trace)
+        assert trace == make_trace(spec)
 
     def test_same_trace_reusable_across_runs(self):
         simulator = make_simulator()
@@ -106,7 +107,7 @@ class TestSchedulerLifetime:
     def test_no_scheduler_state_outlives_the_run(self, policy):
         # One scheduler object serves every simulator a deployment builds;
         # an index it kept past finish() would pin the run's workers (and
-        # their completed queries) while the next run allocates its own.
+        # the columns they write) while the next run allocates its own.
         deployment = ExperimentSettings().build("mobilenet", "paris", policy)
         trace = QueryGenerator(
             WorkloadConfig(
@@ -119,7 +120,7 @@ class TestSchedulerLifetime:
         ).generate()
         simulator = deployment.simulator()
         simulator.begin()
-        simulator.submit_trace(trace.fresh_copy())
+        simulator.submit_trace(trace)
         worker = weakref.ref(simulator.workers[0])
         result = simulator.finish()
         assert result.statistics.completed_queries == 200

@@ -7,6 +7,8 @@ the same execution noise and leave the same queued-work total, while
 looking the query's latency up once instead of twice.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,15 +26,24 @@ NOISE = 0.3
 
 
 class DispatchRecorder(SimulationObserver):
-    """Records what a query looks like when its dispatch is announced."""
+    """Records a query's row of the run when its dispatch is announced (the
+    traces here number their queries by row)."""
 
     def __init__(self):
+        self.simulator = None
         self.views = []
 
     def on_query_dispatched(self, event):
-        query = event.query
+        columns = self.simulator._columns
+        row = event.query.query_id
         self.views.append(
-            (event.time, query.dispatch_time, query.start_time, query.instance_id, event.instance_id)
+            (
+                event.time,
+                columns.dispatch[row],
+                columns.start[row],
+                columns.instance[row],
+                event.instance_id,
+            )
         )
 
 
@@ -45,7 +56,6 @@ def make_worker(columns):
         noise_std=NOISE,
         seed=11,
         columns=columns,
-        write_through=True,
     )
 
 
@@ -55,23 +65,22 @@ def test_direct_start_matches_enqueue_then_start_next():
     for worker in (direct, queued):
         worker.queued_work(worker.latency_fn)  # cache on, as under ELSA
     now = 0.0
-    for qid in range(20):
-        batch = 1 + qid % 8
-        first = Query(qid, MODEL, batch, now)
-        second = Query(qid, MODEL, batch, now)
-        direct_columns.extend((first,))
-        queued_columns.extend((second,))
+    for row in range(20):
+        query = Query(row, MODEL, 1 + row % 8, now)
+        direct_columns.extend((query,))
+        queued_columns.extend((query,))
 
-        direct.assign(first, now)
-        queued.enqueue(second, now)
-        for query in (first, second):
-            assert (query.dispatch_time, query.start_time, query.instance_id) == (now, None, 0)
+        direct.assign(row, now)
+        queued.enqueue(row, now)
+        for columns in (direct_columns, queued_columns):
+            assert (columns.dispatch[row], columns.instance[row]) == (now, 0)
+            assert math.isnan(columns.start[row])
 
-        finish = direct.start(first, now)
+        finish = direct.start(row, now)
         assert finish == queued.start_next(now)  # the same noise draw
         assert direct.queued_work(direct.latency_fn) == queued.queued_work(queued.latency_fn)
         assert direct.queued_work(direct.latency_fn) == 0.0
-        assert first.start_time == second.start_time == now
+        assert direct_columns.start[row] == queued_columns.start[row] == now
         direct.complete_current(finish)
         queued.complete_current(finish)
         now = finish
@@ -80,7 +89,7 @@ def test_direct_start_matches_enqueue_then_start_next():
 
 
 def test_noise_stream_is_the_seeded_generator_stream():
-    worker = make_worker(None)
+    worker = make_worker(QueryColumns())
     query = Query(0, MODEL, 2, 0.0)
     reference = np.random.default_rng(11)
     base = worker.latency_fn(MODEL, 2, 7)
@@ -104,13 +113,14 @@ def test_observers_see_direct_starts_dispatched_but_not_started():
     recorder = DispatchRecorder()
     profile = constant_profile({1: 3.0, 2: 2.0, 7: 1.0})
     simulator = make_simulator(ElsaScheduler(profile), noise=NOISE, observers=[recorder])
+    recorder.simulator = simulator
     # sparse arrivals: every dispatch finds an idle worker
     trace = make_trace([(10.0 * i, 1) for i in range(12)], sla=5.0)
     result = simulator.run(trace)
     assert len(recorder.views) == 12
     for time, dispatch, start, instance, announced in recorder.views:
         assert dispatch == time
-        assert start is None
+        assert math.isnan(start)
         assert instance == announced
     assert all(q.start_time == q.dispatch_time for q in result.queries)
 

@@ -283,7 +283,7 @@ def test_replay_stopped_by_run_until_resumes_into_the_one_shot_result(
     expected = replay_record(one_shot, one_shot.run(trace))
     chunked = simulator()
     chunked.begin()
-    chunked.submit_trace(trace.fresh_copy())
+    chunked.submit_trace(trace)
     for stop in sorted(stops):
         chunked.run_until(stop)
     assert replay_record(chunked, chunked.finish()) == expected

@@ -15,11 +15,9 @@ from repro.sim.hooks import (
     ReconfigStarted,
     SimulationObserver,
     SlaViolated,
-    StatisticsCollector,
     WindowedMetrics,
     WorkerIdle,
 )
-from repro.sim.metrics import latency_statistics
 from tests.sim.helpers import (
     MODEL,
     constant_profile,
@@ -99,18 +97,6 @@ class TestEventEmission:
         assert plain.per_instance_queries == hooked.per_instance_queries
 
 
-class TestStatisticsCollector:
-    def test_matches_batch_digestion(self):
-        collector = StatisticsCollector()
-        simulator = make_simulator(observers=[collector])
-        trace = make_trace([(0.0, 1), (0.1, 2), (0.4, 8), (2.0, 4)], sla=1.5)
-        result = simulator.run(trace)
-        incremental = collector.latency_statistics()
-        assert incremental == latency_statistics(result.queries)
-        assert collector.arrived == len(result.queries)
-        assert collector.completed == result.statistics.completed_queries
-
-
 class TestWindowedMetrics:
     def test_incremental_series(self):
         windowed = WindowedMetrics(window=1.0)
@@ -180,7 +166,7 @@ class TestStreamingSurface:
         one_shot = make_simulator().run(trace)
 
         simulator = make_simulator()
-        replay = trace.fresh_copy()
+        replay = trace
         simulator.begin()
         simulator.submit_trace(replay)
         simulator.run_until(None)
@@ -190,7 +176,7 @@ class TestStreamingSurface:
     def test_run_until_pauses_time(self):
         simulator = make_simulator(sizes=(7,), latencies={7: 1.0})
         simulator.begin()
-        simulator.submit_trace(make_trace([(0.0, 1), (5.0, 1)]).fresh_copy())
+        simulator.submit_trace(make_trace([(0.0, 1), (5.0, 1)]))
         now = simulator.run_until(2.0)
         assert now == pytest.approx(1.0)  # completion of the first query
         assert simulator.pending_events == 1
@@ -215,16 +201,16 @@ class TestStreamingSurface:
     def test_submit_in_past_rejected(self):
         simulator = make_simulator(sizes=(7,), latencies={7: 1.0})
         simulator.begin()
-        simulator.submit_trace(make_trace([(0.0, 1)]).fresh_copy())
+        simulator.submit_trace(make_trace([(0.0, 1)]))
         simulator.run_until(None)
-        late = make_trace([(0.5, 1)]).fresh_copy()[0]
+        late = make_trace([(0.5, 1)])[0]
         with pytest.raises(ValueError):
             simulator.submit(late)
 
     def test_snapshot_statistics_mid_run(self):
         simulator = make_simulator(sizes=(7,), latencies={7: 1.0})
         simulator.begin()
-        simulator.submit_trace(make_trace([(0.0, 1), (4.0, 1)]).fresh_copy())
+        simulator.submit_trace(make_trace([(0.0, 1), (4.0, 1)]))
         simulator.run_until(2.0)
         snapshot = simulator.snapshot_statistics()
         assert snapshot.completed_queries == 1
@@ -249,7 +235,7 @@ class TestLiveReconfiguration:
         # q0 executes at t=0 (finishes t=2); q1 queues behind it on the same
         # worker under least-loaded-free FIFS? FIFS parks it centrally.
         simulator.submit_trace(
-            make_trace([(0.0, 1), (0.1, 1), (6.0, 1)]).fresh_copy()
+            make_trace([(0.0, 1), (0.1, 1), (6.0, 1)])
         )
         simulator.run_until(0.5)
         # the event-driven clock sits on the last processed event (t=0.1)
@@ -277,7 +263,7 @@ class TestLiveReconfiguration:
     def test_arrivals_during_downtime_are_buffered(self):
         simulator = self._open(sizes=(1,))
         simulator.submit_trace(
-            make_trace([(0.0, 1), (2.5, 1), (3.0, 1)]).fresh_copy()
+            make_trace([(0.0, 1), (2.5, 1), (3.0, 1)])
         )
         simulator.run_until(2.0)  # q0 done at t=2
         online_at = simulator.reconfigure(make_instances([7]), reconfig_cost=2.0)
@@ -292,7 +278,7 @@ class TestLiveReconfiguration:
 
     def test_instance_ids_never_collide_across_generations(self):
         simulator = self._open(sizes=(1, 1))
-        simulator.submit_trace(make_trace([(0.0, 1), (0.1, 1)]).fresh_copy())
+        simulator.submit_trace(make_trace([(0.0, 1), (0.1, 1)]))
         simulator.run_until(0.5)
         simulator.reconfigure(make_instances([1, 1]), reconfig_cost=0.0)
         result = simulator.finish()
@@ -312,7 +298,7 @@ class TestLiveReconfiguration:
         trace = make_trace(
             [(0.0, 4), (0.05, 8), (0.1, 2), (2.0, 8), (2.1, 1)], sla=5.0
         )
-        simulator.submit_trace(trace.fresh_copy())
+        simulator.submit_trace(trace)
         simulator.run_until(0.2)
         simulator.reconfigure(make_instances([7, 7]), reconfig_cost=0.5)
         result = simulator.finish()
@@ -333,7 +319,7 @@ class TestLiveReconfiguration:
 
     def test_zero_cost_reconfig_still_drains(self):
         simulator = self._open(sizes=(1,))
-        simulator.submit_trace(make_trace([(0.0, 1), (0.1, 1)]).fresh_copy())
+        simulator.submit_trace(make_trace([(0.0, 1), (0.1, 1)]))
         simulator.run_until(0.2)
         online_at = simulator.reconfigure(make_instances([1]), reconfig_cost=0.0)
         assert online_at == pytest.approx(2.0)  # in-flight query drains first
@@ -402,13 +388,11 @@ class TestColumnarWindowedMetrics:
         # nothing processed yet: even the t=0 arrival has not fired
         assert windowed.series() == []
 
-    def test_mid_run_observer_sees_materialised_runtime_state(self):
-        """Attaching an event-driven observer mid-run flips the columnar
-        workers to write-through AND back-fills already-recorded state, so
-        its statistics match those of the finished result exactly."""
+    def test_mid_run_observer_reads_run_state_from_events(self):
+        """An observer attached mid-run reads each completion's finish time
+        from its event: the latencies it derives are the records' own."""
         from repro.core.schedulers import FifsScheduler
         from repro.sim.cluster import InferenceServerSimulator
-        from repro.sim.hooks import StatisticsCollector
         from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
 
         simulator = InferenceServerSimulator(
@@ -419,9 +403,11 @@ class TestColumnarWindowedMetrics:
         simulator.begin()
         simulator.submit_trace(make_trace([(0.0, 1), (0.2, 2), (0.4, 4)], sla=2.0))
         simulator.run_until(0.25)
-        collector = StatisticsCollector()
-        simulator.add_observer(collector)
-        simulator.run_until(None)
+        log = EventLog()
+        simulator.add_observer(log)
         result = simulator.finish()
-        assert collector.completed == result.statistics.completed_queries == 3
-        assert collector.latency_statistics() == result.statistics.latency
+        seen = {
+            event.query.query_id: event.time - event.query.arrival_time
+            for event in log.of_type(QueryCompleted)
+        }
+        assert seen == {q.query_id: q.latency for q in result.queries}

@@ -9,15 +9,14 @@ from repro.sim.metrics import (
     latency_statistics,
     utilization_statistics,
 )
+from repro.sim.columnar import QueryColumns, QueryRecord
 from repro.sim.worker import PartitionWorker
-from repro.workload.query import Query
 
 
 def completed_query(qid, latency, sla=None, arrival=0.0):
-    query = Query(qid, "toy", 1, arrival, sla_target=sla)
-    query.start_time = arrival
-    query.finish_time = arrival + latency
-    return query
+    return QueryRecord(
+        qid, "toy", 1, arrival, sla, start_time=arrival, finish_time=arrival + latency
+    )
 
 
 class TestLatencyStatistics:
@@ -37,7 +36,7 @@ class TestLatencyStatistics:
 
     def test_uncompleted_queries_ignored(self):
         done = completed_query(0, 1.0)
-        pending = Query(1, "toy", 1, 0.0)
+        pending = QueryRecord(1, "toy", 1, 0.0)
         stats = latency_statistics([done, pending])
         assert stats.count == 1
 
@@ -55,7 +54,7 @@ class TestLatencyStatistics:
 class TestUtilizationStatistics:
     def make_worker(self, instance_id, gpcs, busy):
         instance = PartitionInstance(instance_id, GPUPartition(gpcs))
-        worker = PartitionWorker(instance, latency_fn=lambda *a: 1.0)
+        worker = PartitionWorker(instance, latency_fn=lambda *a: 1.0, columns=QueryColumns())
         worker.busy_time = busy
         return worker
 
@@ -108,7 +107,7 @@ class TestComputeStatistics:
     def test_combined_record(self):
         queries = [completed_query(i, latency=1.0, arrival=float(i)) for i in range(10)]
         instance = PartitionInstance(0, GPUPartition(7))
-        worker = PartitionWorker(instance, latency_fn=lambda *a: 1.0)
+        worker = PartitionWorker(instance, latency_fn=lambda *a: 1.0, columns=QueryColumns())
         worker.busy_time = 10.0
         stats = compute_statistics(queries, [worker], makespan=20.0, offered_load_qps=2.0)
         assert stats.completed_queries == 10

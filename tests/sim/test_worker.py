@@ -3,14 +3,20 @@
 import pytest
 
 from repro.gpu.partition import GPUPartition, PartitionInstance
+from repro.sim.columnar import QueryColumns
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
+from tests.sim.helpers import enqueue
 
 
 def make_worker(gpcs=1, latency=2.0, noise=0.0):
     instance = PartitionInstance(0, GPUPartition(gpcs))
     return PartitionWorker(
-        instance, latency_fn=lambda model, batch, g: latency, noise_std=noise, seed=1
+        instance,
+        latency_fn=lambda model, batch, g: latency,
+        noise_std=noise,
+        seed=1,
+        columns=QueryColumns(),
     )
 
 
@@ -27,26 +33,27 @@ class TestLifecycle:
 
     def test_enqueue_start_complete_cycle(self):
         worker = make_worker(latency=2.0)
-        query = make_query()
-        worker.enqueue(query, now=1.0)
-        assert query.dispatch_time == 1.0
-        assert query.instance_id == worker.instance_id
+        columns = worker._columns
+        row = enqueue(worker, make_query(), now=1.0)
+        assert columns.dispatch[row] == 1.0
+        assert columns.instance[row] == worker.instance_id
 
         finish = worker.start_next(now=1.0)
         assert finish == pytest.approx(3.0)
         assert worker.is_executing
+        assert columns.start[row] == 1.0
 
         done = worker.complete_current(now=3.0)
-        assert done is query
-        assert query.finish_time == 3.0
+        assert done == row
+        assert columns.finish[row] == 3.0
         assert worker.busy_time == pytest.approx(2.0)
         assert worker.is_idle
-        assert worker.completed == [query]
+        assert worker.completed == 1
 
     def test_start_next_when_busy_returns_none(self):
         worker = make_worker()
-        worker.enqueue(make_query(0), 0.0)
-        worker.enqueue(make_query(1), 0.0)
+        enqueue(worker, make_query(0), 0.0)
+        enqueue(worker, make_query(1), 0.0)
         worker.start_next(0.0)
         assert worker.start_next(0.0) is None
         assert worker.queue_depth == 1
@@ -57,7 +64,7 @@ class TestLifecycle:
 
     def test_utilization_fraction(self):
         worker = make_worker(latency=1.0)
-        worker.enqueue(make_query(), 0.0)
+        enqueue(worker, make_query(), 0.0)
         worker.start_next(0.0)
         worker.complete_current(1.0)
         assert worker.utilization(4.0) == pytest.approx(0.25)
@@ -67,17 +74,17 @@ class TestLifecycle:
 class TestEstimation:
     def test_remaining_execution_time(self):
         worker = make_worker(latency=4.0)
-        worker.enqueue(make_query(), 0.0)
+        enqueue(worker, make_query(), 0.0)
         worker.start_next(0.0)
         assert worker.remaining_execution_time(1.0) == pytest.approx(3.0)
         assert worker.remaining_execution_time(10.0) == 0.0
 
     def test_estimated_wait_combines_queue_and_remaining(self):
         worker = make_worker(latency=4.0)
-        worker.enqueue(make_query(0), 0.0)
+        enqueue(worker, make_query(0), 0.0)
         worker.start_next(0.0)
-        worker.enqueue(make_query(1), 0.0)
-        worker.enqueue(make_query(2), 0.0)
+        enqueue(worker, make_query(1), 0.0)
+        enqueue(worker, make_query(2), 0.0)
         estimator = lambda model, batch, gpcs: 4.0
         assert worker.estimated_wait(1.0, estimator) == pytest.approx(3.0 + 8.0)
 
@@ -99,14 +106,16 @@ class TestServiceTime:
 
     def test_nonpositive_latency_from_oracle_rejected(self):
         instance = PartitionInstance(0, GPUPartition(1))
-        worker = PartitionWorker(instance, latency_fn=lambda *a: 0.0)
+        worker = PartitionWorker(instance, latency_fn=lambda *a: 0.0, columns=QueryColumns())
         with pytest.raises(ValueError):
             worker.service_time(make_query())
 
     def test_negative_noise_rejected(self):
         instance = PartitionInstance(0, GPUPartition(1))
         with pytest.raises(ValueError):
-            PartitionWorker(instance, latency_fn=lambda *a: 1.0, noise_std=-0.1)
+            PartitionWorker(
+                instance, latency_fn=lambda *a: 1.0, noise_std=-0.1, columns=QueryColumns()
+            )
 
 
 class CountingEstimator:
@@ -123,15 +132,17 @@ class CountingEstimator:
 
 class TestQueuedWorkCache:
     def uncached_sum(self, worker, estimator):
+        queries = worker._columns.queries
         return sum(
-            estimator(q.model, q.batch, worker.gpcs) for q in worker.queue
+            estimator(queries[row].model, queries[row].batch, worker.gpcs)
+            for row in worker.queue
         )
 
     def test_cached_value_matches_uncached_scan(self):
         worker = make_worker()
         estimator = CountingEstimator()
         for i in range(5):
-            worker.enqueue(make_query(i, batch=i + 1), 0.0)
+            enqueue(worker, make_query(i, batch=i + 1), 0.0)
         assert worker.queued_work(estimator) == self.uncached_sum(
             worker, CountingEstimator()
         )
@@ -143,7 +154,7 @@ class TestQueuedWorkCache:
     def test_repeat_polls_do_not_rescan(self):
         worker = make_worker()
         for i in range(4):
-            worker.enqueue(make_query(i), 0.0)
+            enqueue(worker, make_query(i), 0.0)
         estimator = CountingEstimator()
         first = worker.queued_work(estimator)
         calls_after_first = estimator.calls
@@ -153,17 +164,17 @@ class TestQueuedWorkCache:
     def test_enqueue_extends_cache_without_rescan(self):
         worker = make_worker()
         estimator = CountingEstimator()
-        worker.enqueue(make_query(0, batch=2), 0.0)
+        enqueue(worker, make_query(0, batch=2), 0.0)
         worker.queued_work(estimator)
         calls_before = estimator.calls
-        worker.enqueue(make_query(1, batch=4), 0.0)
+        enqueue(worker, make_query(1, batch=4), 0.0)
         assert worker.queued_work(estimator) == pytest.approx(3.0)
         # only the newly enqueued query was estimated
         assert estimator.calls == calls_before + 1
 
     def test_different_estimator_triggers_recompute(self):
         worker = make_worker()
-        worker.enqueue(make_query(0, batch=2), 0.0)
+        enqueue(worker, make_query(0, batch=2), 0.0)
         fast = CountingEstimator(per_batch=0.5)
         slow = CountingEstimator(per_batch=2.0)
         assert worker.queued_work(fast) == pytest.approx(1.0)
@@ -182,16 +193,16 @@ class TestQueuedWorkCache:
         folded = ((0.0 + 1.0) + 1e-16) + 1e-16
         rebuilt = make_worker()
         for qid, batch in enumerate((1, 2, 3)):
-            rebuilt.enqueue(make_query(qid, batch=batch), 0.0)
+            enqueue(rebuilt, make_query(qid, batch=batch), 0.0)
         assert rebuilt.queued_work(oracle) == folded  # fresh estimator
         extended = make_worker()
         extended.queued_work(oracle)
         for qid, batch in enumerate((1, 2, 3)):
-            extended.enqueue(make_query(qid, batch=batch), 0.0)
+            enqueue(extended, make_query(qid, batch=batch), 0.0)
         assert extended.queued_work(oracle) == folded  # extended by +=
         popped = make_worker()
         for qid, batch in enumerate((4, 1, 2, 3)):
-            popped.enqueue(make_query(qid, batch=batch), 0.0)
+            enqueue(popped, make_query(qid, batch=batch), 0.0)
         popped.queued_work(oracle)
         popped.start_next(0.0)
         assert popped.queued_work(oracle) == folded  # refolded after a pop
@@ -204,11 +215,9 @@ class TestQueuedWorkCache:
     def test_drain_queue_returns_and_clears(self):
         worker = make_worker()
         estimator = CountingEstimator()
-        queries = [make_query(i) for i in range(3)]
-        for query in queries:
-            worker.enqueue(query, 0.0)
+        rows = [enqueue(worker, make_query(i), 0.0) for i in range(3)]
         worker.queued_work(estimator)
-        assert worker.drain_queue() == queries
+        assert worker.drain_queue() == rows
         assert worker.queue_depth == 0
         assert worker.queued_work(estimator) == 0.0
 
@@ -225,7 +234,9 @@ class TestActiveSpan:
 
     def test_late_created_worker_span_starts_at_creation(self):
         instance = PartitionInstance(0, GPUPartition(1))
-        worker = PartitionWorker(instance, latency_fn=lambda *a: 1.0, created_at=6.0)
+        worker = PartitionWorker(
+            instance, latency_fn=lambda *a: 1.0, created_at=6.0, columns=QueryColumns()
+        )
         assert worker.active_span(10.0) == pytest.approx(4.0)
 
     def test_span_clamped_to_makespan(self):

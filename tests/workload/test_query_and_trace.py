@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.columnar import QueryRecord
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace, merge_traces
 
@@ -12,6 +13,13 @@ INF = float("inf")
 def make_query(qid=0, batch=4, arrival=0.0, sla=None):
     return Query(
         query_id=qid, model="resnet", batch=batch, arrival_time=arrival, sla_target=sla
+    )
+
+
+def make_record(arrival=0.0, sla=None, start=None, finish=None):
+    """A run's record of one query (the outcome properties live there)."""
+    return QueryRecord(
+        0, "resnet", 4, arrival, sla, dispatch_time=start, start_time=start, finish_time=finish
     )
 
 
@@ -40,45 +48,31 @@ class TestQuery:
         assert make_query(arrival=0.0, sla=5e-324).sla_target == 5e-324
         assert make_query(arrival=1e308).arrival_time == 1e308
         assert make_query(sla=INF).sla_target == INF
-        assert make_query().clone_fresh() == make_query()
+        assert make_query() == make_query()
+
+    def test_holds_the_request_alone(self):
+        assert Query.__slots__ == ("query_id", "model", "batch", "arrival_time", "sla_target")
+        with pytest.raises(AttributeError):
+            make_query().finish_time = 1.0
 
     def test_latency_requires_completion(self):
-        query = make_query()
-        assert not query.completed
+        record = make_record()
+        assert not record.completed
         with pytest.raises(ValueError):
-            _ = query.latency
+            _ = record.latency
 
     def test_timing_properties(self):
-        query = make_query(arrival=1.0)
-        query.dispatch_time = 1.0
-        query.start_time = 1.5
-        query.finish_time = 2.5
-        assert query.latency == pytest.approx(1.5)
-        assert query.queueing_delay == pytest.approx(0.5)
-        assert query.service_time == pytest.approx(1.0)
+        record = make_record(arrival=1.0, start=1.5, finish=2.5)
+        assert record.latency == pytest.approx(1.5)
+        assert record.queueing_delay == pytest.approx(0.5)
+        assert record.service_time == pytest.approx(1.0)
 
     def test_sla_violation_detection(self):
-        query = make_query(arrival=0.0, sla=1.0)
-        query.start_time = 0.0
-        query.finish_time = 2.0
-        assert query.sla_violated
-        query.finish_time = 0.5
-        assert not query.sla_violated
+        assert make_record(sla=1.0, start=0.0, finish=2.0).sla_violated
+        assert not make_record(sla=1.0, start=0.0, finish=0.5).sla_violated
 
     def test_no_sla_never_violates(self):
-        query = make_query()
-        query.start_time = 0.0
-        query.finish_time = 100.0
-        assert not query.sla_violated
-
-    def test_reset_runtime_state(self):
-        query = make_query()
-        query.start_time = 1.0
-        query.finish_time = 2.0
-        query.instance_id = 3
-        query.reset_runtime_state()
-        assert not query.completed
-        assert query.instance_id is None
+        assert not make_record(start=0.0, finish=100.0).sla_violated
 
 
 class TestQueryTrace:
@@ -97,21 +91,16 @@ class TestQueryTrace:
         assert trace.batch_histogram() == {2: 11}
         assert trace.batch_pdf() == {2: 1.0}
 
-    def test_fresh_copy_clears_runtime_state(self):
-        query = make_query()
-        query.finish_time = 5.0
-        trace = QueryTrace((query,))
-        copy = trace.fresh_copy()
-        assert not copy[0].completed
-        assert trace[0].finish_time == 5.0  # original untouched
-
     def test_with_sla_sets_every_query(self):
         trace = QueryTrace(tuple(make_query(i, arrival=float(i)) for i in range(3)))
         with_sla = trace.with_sla(0.5)
         assert all(q.sla_target == 0.5 for q in with_sla)
+        assert all(q.sla_target is None for q in trace)  # new queries
         for bad in (0.0, NAN):
             with pytest.raises(ValueError):
                 trace.with_sla(bad)
+            with pytest.raises(ValueError):
+                QueryTrace(()).with_sla(bad)
 
     def test_merge_traces_sorts_and_renumbers(self):
         a = QueryTrace((make_query(0, arrival=0.0), make_query(1, arrival=2.0)))
@@ -119,6 +108,7 @@ class TestQueryTrace:
         merged = merge_traces([a, b])
         assert [q.arrival_time for q in merged] == [0.0, 1.0, 2.0]
         assert [q.query_id for q in merged] == [0, 1, 2]
+        assert [q.query_id for q in (*a, *b)] == [0, 1, 0]  # inputs untouched
 
     def test_empty_trace_statistics(self):
         trace = QueryTrace(())
@@ -165,6 +155,3 @@ class TestDegenerateTraces:
         merged = merge_traces([QueryTrace(()), a])
         assert [q.arrival_time for q in merged] == [0.0]
         assert merged.batch_pdf() == {4: 1.0}
-
-    def test_fresh_copy_of_empty_trace(self):
-        assert len(QueryTrace(()).fresh_copy()) == 0

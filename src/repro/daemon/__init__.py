@@ -1,7 +1,7 @@
 """The async serving daemon: a multi-tenant job API over one shared fleet.
 
 This package promotes :class:`~repro.serving.session.ServingSession` from a
-library object into a long-lived service (ROADMAP item 4):
+library object into a long-lived service:
 
 * :mod:`repro.daemon.tenants` — quota accounting over one shared
   :class:`~repro.gpu.fleet.Fleet` (:class:`FleetPool` / :class:`QuotaGrant`)

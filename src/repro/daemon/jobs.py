@@ -37,6 +37,7 @@ import asyncio
 import dataclasses
 import enum
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,8 +245,8 @@ class JobManager:
         expected_tenants: int = 4,
         session_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
+        if not 0 < chunk < math.inf:
+            raise ValueError(f"chunk must be positive and finite, got {chunk}")
         self.pool = pool
         self.template = template
         self.artifact_root = Path(artifact_root)

@@ -27,6 +27,7 @@ tells an admission policy what an equal split currently looks like.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -259,8 +260,8 @@ class TenantSession:
         Returns:
             The simulation time after processing.
         """
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {step}")
         if not self._started:
             raise RuntimeError("advance() before start()")
         self._cursor = max(self._cursor, self.session.now) + step

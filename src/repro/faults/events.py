@@ -81,8 +81,8 @@ class StragglerStart(FaultEvent):
         super().__post_init__()
         if self.worker < 0:
             raise ValueError("worker must be non-negative")
-        if math.isnan(self.multiplier) or self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError(f"multiplier must be >= 1 and finite, got {self.multiplier}")
 
 
 @dataclass(frozen=True)

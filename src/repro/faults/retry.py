@@ -31,10 +31,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if math.isnan(self.backoff) or self.backoff < 0:
-            raise ValueError("backoff must be non-negative (and not NaN)")
-        if math.isnan(self.growth) or self.growth < 1.0:
-            raise ValueError("growth must be >= 1 (and not NaN)")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be non-negative and finite, got {self.backoff}")
+        if not 1.0 <= self.growth < math.inf:
+            raise ValueError(f"growth must be >= 1 and finite, got {self.growth}")
 
     def delay(self, attempt: int) -> float:
         """The backoff before retry ``attempt`` (1-based): ``backoff * growth**(attempt-1)``."""

@@ -5,7 +5,7 @@ level, the invariants the bit-identity proofs rest on: no ambient entropy
 in simulation/scheduling code (DET001), no set-iteration-order consumption
 on hot paths (DET002), no ``id()``/``hash()`` ordering keys (DET003),
 asyncio hygiene in the daemon (CONC001), pool-pickling safety in the sweep
-engine (CONC002), lifecycle-hook exhaustiveness (HOOK001) and full
+engine (CONC002), lifecycle-event dispatchability (HOOK001) and full
 annotations in the mypy-gated packages (TYP001).
 
 Run it as ``python -m repro.lint``; see ``docs/static_analysis.md`` for

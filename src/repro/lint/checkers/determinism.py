@@ -2,7 +2,7 @@
 consumption), DET003 (identity/hash ordering).
 
 Every headline claim in this repo is a bit-identity proof (replay ≡ corpus,
-columnar ≡ event-driven, tenant ≡ standalone, ...).  These checkers forbid
+chunked ≡ one-shot, tenant ≡ standalone, ...).  These checkers forbid
 the three source-level patterns that silently break such proofs: reading
 ambient entropy (wall clocks, unseeded RNG), consuming the arbitrary
 iteration order of a ``set``, and ordering by ``id()``/``hash()`` — both of

@@ -9,7 +9,7 @@ relative to the ``repro`` package root (``"sim/cluster.py"``,
 The zones and what they protect:
 
 * ``determinism`` — everything whose outputs feed a bit-identity proof
-  (replay ≡ corpus, columnar ≡ event-driven, tenant ≡ standalone, ...): no
+  (replay ≡ corpus, chunked ≡ one-shot, tenant ≡ standalone, ...): no
   wall clocks, no unseeded RNG, no hash-order-dependent logic.
 * ``hot-path`` — the replay loop and the policies it consults: iteration
   order is dispatch order here, so bare ``set`` iteration is forbidden.
@@ -18,8 +18,7 @@ The zones and what they protect:
 * ``pool`` — code shipped into the sweep ``ProcessPoolExecutor``: classes
   holding live pools/locks/sessions must strip them in ``__getstate__``.
 * ``hooks`` — the lifecycle-event layer: every event type must stay
-  dispatchable, and columnar-capable observers must account for every
-  handler they override (the columnar ≡ event-driven proof).
+  dispatchable.
 * ``typed`` — the packages under the strict typing gate: every function
   is fully annotated (mirrors the ``mypy`` CI gate locally).
 """

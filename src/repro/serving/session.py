@@ -36,6 +36,7 @@ single-run session::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -319,12 +320,25 @@ class ServingSession:
                 "batch_pdf must be non-empty; pass None to derive the PDF "
                 "from the workload"
             )
-        if reconfig_cost < 0:
-            raise ValueError("reconfig_cost must be non-negative")
-        if window is not None and window <= 0:
-            raise ValueError("window must be positive (or None to disable)")
-        if trigger_interval is not None and trigger_interval <= 0:
-            raise ValueError("trigger_interval must be positive when set")
+        if not 0 <= reconfig_cost < math.inf:
+            raise ValueError(
+                f"reconfig_cost must be non-negative and finite, got {reconfig_cost}"
+            )
+        if window is not None and not 0 < window < math.inf:
+            raise ValueError(
+                "window must be positive and finite (or None to disable), "
+                f"got {window}"
+            )
+        if trigger_interval is not None and not 0 < trigger_interval < math.inf:
+            raise ValueError(
+                "trigger_interval must be positive and finite when set, "
+                f"got {trigger_interval}"
+            )
+        if not 0 <= execution_noise_std < math.inf:
+            raise ValueError(
+                "execution_noise_std must be non-negative and finite, "
+                f"got {execution_noise_std}"
+            )
         if config.is_fleet and (profiler is not None or profiles):
             raise ValueError(
                 "fleet configs profile every (model, architecture) pair "

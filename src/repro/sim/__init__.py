@@ -16,7 +16,8 @@ runtime (a heavily modified DeepRecInfra on real A100s):
   frontend, scheduler and workers together; offers both a one-shot trace
   replay and a streaming run surface with live mid-run reconfiguration.
 * :mod:`repro.sim.hooks` — typed lifecycle events, the observer interface
-  and the incremental :class:`~repro.sim.hooks.WindowedMetrics` series.
+  and the :class:`~repro.sim.hooks.WindowedMetrics` series, read from the
+  run's columns.
 * :mod:`repro.sim.metrics` — latency/throughput/utilization statistics
   (p95 tail latency, SLA violation rate, latency-bounded throughput inputs).
 """

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from operator import le
@@ -73,7 +74,6 @@ from repro.sim.hooks import (
     QueryDispatched,
     QueryFailed,
     QueryRequeued,
-    ReconfigEventsOnly,
     ReconfigFinished,
     ReconfigStarted,
     SimEvent,
@@ -247,8 +247,13 @@ class InferenceServerSimulator:
             raise ValueError("simulator requires at least one partition instance")
         if not profiles:
             raise ValueError("simulator requires at least one profiled model")
-        if frontend_capacity_qps is not None and frontend_capacity_qps <= 0:
-            raise ValueError("frontend_capacity_qps must be positive when set")
+        if frontend_capacity_qps is not None and not (
+            0 < frontend_capacity_qps < math.inf
+        ):
+            raise ValueError(
+                "frontend_capacity_qps must be positive and finite when set, "
+                f"got {frontend_capacity_qps}"
+            )
         self.profiles = dict(profiles)
         self.scheduler = scheduler
         self.frontend_capacity_qps = frontend_capacity_qps
@@ -348,21 +353,15 @@ class InferenceServerSimulator:
         lookup per emission point; an empty tuple means "nobody listens —
         do not even construct the event".
 
-        Columnar-capable observers (``columnar_capable`` attribute, e.g.
-        :class:`~repro.sim.hooks.WindowedMetrics`) are bound to the run's
-        columnar store and subscribed through a reconfiguration-only view:
-        their per-query events are never constructed — they digest the
-        columns lazily instead.
+        Observers that read the run's columns (those defining
+        ``attach_columns``, e.g. :class:`~repro.sim.hooks.WindowedMetrics`)
+        are bound to the current store first.
         """
-        delivered: List[SimulationObserver] = []
         for observer in self._observers:
-            if getattr(observer, "columnar_capable", False) and observer.attach_columns(
-                self._columns, self
-            ):
-                delivered.append(ReconfigEventsOnly(observer))
-            else:
-                delivered.append(observer)
-        self._dispatch_table = build_dispatch_table(delivered)
+            attach = getattr(observer, "attach_columns", None)
+            if attach is not None:
+                attach(self._columns)
+        self._dispatch_table = build_dispatch_table(self._observers)
         get = self._dispatch_table.get
         self._h_arrived = get(QueryArrived, ())
         self._h_dispatched = get(QueryDispatched, ())
@@ -493,7 +492,7 @@ class InferenceServerSimulator:
             raise RuntimeError("a streaming run is already open; call finish() first")
         self.scheduler.reset()
         self._columns = QueryColumns()
-        # re-attach columnar-bound observers to the fresh store
+        # bind the column-reading observers to the fresh store
         self._rebind_handlers()
         self._build_workers()
         self._reset_run_state()
@@ -680,7 +679,8 @@ class InferenceServerSimulator:
 
         Raises:
             RuntimeError: outside an open run, or mid-reconfiguration.
-            ValueError: for an empty instance set or negative cost.
+            ValueError: for an empty instance set or a negative or
+                non-finite cost.
         """
         if not self._active:
             raise RuntimeError(
@@ -691,8 +691,10 @@ class InferenceServerSimulator:
             raise RuntimeError("a reconfiguration is already in progress")
         if not instances:
             raise ValueError("reconfigure() requires at least one partition instance")
-        if reconfig_cost < 0:
-            raise ValueError("reconfig_cost must be non-negative")
+        if not 0 <= reconfig_cost < math.inf:
+            raise ValueError(
+                f"reconfig_cost must be non-negative and finite, got {reconfig_cost}"
+            )
 
         now = self._clock.now
         old_ids = tuple(w.instance_id for w in self.workers)
@@ -1035,12 +1037,12 @@ class InferenceServerSimulator:
         Raises:
             RuntimeError: outside an open run.
             KeyError: for an unknown instance id.
-            ValueError: for a multiplier below 1.
+            ValueError: for a multiplier below 1 or not finite.
         """
         if not self._active:
             raise RuntimeError("set_worker_slowdown() requires an open run")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not 1.0 <= multiplier < math.inf:
+            raise ValueError(f"multiplier must be >= 1 and finite, got {multiplier}")
         worker = self._workers_by_id.get(instance_id)
         if worker is None:
             raise KeyError(f"no worker with instance id {instance_id}")

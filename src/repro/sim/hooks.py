@@ -10,8 +10,7 @@ retries spent.  Mid-run statistics come from
 :meth:`~repro.sim.cluster.InferenceServerSimulator.snapshot_statistics`.
 :class:`WindowedMetrics` is the observer the serving session attaches by
 default, producing per-time-window latency / throughput / SLA-violation
-series *incrementally* — each event touches exactly one window bucket, so
-building the series never re-scans the full query list.
+series from the run's columnar store (:class:`~repro.sim.columnar.QueryColumns`).
 
 Events published per run:
 
@@ -48,24 +47,14 @@ compatible with new event types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+import math
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.columnar import QueryColumns
 from repro.workload.query import Query
-
-if TYPE_CHECKING:
-    from repro.sim.columnar import QueryColumns
 
 # --------------------------------------------------------------------------- #
 # typed lifecycle events
@@ -355,51 +344,9 @@ class EventLog(SimulationObserver):
         return [e for e in self.events if isinstance(e, event_type)]
 
 
-class ReconfigEventsOnly(SimulationObserver):
-    """Delivery view forwarding only reconfiguration events to ``target``.
-
-    The simulator wraps columnar-bound observers
-    (:meth:`WindowedMetrics.attach_columns`) in this view: per-query events
-    are neither delivered nor constructed for them, while the rare
-    reconfiguration and fault lifecycle still flows (downtime and crash
-    intervals cannot be derived from the columns).
-    """
-
-    def __init__(self, target: SimulationObserver) -> None:
-        self.target = target
-
-    def on_reconfig_started(self, event: ReconfigStarted) -> None:
-        self.target.on_reconfig_started(event)
-
-    def on_reconfig_finished(self, event: ReconfigFinished) -> None:
-        self.target.on_reconfig_finished(event)
-
-    def on_worker_crashed(self, event: WorkerCrashed) -> None:
-        self.target.on_worker_crashed(event)
-
-    def on_worker_recovered(self, event: WorkerRecovered) -> None:
-        self.target.on_worker_recovered(event)
-
-    def on_reconfig_failed(self, event: ReconfigFailed) -> None:
-        self.target.on_reconfig_failed(event)
-
-
 # --------------------------------------------------------------------------- #
 # windowed metrics
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(slots=True)
-class _Bucket:
-    """Mutable per-window accumulator (internal to :class:`WindowedMetrics`)."""
-
-    arrivals: int = 0
-    completions: int = 0
-    sla_count: int = 0
-    violations: int = 0
-    failures: int = 0
-    latencies: List[float] = field(default_factory=list)
-    batch_counts: Dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -439,103 +386,52 @@ class WindowStats:
 
 
 class WindowedMetrics(SimulationObserver):
-    """Per-time-window latency / throughput / violation series.
+    """Per-time-window latency / throughput / violation series of one run.
 
-    Two operating modes:
+    The simulator binds the observer to its run's columnar store
+    (:meth:`attach_columns`), and every view — :meth:`series`,
+    :meth:`observed_batch_histogram` / :meth:`observed_batch_pdf`,
+    :meth:`recent_violation_stats`, :meth:`horizon`, :meth:`backlog` —
+    digests those columns, vectorised, when it is read, so the replay loop
+    never pays a Python callback per query.  The observer handles only the
+    reconfiguration and fault events, whose downtime and timing the columns
+    do not hold; per-query events sent to :meth:`on_event` are ignored, like
+    any unhandled event.
 
-    * **event-driven** (events delivered by any source without a columnar
-      store, e.g. replayed from an :class:`EventLog` or driven directly):
-      every event updates exactly one window bucket, so the observer's cost
-      is O(1) per event and :meth:`series` digests each completion exactly
-      once — no O(n) re-scan per window;
-    * **columnar** (what the simulator binds): :meth:`attach_columns` binds
-      the observer to the run's struct-of-arrays store, per-query events are
-      *never delivered* (or even constructed), and every view —
-      :meth:`series`, :meth:`observed_batch_histogram`,
-      :meth:`recent_violation_stats` — digests the columns vectorised on
-      demand.  Only the (rare) reconfiguration events still arrive as
-      events.  Integer counts (arrivals, completions, SLA totals,
-      violations, batch histograms) are exactly equal between the modes, so
-      repartition triggers decide identically; per-window float summaries
-      (mean latency) can differ in the last ulp because the summation order
-      differs.
-
-    The columnar mode is what keeps the lifecycle-hook overhead of a
-    session's default observer within budget: the replay loop never pays a
-    Python callback per query.
-
-    One observer describes **one run at a time**: binding to a new run's
-    store resets it (:meth:`attach_columns`), whereas an event-driven
-    observer left attached across ``begin()``/``finish()`` cycles keeps
-    accumulating.  Attach a fresh observer per run (what sessions do) when
-    comparing modes.
+    One observer describes **one run**: binding it to a new run's store
+    resets it, and an observer not yet bound reads an empty store.
 
     Args:
         window: window length in simulation seconds.
     """
 
-    #: The simulator offers columnar binding to observers advertising this.
-    columnar_capable = True
-
-    #: The per-query handlers whose effect the columnar digestion
-    #: reconstructs from the struct-of-arrays store — the bound observer
-    #: never receives these as events, and ``repro.lint`` (HOOK001) checks
-    #: every overridden per-query handler is accounted for here.
-    columnar_covered: FrozenSet[str] = frozenset(
-        {"on_query_arrived", "on_query_completed", "on_query_failed"}
-    )
-
     def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < window < math.inf:
+            raise ValueError(f"window must be positive and finite, got {window}")
         self.window = window
-        self._buckets: Dict[int, _Bucket] = {}
+        self._columns = QueryColumns()
         self._downtime: List[Tuple[float, float]] = []
         self._reconfig_started_at: Optional[float] = None
+        # The latest reconfiguration or fault event; the columns hold the
+        # time of every query event.
         self._last_event_time = 0.0
-        # Hot-path bucket cache: simulation time is non-decreasing and a
-        # window usually holds many events, so almost every lookup hits the
-        # same bucket the previous event touched.
-        self._cached_index = -1
-        self._cached_bucket: Optional[_Bucket] = None
-        # Columnar binding: the run's struct-of-arrays store and
-        # a clock source exposing ``.now``.
-        self._columns: Optional["QueryColumns"] = None
-        self._source: Any = None
 
-    # ------------------------------------------------------------------ #
-    # columnar binding
-    # ------------------------------------------------------------------ #
-    def attach_columns(self, columns: "QueryColumns", source: Any) -> bool:
+    def attach_columns(self, columns: QueryColumns) -> None:
         """Bind this observer to a run's columnar store.
 
-        ``source`` is anything exposing the current simulation time as
-        ``.now`` (the simulator).  Binding resets the observer — it now
-        describes exactly the bound run — and switches every digestion
-        surface to lazy, vectorised reads of the columns; one observer can
-        be bound to one run at a time.
-
-        Re-attaching the *same* run's store (e.g. the simulator re-resolving
-        its observers when another observer is added mid-run) is a no-op, so
-        already-recorded reconfiguration history survives.
-
-        Returns:
-            True (the binding is accepted; the simulator then delivers only
-            reconfiguration events).
+        Binding resets the observer: it now describes exactly the bound
+        run.  Re-attaching the store it is already bound to (the simulator
+        re-resolving its observers when another observer is added mid-run)
+        is a no-op, so already-recorded reconfiguration history survives.
         """
-        if self._columns is columns and self._source is source:
-            return True
+        if self._columns is columns:
+            return
         self._columns = columns
-        self._source = source
-        self._buckets.clear()
         self._downtime.clear()
         self._reconfig_started_at = None
         self._last_event_time = 0.0
-        self._cached_index = -1
-        self._cached_bucket = None
-        return True
 
-    def _columnar_state(
+    def _state(
         self,
     ) -> Tuple[
         np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
@@ -544,14 +440,12 @@ class WindowedMetrics(SimulationObserver):
 
         ``seen`` marks the queries whose arrival event has actually fired —
         the simulator raises the ``announced`` flag exactly once per query,
-        when it would emit :class:`QueryArrived` — so the lazy digestion
-        counts precisely what an event-driven observer would have
-        accumulated, including queries submitted mid-run at the current
-        instant whose events are still pending.  Completions are recorded
-        only when their event fires, so the finish column needs no filter.
+        at its first arrival event — so queries submitted mid-run at the
+        current instant, whose events are still pending, are not counted
+        yet.  Completions are recorded only when their event fires, so the
+        finish column needs no filter.
         """
         columns = self._columns
-        assert columns is not None, "columnar digestion before attach_columns"
         arrival = np.frombuffer(columns.arrival, dtype=np.float64)
         batch = np.frombuffer(columns.batch, dtype=np.int64)
         finish = np.frombuffer(columns.finish, dtype=np.float64)
@@ -560,65 +454,26 @@ class WindowedMetrics(SimulationObserver):
         completed = ~np.isnan(finish)
         return arrival, batch, finish, deadline, seen, completed
 
-    def _columnar_fail_times(self) -> np.ndarray:
-        """Fail times of retry-exhausted queries (columnar mode only)."""
-        columns = self._columns
-        assert columns is not None, "columnar digestion before attach_columns"
-        fail = np.frombuffer(columns.fail_time, dtype=np.float64)
+    def _fail_times(self) -> np.ndarray:
+        """Fail times of retry-exhausted queries."""
+        fail = np.frombuffer(self._columns.fail_time, dtype=np.float64)
         return fail[~np.isnan(fail)]
 
-    def _columnar_horizon(self, state: Tuple[np.ndarray, ...]) -> float:
-        """The last observed event time (columnar equivalent of the
-        event-driven ``_last_event_time``)."""
+    def _horizon(self, state: Tuple[np.ndarray, ...]) -> float:
         arrival, _, finish, _, seen, completed = state
-        horizon = self._last_event_time  # reconfiguration/fault events, if any
+        horizon = self._last_event_time
         if seen.any():
             horizon = max(horizon, float(arrival[seen].max()))
         if completed.any():
             horizon = max(horizon, float(finish[completed].max()))
-        failed = self._columnar_fail_times()
+        failed = self._fail_times()
         if failed.size:
             horizon = max(horizon, float(failed.max()))
         return horizon
 
     # ------------------------------------------------------------------ #
-    # event handlers
+    # reconfiguration and fault events
     # ------------------------------------------------------------------ #
-    def _bucket(self, time: float) -> _Bucket:
-        if time > self._last_event_time:
-            self._last_event_time = time
-        index = int(time // self.window)
-        if index == self._cached_index:
-            return self._cached_bucket
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = _Bucket()
-        self._cached_index = index
-        self._cached_bucket = bucket
-        return bucket
-
-    def on_query_arrived(self, event: QueryArrived) -> None:
-        bucket = self._bucket(event.time)
-        bucket.arrivals += 1
-        counts = bucket.batch_counts
-        batch = event.query.batch
-        counts[batch] = counts.get(batch, 0) + 1
-
-    def on_query_completed(self, event: QueryCompleted) -> None:
-        query = event.query
-        latency = event.time - query.arrival_time
-        bucket = self._bucket(event.time)
-        bucket.completions += 1
-        bucket.latencies.append(latency)
-        sla = query.sla_target
-        if sla is not None:
-            bucket.sla_count += 1
-            if latency > sla:
-                bucket.violations += 1
-
-    def on_query_failed(self, event: QueryFailed) -> None:
-        self._bucket(event.time).failures += 1
-
     def on_worker_crashed(self, event: WorkerCrashed) -> None:
         # fault times count toward the horizon so the availability
         # integration bills outages even past the last query event
@@ -657,65 +512,11 @@ class WindowedMetrics(SimulationObserver):
         last observed event), including empty windows so gaps — e.g. a
         reconfiguration dip — stay visible.  An explicit ``until`` truncates:
         windows starting after it are not reported."""
-        if self._columns is not None:
-            return self._columnar_series(until)
-        if until is None:
-            horizon = self._last_event_time
-            if not self._buckets and horizon <= 0:
-                return []
-            last_index = max(
-                max(self._buckets, default=0), int(max(horizon, 0.0) // self.window)
-            )
-        else:
-            if until < 0:
-                return []
-            last_index = int(until // self.window)
-        out: List[WindowStats] = []
-        empty = _Bucket()
-        for index in range(last_index + 1):
-            bucket = self._buckets.get(index, empty)
-            start = index * self.window
-            end = start + self.window
-            if bucket.latencies:
-                latencies = np.asarray(bucket.latencies, dtype=float)
-                mean_latency = float(latencies.mean())
-                p95 = float(np.percentile(latencies, 95))
-            else:
-                mean_latency = p95 = 0.0
-            out.append(
-                WindowStats(
-                    index=index,
-                    start=start,
-                    end=end,
-                    arrivals=bucket.arrivals,
-                    completions=bucket.completions,
-                    throughput_qps=bucket.completions / self.window,
-                    mean_latency=mean_latency,
-                    p95_latency=p95,
-                    sla_count=bucket.sla_count,
-                    violations=bucket.violations,
-                    violation_rate=(
-                        bucket.violations / bucket.sla_count if bucket.sla_count else 0.0
-                    ),
-                    reconfiguring=self._overlaps_downtime(start, end),
-                    failures=bucket.failures,
-                )
-            )
-        return out
-
-    def _columnar_series(self, until: Optional[float]) -> List[WindowStats]:
-        """Vectorised :meth:`series` over the bound columnar store.
-
-        Window bucketing uses the same float floor-division as the
-        event-driven path, so every count lands in the same window; the
-        per-window mean is a sum over a different accumulation order, hence
-        "last ulp" rather than bit-exact for the float summaries.
-        """
         window = self.window
-        state = self._columnar_state()
+        state = self._state()
         arrival, _, finish, deadline, seen, completed = state
         if until is None:
-            horizon = self._columnar_horizon(state)
+            horizon = self._horizon(state)
             if (
                 horizon <= 0
                 and not self._downtime
@@ -749,7 +550,7 @@ class WindowedMetrics(SimulationObserver):
         sla_per = np.bincount(finish_index, weights=has_sla, minlength=count)
         violations_per = np.bincount(finish_index, weights=violated, minlength=count)
 
-        failed_times = self._columnar_fail_times()
+        failed_times = self._fail_times()
         fail_index = (failed_times // window).astype(np.int64)
         failures_per = np.bincount(fail_index[fail_index <= last_index], minlength=count)
 
@@ -817,20 +618,11 @@ class WindowedMetrics(SimulationObserver):
             raise ValueError("lookback_windows must be >= 1")
         last = self._last_lookback_window(now)
         first = max(0, last - lookback_windows + 1)
-        if self._columns is not None:
-            arrival, batch, _, _, seen, _ = self._columnar_state()
-            index = (arrival // self.window).astype(np.int64)
-            mask = seen & (index >= first) & (index <= last)
-            values, counts = np.unique(batch[mask], return_counts=True)
-            return {int(b): int(c) for b, c in zip(values, counts)}
-        histogram: Dict[int, int] = {}
-        for index in range(first, last + 1):
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                continue
-            for batch, count in bucket.batch_counts.items():
-                histogram[batch] = histogram.get(batch, 0) + count
-        return dict(sorted(histogram.items()))
+        arrival, batch, _, _, seen, _ = self._state()
+        index = (arrival // self.window).astype(np.int64)
+        mask = seen & (index >= first) & (index <= last)
+        values, counts = np.unique(batch[mask], return_counts=True)
+        return {int(b): int(c) for b, c in zip(values, counts)}
 
     def observed_batch_pdf(self, now: float, lookback_windows: int) -> Dict[int, float]:
         """Arrival batch-size PDF over the recent lookback (empty when no
@@ -849,50 +641,28 @@ class WindowedMetrics(SimulationObserver):
             raise ValueError("lookback_windows must be >= 1")
         last = self._last_lookback_window(now)
         first = max(0, last - lookback_windows + 1)
-        if self._columns is not None:
-            arrival, _, finish, deadline, _, completed = self._columnar_state()
-            finished = finish[completed]
-            index = (finished // self.window).astype(np.int64)
-            mask = (index >= first) & (index <= last)
-            deadlines = deadline[completed][mask]
-            latencies = finished[mask] - arrival[completed][mask]
-            sla_count = int((~np.isnan(deadlines)).sum())
-            violations = int((latencies > deadlines).sum())
-            return violations, sla_count
-        violations = sla_count = 0
-        for index in range(first, last + 1):
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                continue
-            violations += bucket.violations
-            sla_count += bucket.sla_count
+        arrival, _, finish, deadline, _, completed = self._state()
+        finished = finish[completed]
+        index = (finished // self.window).astype(np.int64)
+        mask = (index >= first) & (index <= last)
+        deadlines = deadline[completed][mask]
+        latencies = finished[mask] - arrival[completed][mask]
+        sla_count = int((~np.isnan(deadlines)).sum())
+        violations = int((latencies > deadlines).sum())
         return violations, sla_count
 
     def horizon(self) -> float:
-        """The last observed event time, in either operating mode.
+        """The last observed event time: the latest fired arrival,
+        completion, failure, reconfiguration or fault event.
 
         The fleet-timeline integration (:mod:`repro.autoscale.timeline`)
         uses this as the end of the billing period.
         """
-        if self._columns is not None:
-            return self._columnar_horizon(self._columnar_state())
-        return self._last_event_time
+        return self._horizon(self._state())
 
     def backlog(self) -> int:
         """Queries that arrived but neither completed nor failed (queue
-        depth).
-
-        Exactly equal between the event-driven and columnar modes: both
-        count announced arrivals minus recorded completions and failures,
-        the integer invariant the scale-out triggers key on.
-        """
-        if self._columns is not None:
-            _, _, _, _, seen, completed = self._columnar_state()
-            failed = self._columnar_fail_times()
-            return int(seen.sum()) - int(completed.sum()) - int(failed.size)
-        arrivals = completions = failures = 0
-        for bucket in self._buckets.values():
-            arrivals += bucket.arrivals
-            completions += bucket.completions
-            failures += bucket.failures
-        return arrivals - completions - failures
+        depth): fired arrivals minus recorded completions and failures, the
+        integer the scale-out triggers key on."""
+        _, _, _, _, seen, completed = self._state()
+        return int(seen.sum()) - int(completed.sum()) - int(self._fail_times().size)

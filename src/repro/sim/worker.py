@@ -18,6 +18,7 @@ array slots, and the requests are read through ``columns.queries``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional
 
@@ -75,8 +76,8 @@ class PartitionWorker:
         *,
         columns: QueryColumns,
     ) -> None:
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {noise_std}")
         self.instance = instance
         #: Partition size / id / architecture cached as plain attributes:
         #: the scheduling hot paths read them per arrival, and a chain of

@@ -15,9 +15,9 @@ from repro.core.triggers import (
 )
 from repro.serving.config import ServerConfig
 from repro.serving.session import ServingSession
-from repro.sim.hooks import QueryArrived, QueryCompleted, WindowedMetrics
 from repro.workload.generator import WorkloadConfig
 from repro.workload.query import Query
+from tests.sim.helpers import bound_metrics
 
 
 def metrics_with(
@@ -25,16 +25,15 @@ def metrics_with(
 ):
     """WindowedMetrics primed with arrivals and (possibly violating)
     completions; ``arrivals - completed`` is the live frontend backlog."""
-    metrics = WindowedMetrics(window=window)
-    for idx in range(arrivals):
-        query = Query(
-            query_id=idx, model="toy", batch=4, arrival_time=time, sla_target=1.0
-        )
-        metrics.on_event(QueryArrived(time, query))
-        if idx < completed:
-            finish = time + (2.0 if idx < violated else 0.5)
-            metrics.on_event(QueryCompleted(finish, query, 0))
-    return metrics
+    queries = [
+        Query(query_id=idx, model="toy", batch=4, arrival_time=time, sla_target=1.0)
+        for idx in range(arrivals)
+    ]
+    finish = {
+        idx: time + (2.0 if idx < violated else 0.5)
+        for idx in range(min(completed, arrivals))
+    }
+    return bound_metrics(window, queries, finish)
 
 
 def context(metrics, now=5.0, since_reconfig=100.0):

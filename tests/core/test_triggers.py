@@ -15,17 +15,18 @@ from repro.core.triggers import (
     total_variation_distance,
 )
 from repro.core.registry import UnknownPolicyError
-from repro.sim.hooks import QueryArrived, QueryCompleted, WindowedMetrics
+from repro.sim.hooks import WindowedMetrics
 from repro.workload.query import Query
+from tests.sim.helpers import bound_metrics
 
 
 def _metrics_with_arrivals(batches, window=1.0, time=0.5):
     """WindowedMetrics primed with arrivals of the given batch sizes."""
-    metrics = WindowedMetrics(window=window)
-    for idx, batch in enumerate(batches):
-        query = Query(query_id=idx, model="toy", batch=batch, arrival_time=time)
-        metrics.on_event(QueryArrived(time, query))
-    return metrics
+    queries = [
+        Query(query_id=idx, model="toy", batch=batch, arrival_time=time)
+        for idx, batch in enumerate(batches)
+    ]
+    return bound_metrics(window, queries)
 
 
 def _context(metrics, planned, now=0.9, since_reconfig=100.0):
@@ -95,15 +96,12 @@ class TestPdfDriftTrigger:
 
 class TestSlaViolationTrigger:
     def _metrics_with_completions(self, violated, total, window=1.0):
-        metrics = WindowedMetrics(window=window)
-        for idx in range(total):
-            query = Query(
-                query_id=idx, model="toy", batch=4, arrival_time=0.1, sla_target=1.0
-            )
-            finish = 0.1 + (2.0 if idx < violated else 0.5)
-            metrics.on_event(QueryCompleted(finish, query, 0))
-            metrics.on_event(QueryArrived(0.1, query))
-        return metrics
+        queries = [
+            Query(query_id=idx, model="toy", batch=4, arrival_time=0.1, sla_target=1.0)
+            for idx in range(total)
+        ]
+        finish = {idx: 0.1 + (2.0 if idx < violated else 0.5) for idx in range(total)}
+        return bound_metrics(window, queries, finish)
 
     def test_fires_above_threshold(self):
         trigger = SlaViolationTrigger(threshold=0.2, min_queries=5)

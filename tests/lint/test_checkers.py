@@ -721,66 +721,6 @@ class TestHook001:
         assert codes(findings) == ["HOOK001"]
         assert "_HANDLERS" in findings[0].message
 
-    def test_columnar_override_without_coverage_fires(self):
-        tail = """\
-
-            class Metrics(SimulationObserver):
-                columnar_capable = True
-
-                def on_query_arrived(self, event):
-                    pass
-            """
-        findings = lint_source(
-            self._module(
-                extra_entries='QueryCompleted: "on_query_completed",',
-                tail=tail,
-            ),
-            rel="sim/hooks.py",
-            select=["HOOK001"],
-        )
-        messages = " ".join(f.message for f in findings)
-        assert codes(findings) == ["HOOK001", "HOOK001"]
-        assert "columnar_covered" in messages
-        assert "on_query_arrived" in messages
-
-    def test_columnar_covered_declaration_is_clean(self):
-        tail = """\
-
-            class Metrics(SimulationObserver):
-                columnar_capable = True
-                columnar_covered = frozenset({"on_query_arrived"})
-
-                def on_query_arrived(self, event):
-                    pass
-            """
-        findings = lint_source(
-            self._module(
-                extra_entries='QueryCompleted: "on_query_completed",',
-                tail=tail,
-            ),
-            rel="sim/hooks.py",
-            select=["HOOK001"],
-        )
-        assert findings == []
-
-    def test_covered_naming_unknown_handler_fires(self):
-        tail = """\
-
-            class Metrics(SimulationObserver):
-                columnar_capable = True
-                columnar_covered = frozenset({"on_no_such_event"})
-            """
-        findings = lint_source(
-            self._module(
-                extra_entries='QueryCompleted: "on_query_completed",',
-                tail=tail,
-            ),
-            rel="sim/hooks.py",
-            select=["HOOK001"],
-        )
-        assert codes(findings) == ["HOOK001"]
-        assert "on_no_such_event" in findings[0].message
-
     def test_only_applies_to_hooks_module(self):
         findings = lint_source(
             self._module(), rel="sim/cluster.py", select=["HOOK001"]

@@ -4,13 +4,15 @@
   :class:`~repro.perf.lookup.CachedEstimator` agree **exactly** (``==`` on
   floats, not approx) with uncached :class:`~repro.perf.lookup.ProfileTable`
   lookups;
-* the lazy columnar :class:`~repro.sim.hooks.WindowedMetrics` digestion
-  agrees with the event-driven observer fed the same run's events;
+* the columnar :class:`~repro.sim.hooks.WindowedMetrics` digestion agrees
+  with a reference that buckets the same run's recorded events;
 * PARIS plans are memoized per (PDF, budget).
 
 Exact replay outcomes per scheduler family are pinned by the committed
 replay corpus (``tests/sim/test_replay_corpus.py``).
 """
+
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -19,6 +21,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.schedulers import FifsScheduler
 from repro.perf.lookup import CachedEstimator, ProfileEntry, ProfileTable
 from repro.sim.cluster import InferenceServerSimulator
+from repro.sim.hooks import (
+    EventLog,
+    QueryArrived,
+    QueryCompleted,
+    QueryFailed,
+    ReconfigFinished,
+    WindowedMetrics,
+)
 from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
 
 
@@ -83,9 +93,38 @@ def test_extrapolated_latency_stays_strictly_positive(table, batch):
 
 
 # --------------------------------------------------------------------------- #
-# windowed metrics: columnar digestion vs event-driven accumulation
+# windowed metrics: columnar digestion vs a per-event reference
 # --------------------------------------------------------------------------- #
 LATENCIES = {1: 0.9, 3: 0.5, 7: 0.2}
+
+
+def _bucket_events(events, window):
+    """Reference digestion: the run's recorded arrival, completion and
+    failure events accumulated one at a time into per-window buckets.
+
+    Returns ``(buckets, horizon)``, ``horizon`` being the last such event.
+    """
+    buckets = defaultdict(
+        lambda: {"batches": Counter(), "latencies": [], "sla": 0, "violations": 0, "failures": 0}
+    )
+    horizon = 0.0
+    for event in events:
+        if not isinstance(event, (QueryArrived, QueryCompleted, QueryFailed)):
+            continue
+        horizon = max(horizon, event.time)
+        bucket = buckets[int(event.time // window)]
+        query = event.query
+        if isinstance(event, QueryArrived):
+            bucket["batches"][query.batch] += 1
+        elif isinstance(event, QueryCompleted):
+            latency = event.time - query.arrival_time
+            bucket["latencies"].append(latency)
+            if query.sla_target is not None:
+                bucket["sla"] += 1
+                bucket["violations"] += latency > query.sla_target
+        else:
+            bucket["failures"] += 1
+    return buckets, horizon
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,12 +136,10 @@ LATENCIES = {1: 0.9, 3: 0.5, 7: 0.2}
     ),
 )
 def test_windowed_metrics_columnar_counts_match_event_driven(spec):
-    """The lazy columnar WindowedMetrics digestion reports exactly the same
-    integer counts (and window bucketing) as an event-driven observer fed
-    the run's recorded lifecycle events; float summaries agree to numerical
-    noise."""
-    from repro.sim.hooks import EventLog, WindowedMetrics
-
+    """The columnar WindowedMetrics digestion reports exactly the integer
+    counts (and window bucketing) of a reference that buckets the run's
+    recorded lifecycle events one at a time; float summaries agree to
+    numerical noise."""
     trace = make_trace(sorted(spec, key=lambda s: s[0]), sla=1.0)
     simulator = InferenceServerSimulator(
         instances=make_instances((1, 3, 7)),
@@ -113,29 +150,38 @@ def test_windowed_metrics_columnar_counts_match_event_driven(spec):
     simulator.add_observer(columnar)
     simulator.add_observer(log)
     simulator.run(trace)
-    event_driven = WindowedMetrics(window=0.5)
-    for event in log.events:
-        event_driven.on_event(event)
+    buckets, horizon = _bucket_events(log.events, 0.5)
+    downtime = [(e.time - e.downtime, e.time) for e in log.of_type(ReconfigFinished)]
 
-    assert columnar.observed_batch_histogram(
-        6.5, lookback_windows=13
-    ) == event_driven.observed_batch_histogram(6.5, lookback_windows=13)
-    assert columnar.recent_violation_stats(
-        6.5, lookback_windows=13
-    ) == event_driven.recent_violation_stats(6.5, lookback_windows=13)
-    columnar_series, event_series = columnar.series(), event_driven.series()
-    assert len(columnar_series) == len(event_series)
-    for columnar_window, event_window in zip(columnar_series, event_series):
-        assert columnar_window.index == event_window.index
-        assert columnar_window.arrivals == event_window.arrivals
-        assert columnar_window.completions == event_window.completions
-        assert columnar_window.sla_count == event_window.sla_count
-        assert columnar_window.violations == event_window.violations
-        assert columnar_window.reconfiguring == event_window.reconfiguring
-        assert columnar_window.mean_latency == pytest.approx(
-            event_window.mean_latency, rel=1e-12, abs=1e-15
+    # t=6.5 is a window boundary, so a 13-window lookback covers windows 0-12
+    lookback = [buckets[index] for index in range(13)]
+    assert columnar.observed_batch_histogram(6.5, lookback_windows=13) == sum(
+        (bucket["batches"] for bucket in lookback), Counter()
+    )
+    assert columnar.recent_violation_stats(6.5, lookback_windows=13) == (
+        sum(bucket["violations"] for bucket in lookback),
+        sum(bucket["sla"] for bucket in lookback),
+    )
+    series = columnar.series()
+    assert len(series) == int(horizon // 0.5) + 1
+    for index, window in enumerate(series):
+        bucket = buckets[index]
+        latencies = bucket["latencies"]
+        assert window.index == index
+        assert window.arrivals == sum(bucket["batches"].values())
+        assert window.completions == len(latencies)
+        assert window.sla_count == bucket["sla"]
+        assert window.violations == bucket["violations"]
+        assert window.failures == bucket["failures"]
+        assert window.reconfiguring == any(
+            window.start < hi and lo < window.end for lo, hi in downtime
         )
-        assert columnar_window.p95_latency == event_window.p95_latency
+        assert window.mean_latency == pytest.approx(
+            float(np.mean(latencies)) if latencies else 0.0, rel=1e-12, abs=1e-15
+        )
+        assert window.p95_latency == (
+            float(np.percentile(latencies, 95)) if latencies else 0.0
+        )
 
 
 def _profile_named(name, latencies):

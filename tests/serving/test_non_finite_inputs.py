@@ -1,0 +1,163 @@
+"""Non-finite run controls fail with a pinned message before any state changes.
+
+NaN compares false with everything, so a bare ``x < 0`` or ``x <= 0`` guard
+lets it through, and infinity passes every "positive" check.  Either one
+then loses work silently or fails late: a NaN reconfiguration cost or
+slowdown leaves queries that never complete, a NaN noise draws NaN service
+times, a NaN window or step stalls the control loop or drains a run in one
+call, and an infinite retry backoff re-admits a crashed query at t=inf.
+Every guard below rejects both, worded like ``ServerConfig``'s.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.core.schedulers import FifsScheduler
+from repro.daemon.jobs import JobManager
+from repro.daemon.tenants import FleetPool, TenantSession
+from repro.faults.events import StragglerStart
+from repro.faults.retry import RetryPolicy
+from repro.serving.config import ServerConfig
+from repro.serving.session import ServingSession
+from repro.sim.cluster import InferenceServerSimulator
+from repro.sim.columnar import QueryColumns
+from repro.sim.hooks import WindowedMetrics
+from repro.sim.worker import PartitionWorker
+from repro.workload.generator import WorkloadConfig
+from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
+
+CONFIG = ServerConfig(model="mobilenet", gpc_budget=14, num_gpus=2)
+SERVERS = [(2, "a100", 12)]
+TRACE = make_trace([(0.1 * i, 2) for i in range(20)], sla=1.0)
+
+
+def _simulator(**kwargs):
+    return InferenceServerSimulator(
+        instances=make_instances((1, 7)),
+        profiles={MODEL: constant_profile({1: 0.4, 3: 0.2, 7: 0.1})},
+        scheduler=FifsScheduler(),
+        **kwargs,
+    )
+
+
+def _open_simulator():
+    """A simulator paused mid-run, with queries queued and in flight."""
+    simulator = _simulator()
+    simulator.begin()
+    simulator.submit_trace(TRACE)
+    simulator.run_until(0.6)
+    return simulator
+
+
+def _started_tenant():
+    tenant = TenantSession(
+        "t",
+        ServingSession(CONFIG, window=0.5),
+        WorkloadConfig(model="mobilenet", rate_qps=400.0, num_queries=200, seed=2),
+        seed=2,
+    )
+    tenant.start()
+    return tenant
+
+
+#: case -> (the call that must fail, given the bad value; its message)
+CASES = {
+    "simulator.reconfigure": (
+        lambda v: _open_simulator().reconfigure(make_instances((3, 3)), reconfig_cost=v),
+        "reconfig_cost must be non-negative and finite",
+    ),
+    "simulator.set_worker_slowdown": (
+        lambda v: _open_simulator().set_worker_slowdown(0, v),
+        "multiplier must be >= 1 and finite",
+    ),
+    "simulator.frontend_capacity_qps": (
+        lambda v: _simulator(frontend_capacity_qps=v),
+        "frontend_capacity_qps must be positive and finite when set",
+    ),
+    "simulator.execution_noise_std": (
+        lambda v: _simulator(execution_noise_std=v),
+        "noise_std must be non-negative and finite",
+    ),
+    "worker.noise_std": (
+        lambda v: PartitionWorker(
+            make_instances((7,))[0], lambda *a: 1.0, noise_std=v, columns=QueryColumns()
+        ),
+        "noise_std must be non-negative and finite",
+    ),
+    "session.reconfig_cost": (
+        lambda v: ServingSession(CONFIG, reconfig_cost=v),
+        "reconfig_cost must be non-negative and finite",
+    ),
+    "session.window": (
+        lambda v: ServingSession(CONFIG, window=v),
+        "window must be positive and finite (or None to disable)",
+    ),
+    "session.trigger_interval": (
+        lambda v: ServingSession(CONFIG, trigger_interval=v),
+        "trigger_interval must be positive and finite when set",
+    ),
+    "session.execution_noise_std": (
+        lambda v: ServingSession(CONFIG, execution_noise_std=v),
+        "execution_noise_std must be non-negative and finite",
+    ),
+    "windowed_metrics.window": (
+        lambda v: WindowedMetrics(window=v),
+        "window must be positive and finite",
+    ),
+    "straggler.multiplier": (
+        lambda v: StragglerStart(time=0.0, worker=0, multiplier=v),
+        "multiplier must be >= 1 and finite",
+    ),
+    "retry_policy.backoff": (
+        lambda v: RetryPolicy(backoff=v),
+        "backoff must be non-negative and finite",
+    ),
+    "retry_policy.growth": (
+        lambda v: RetryPolicy(growth=v),
+        "growth must be >= 1 and finite",
+    ),
+    "tenant.advance": (
+        lambda v: _started_tenant().advance(v),
+        "step must be positive and finite",
+    ),
+    "job_manager.chunk": (
+        lambda v: JobManager(FleetPool(SERVERS), CONFIG, Path("artifacts"), chunk=v),
+        "chunk must be positive and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_non_finite_input_is_rejected(case, value):
+    call, message = CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("control", ["reconfigure", "set_worker_slowdown"])
+def test_rejected_simulator_control_leaves_the_run_untouched(control):
+    undisturbed = _open_simulator().finish()
+    simulator = _open_simulator()
+    with pytest.raises(ValueError):
+        if control == "reconfigure":
+            simulator.reconfigure(make_instances((3, 3)), reconfig_cost=math.nan)
+        else:
+            simulator.set_worker_slowdown(0, math.nan)
+    assert not simulator.reconfiguring
+    result = simulator.finish()
+    assert result.statistics == undisturbed.statistics
+    assert result.queries == undisturbed.queries
+
+
+def test_rejected_advance_leaves_the_tenant_untouched():
+    undisturbed, tenant = _started_tenant(), _started_tenant()
+    with pytest.raises(ValueError):
+        tenant.advance(math.nan)
+    assert tenant.now == undisturbed.now == 0.0
+    assert tenant.advance(0.4) == undisturbed.advance(0.4)
+    assert tenant.new_windows() == undisturbed.new_windows()
+    assert tenant.finish().windows == undisturbed.finish().windows

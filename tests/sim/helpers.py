@@ -7,10 +7,12 @@ large partition and 3 seconds on the small one").
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.gpu.partition import GPUPartition, PartitionInstance
 from repro.perf.lookup import ProfileEntry, ProfileTable
+from repro.sim.columnar import QueryColumns
+from repro.sim.hooks import WindowedMetrics
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
 
@@ -97,3 +99,22 @@ def enqueue(worker, query: Query, now: float) -> int:
     row = len(columns) - 1
     worker.enqueue(row, now)
     return row
+
+
+def bound_metrics(
+    window: float,
+    arrived: Sequence[Query],
+    finish: Optional[Mapping[int, float]] = None,
+) -> WindowedMetrics:
+    """A :class:`WindowedMetrics` bound to a store holding ``arrived`` as its
+    rows, each arrival fired, as a replay leaves them; ``finish`` maps a row
+    to its completion time."""
+    columns = QueryColumns()
+    columns.extend(arrived)
+    for row in range(len(columns)):
+        columns.announced[row] = 1
+    for row, time in (finish or {}).items():
+        columns.finish[row] = time
+    metrics = WindowedMetrics(window)
+    metrics.attach_columns(columns)
+    return metrics

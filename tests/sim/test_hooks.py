@@ -16,7 +16,10 @@ from repro.sim.hooks import (
     SimulationObserver,
     SlaViolated,
     WindowedMetrics,
+    WorkerCrashed,
     WorkerIdle,
+    WorkerRecovered,
+    build_dispatch_table,
 )
 from tests.sim.helpers import (
     MODEL,
@@ -158,6 +161,48 @@ class TestWindowedMetrics:
         windowed = WindowedMetrics(window=1.0)
         with pytest.raises(ValueError):
             windowed.observed_batch_pdf(1.0, lookback_windows=0)
+
+    def test_subscribes_to_no_per_query_event(self):
+        # the columns carry every per-query outcome; a per-query handler
+        # would put a Python call per query back into the replay loop
+        table = build_dispatch_table([WindowedMetrics(1.0)])
+        assert set(table) == {
+            ReconfigStarted,
+            ReconfigFinished,
+            WorkerCrashed,
+            WorkerRecovered,
+        }
+
+    def test_unbound_observer_reads_empty(self):
+        windowed = WindowedMetrics(window=1.0)
+        assert windowed.series() == []
+        assert windowed.backlog() == 0
+        assert windowed.horizon() == 0.0
+        assert windowed.observed_batch_pdf(5.0, lookback_windows=5) == {}
+        assert windowed.recent_violation_stats(5.0, lookback_windows=5) == (0, 0)
+
+    def test_one_observer_reports_only_the_latest_run(self):
+        windowed = WindowedMetrics(window=0.5)
+        simulator = make_simulator(
+            sizes=(1, 7), latencies={1: 0.4, 3: 0.2, 7: 0.1}, observers=[windowed]
+        )
+        simulator.begin()
+        simulator.submit_trace(make_trace([(0.1 * i, 2) for i in range(20)]))
+        simulator.run_until(0.6)
+        simulator.reconfigure(make_instances((3, 3)), reconfig_cost=0.5)
+        simulator.finish()
+        assert windowed.downtime_intervals
+
+        second = make_trace([(0.0, 1), (0.3, 4), (1.2, 8)], sla=0.15)
+        simulator.run(second)
+        fresh = WindowedMetrics(window=0.5)
+        make_simulator(
+            sizes=(1, 7), latencies={1: 0.4, 3: 0.2, 7: 0.1}, observers=[fresh]
+        ).run(second)
+        assert windowed.downtime_intervals == []
+        assert windowed.series() == fresh.series()
+        assert windowed.backlog() == fresh.backlog() == 0
+        assert windowed.horizon() == fresh.horizon()
 
 
 class TestStreamingSurface:
@@ -361,9 +406,8 @@ class TestColumnarWindowedMetrics:
         assert any(window.reconfiguring for window in windowed.series())
 
     def test_retrospective_lookback_sees_every_fired_arrival(self):
-        """A historical `now` must count the whole window, exactly like the
-        event-driven observer would (arrivals are cut at the simulation
-        clock, not at the lookback time)."""
+        """A historical `now` must count the whole window: arrivals are cut
+        at the simulation clock, not at the lookback time."""
         from repro.sim.hooks import WindowedMetrics
         from tests.sim.helpers import make_trace
 
@@ -387,6 +431,8 @@ class TestColumnarWindowedMetrics:
         simulator.submit_trace(make_trace([(0.0, 2), (0.5, 4)]))
         # nothing processed yet: even the t=0 arrival has not fired
         assert windowed.series() == []
+        assert windowed.observed_batch_histogram(1.0, lookback_windows=1) == {}
+        assert windowed.backlog() == 0
 
     def test_mid_run_observer_reads_run_state_from_events(self):
         """An observer attached mid-run reads each completion's finish time

@@ -1,7 +1,8 @@
 """Ablation of PARIS's MaxBatch_knee utilization threshold (default 0.8)."""
 
 from repro.analysis.reporting import format_table
-from repro.core.paris import Paris, ParisConfig
+from repro.core.paris import Paris
+from repro.core.specs import ParisSpec
 
 
 def test_ablation_knee_threshold(benchmark, settings):
@@ -10,7 +11,7 @@ def test_ablation_knee_threshold(benchmark, settings):
         pdf = settings.batch_pdf()
         results = []
         for threshold in (0.6, 0.7, 0.8, 0.9):
-            plan = Paris(profile, ParisConfig(knee_threshold=threshold)).plan(pdf, 48)
+            plan = Paris(profile, ParisSpec(knee_threshold=threshold)).plan(pdf, 48)
             results.append((threshold, plan))
         return results
 

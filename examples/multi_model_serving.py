@@ -4,7 +4,7 @@
 Production inference clusters rarely serve a single model.  This example
 co-locates ResNet-50 and MobileNet on one PARIS-partitioned server:
 
-1. build a multi-model service with ``ServerBuilder.serve_models`` — the
+1. build a multi-model session with ``ServerBuilder.serve_models`` — the
    partitioning is driven by the primary model (ResNet), while profiles for
    every served model are loaded so the simulator and ELSA's slack
    estimator can predict per-model latencies,
@@ -31,12 +31,12 @@ SECONDARY = "mobilenet"
 
 
 def main() -> None:
-    service = (
+    session = (
         ServerBuilder(PRIMARY)
         .serve_models(SECONDARY)
         .cluster(num_gpus=8, gpc_budget=48)
         .scheduler("elsa")
-        .build_service()
+        .build_session(window=None)
     )
 
     resnet_load = WorkloadConfig(
@@ -53,10 +53,10 @@ def main() -> None:
     )
 
     # The partitioner needs a batch PDF; use the primary workload's.
-    service.deploy(batch_pdf=QueryGenerator(resnet_load).batch_pdf())
-    result = service.serve_trace(mixed)
+    session.deploy(batch_pdf=QueryGenerator(resnet_load).batch_pdf())
+    result = session.run(mixed)
 
-    deployment = service.deployment
+    deployment = session.deployment
     print(f"served models : {', '.join(deployment.models)}")
     print(f"plan          : {deployment.plan.describe()}")
     for model in deployment.models:

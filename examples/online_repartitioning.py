@@ -4,7 +4,7 @@
 PARIS consumes a batch-size probability density function.  In production this
 PDF is not known ahead of time; the paper notes it "can readily be generated
 in the inference server by collecting the number of input batch sizes
-serviced within a given period of time".  ``InferenceService.repartition``
+serviced within a given period of time".  ``ServingSession.repartition``
 supports that workflow directly:
 
 1. deploy BERT with PARIS using an assumed (wrong) batch distribution,
@@ -18,7 +18,7 @@ Run with::
     python examples/online_repartitioning.py
 """
 
-from repro import InferenceService, QueryGenerator, ServerBuilder, WorkloadConfig
+from repro import QueryGenerator, ServerBuilder, WorkloadConfig
 from repro.analysis.sweep import latency_bounded_throughput
 from repro.workload.distributions import LogNormalBatchDistribution
 
@@ -29,11 +29,11 @@ BUDGET = 42
 def main() -> None:
     # 1. initial deployment assumes mostly tiny batches (median 2)
     assumed_pdf = LogNormalBatchDistribution(sigma=0.9, median=2, max_batch=32).pdf()
-    service: InferenceService = (
+    session = (
         ServerBuilder(MODEL).cluster(num_gpus=8, gpc_budget=BUDGET)
-        .build_service(batch_pdf=assumed_pdf)
+        .build_session(batch_pdf=assumed_pdf, window=None)
     )
-    initial = service.deploy()
+    initial = session.deploy()
 
     # 2. the real traffic skews to larger batches (median 12)
     real_traffic = WorkloadConfig(
@@ -44,7 +44,7 @@ def main() -> None:
 
     # 3. rebuild the PDF from the observed batch sizes and re-run PARIS;
     #    profiles are reused, only the plan and the MIG layout change.
-    repartitioned = service.repartition(observed_trace.batch_pdf())
+    repartitioned = session.repartition(observed_trace.batch_pdf())
 
     # 4. compare latency-bounded throughput on the real traffic
     after = latency_bounded_throughput(repartitioned, real_traffic, iterations=7)

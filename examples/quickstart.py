@@ -7,8 +7,9 @@ This is the smallest end-to-end use of the library:
    (PARIS + ELSA are the defaults; any registered policy name works),
 2. describe the workload (``WorkloadConfig``: Poisson arrivals, log-normal
    batch sizes),
-3. let :class:`repro.InferenceService` profile the model, run PARIS, carve
-   the MIG partitions, and replay the workload under ELSA,
+3. let a one-shot :class:`repro.ServingSession` (``window=None``) profile
+   the model, run PARIS, carve the MIG partitions, and replay the workload
+   under ELSA,
 4. print the chosen partitioning and the serving metrics.
 
 Run with::
@@ -20,13 +21,13 @@ from repro import ServerBuilder, WorkloadConfig
 
 
 def main() -> None:
-    service = (
+    session = (
         ServerBuilder("resnet")   # one of: shufflenet, mobilenet, resnet, bert, conformer
         .cluster(num_gpus=8, gpc_budget=48)  # 48 of the 8x7=56 GPCs (Table I)
         .partitioner("paris")
         .scheduler("elsa")
         .sla(multiplier=1.5, max_batch=32)
-        .build_service()
+        .build_session(window=None)
     )
 
     workload = WorkloadConfig(
@@ -37,9 +38,9 @@ def main() -> None:
         sigma=0.9,            # log-normal batch-size distribution
         seed=0,
     )
-    result = service.serve(workload)
+    result = session.run(workload)
 
-    deployment = service.deployment
+    deployment = session.deployment
     print("PARIS partitioning plan")
     print(f"  model        : {deployment.config.model}")
     print(f"  GPC budget   : {deployment.plan.total_gpcs}")

@@ -22,9 +22,9 @@ The package is organised bottom-up:
   repartition **triggers** driving the elastic loop.
 * :mod:`repro.serving` — end-to-end deployment, the fluent
   :class:`~repro.serving.builder.ServerBuilder`, the streaming
-  :class:`~repro.serving.session.ServingSession` (live mid-run
-  repartitioning with modeled MIG downtime) and the multi-model
-  :class:`~repro.serving.service.InferenceService` facade.
+  :class:`~repro.serving.session.ServingSession` (one-shot or streaming
+  runs, multi-model traces, live mid-run repartitioning with modeled MIG
+  downtime).
 * :mod:`repro.autoscale` — the elastic fleet control plane: trigger-driven
   :class:`~repro.autoscale.autoscaler.Autoscaler` (whole-server scale-out
   with provisioning lead times, drain-based scale-in), deterministic spot
@@ -38,15 +38,15 @@ Quickstart (fluent builder API)::
 
     from repro import ServerBuilder, WorkloadConfig
 
-    service = (
+    session = (
         ServerBuilder("resnet")              # PARIS + ELSA by default
         .cluster(num_gpus=8, gpc_budget=48)
         .sla(multiplier=1.5, max_batch=32)
-        .build_service()
+        .build_session(window=None)
     )
     workload = WorkloadConfig(model="resnet", rate_qps=200.0, num_queries=2000)
-    result = service.serve(workload)
-    print(service.deployment.plan.describe())
+    result = session.run(workload)
+    print(session.deployment.plan.describe())
     print(result.summary())
 
 Writing your own policy is a registry decorator away::
@@ -57,11 +57,11 @@ Writing your own policy is a registry decorator away::
     def build_my_scheduler(context: SchedulerContext):
         return MyScheduler(context.profile)
 
-    ServerBuilder("resnet").scheduler("my-sched").build_service()
+    ServerBuilder("resnet").scheduler("my-sched").build_session()
 """
 
 from repro.core.elsa import ElsaScheduler
-from repro.core.paris import FleetParis, Paris, ParisConfig, run_fleet_paris, run_paris
+from repro.core.paris import FleetParis, Paris, run_fleet_paris, run_paris
 from repro.core.plan import FleetPlan, PartitionPlan
 from repro.core.registry import (
     PartitionerContext,
@@ -118,7 +118,6 @@ from repro.perf.profiler import Profiler, cached_profile, fleet_profiles, profil
 from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
-from repro.serving.service import InferenceService, ServiceResult
 from repro.serving.session import ServingSession, SessionResult
 from repro.sim.cluster import (
     InferenceServerSimulator,
@@ -161,12 +160,10 @@ __all__ = [
     "GPUPartition",
     "HomogeneousSpec",
     "InferenceServerSimulator",
-    "InferenceService",
     "LeastLoadedSpec",
     "MultiGPUServer",
     "PAPER_MODELS",
     "Paris",
-    "ParisConfig",
     "ParisSpec",
     "PartitionPlan",
     "PartitionerContext",
@@ -189,7 +186,6 @@ __all__ = [
     "ServerBuilder",
     "ServerConfig",
     "ServerCapacityError",
-    "ServiceResult",
     "ServingSession",
     "SessionResult",
     "SimulationObserver",

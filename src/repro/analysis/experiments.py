@@ -27,13 +27,13 @@ from repro.analysis.sweep import (
     sweep_rates,
 )
 from repro.core.knee import derive_knees
-from repro.core.paris import Paris, ParisConfig
+from repro.core.paris import Paris
 from repro.models.registry import PAPER_MODELS, get_model
 from repro.perf.latency_model import LatencyModel
 from repro.perf.lookup import ProfileEntry, ProfileTable
 from repro.perf.profiler import DEFAULT_BATCH_SIZES, Profiler, cached_profile
 from repro.core.registry import normalize_policy_name
-from repro.core.specs import HomogeneousSpec
+from repro.core.specs import HomogeneousSpec, ParisSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
 from repro.serving.session import ServingSession, SessionResult, resolve_workload
@@ -453,7 +453,7 @@ def figure8_example() -> dict:
                     )
                 )
     profile = ProfileTable("figure8-example", entries)
-    paris = Paris(profile, ParisConfig(partition_sizes=(small, large)))
+    paris = Paris(profile, ParisSpec(partition_sizes=(small, large)))
     plan = paris.plan(pdf, total_gpcs=8)
     segments = {seg.gpcs: seg for seg in plan.segments}
     ratio_small = segments[small].instance_ratio

@@ -91,21 +91,27 @@ class PreemptionSchedule:
         skipped events rather than failing.
 
         Raises:
-            ValueError: for an empty candidate set, a non-positive or NaN
-                horizon, a non-positive or NaN rate (a zero rate would
-                divide by zero in the exponential draw — pass
-                ``PreemptionSchedule()`` for a quiet run instead), or a
-                negative/NaN notice.
+            ValueError: for an empty candidate set, a non-positive, NaN or
+                infinite horizon (the draw loop would never end), a
+                non-positive, NaN or infinite rate (a zero rate would divide
+                by zero in the exponential draw — pass
+                ``PreemptionSchedule()`` for a quiet run instead — and an
+                infinite one draws zero gaps forever), or a negative/NaN
+                notice.
         """
         if not server_ids:
             raise ValueError("server_ids must name at least one candidate")
         if math.isnan(horizon) or horizon <= 0:
             raise ValueError("horizon must be positive (and not NaN)")
+        if math.isinf(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon}")
         if math.isnan(rate) or rate <= 0:
             raise ValueError(
                 "rate must be positive (and not NaN); for a preemption-free "
                 "run pass PreemptionSchedule() instead of rate=0"
             )
+        if math.isinf(rate):
+            raise ValueError(f"rate must be finite, got {rate}")
         if math.isnan(notice) or notice < 0:
             raise ValueError("notice must be non-negative (and not NaN)")
         rng = np.random.default_rng(seed)

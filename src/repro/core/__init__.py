@@ -25,7 +25,6 @@ from repro.core.plan import BatchSegment, FleetPlan, PartitionPlan
 from repro.core.paris import (
     FleetParis,
     Paris,
-    ParisConfig,
     run_fleet_paris,
     run_paris,
     shared_fleet_paris,
@@ -126,7 +125,6 @@ __all__ = [
     "FleetPlan",
     "BatchSegment",
     "Paris",
-    "ParisConfig",
     "FleetParis",
     "run_paris",
     "run_fleet_paris",

@@ -23,11 +23,12 @@ Steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.knee import DEFAULT_KNEE_THRESHOLD, derive_knees
+from repro.core.knee import derive_knees
 from repro.core.plan import BatchSegment, FleetPlan, PartitionPlan
+from repro.core.specs import ParisSpec
 from repro.perf.lookup import CachedEstimator, ProfileTable
 
 #: Plans memoized per Paris instance; a bisection sweep revisits the same
@@ -36,45 +37,17 @@ from repro.perf.lookup import CachedEstimator, ProfileTable
 _PLAN_CACHE_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class ParisConfig:
-    """Tunables of the PARIS algorithm.
-
-    Attributes:
-        knee_threshold: utilization threshold defining MaxBatch_knee (0.8).
-        partition_sizes: candidate partition sizes ``GPC[k]``; defaults to
-            every size present in the profile table.
-        min_instances_per_active_segment: lower bound on the instance count
-            of any partition size whose batch segment carries probability
-            mass, provided the budget allows it.  The paper's formulation
-            (and the default of 0) lets a low-demand segment round down to
-            zero instances, in which case its batch range is served by the
-            next-smaller partition; set to 1 to force coverage of every
-            active segment.
-    """
-
-    knee_threshold: float = DEFAULT_KNEE_THRESHOLD
-    partition_sizes: Optional[Sequence[int]] = None
-    min_instances_per_active_segment: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.knee_threshold <= 1.0:
-            raise ValueError("knee_threshold must be in (0, 1]")
-        if self.min_instances_per_active_segment < 0:
-            raise ValueError("min_instances_per_active_segment must be >= 0")
-
-
 @dataclass
 class Paris:
     """The PARIS partitioning algorithm.
 
     Args:
         profile: profiled lookup table of the target model.
-        config: algorithm tunables.
+        config: algorithm tunables (:class:`~repro.core.specs.ParisSpec`).
     """
 
     profile: ProfileTable
-    config: ParisConfig = field(default_factory=ParisConfig)
+    config: ParisSpec = field(default_factory=ParisSpec)
 
     def __post_init__(self) -> None:
         # The online repartitioning loop re-runs plan() against every
@@ -317,7 +290,7 @@ _SHARED_PARIS_LIMIT = 64
 
 
 def shared_paris(
-    profile: ProfileTable, config: Optional[ParisConfig] = None
+    profile: ProfileTable, config: Optional[ParisSpec] = None
 ) -> Paris:
     """The process-wide memoized :class:`Paris` planner for ``profile``.
 
@@ -329,7 +302,7 @@ def shared_paris(
     ``_SHARED_PARIS_LIMIT`` profiles keep cached planners, oldest evicted
     first.
     """
-    config = config or ParisConfig()
+    config = config or ParisSpec()
     sizes = config.partition_sizes
     key = (
         config.knee_threshold,
@@ -386,7 +359,7 @@ class FleetParis:
     """
 
     profiles: Mapping[str, ProfileTable]
-    config: ParisConfig = field(default_factory=ParisConfig)
+    config: ParisSpec = field(default_factory=ParisSpec)
 
     def __post_init__(self) -> None:
         if not self.profiles:
@@ -470,7 +443,7 @@ class FleetParis:
     # ------------------------------------------------------------------ #
     def _config_for(
         self, arch_name: str, size_cap: Optional[int] = None
-    ) -> ParisConfig:
+    ) -> ParisSpec:
         """The per-architecture tunables: explicit candidate sizes are
         intersected with the architecture's profiled sizes, and sizes no
         server of the architecture can host are dropped."""
@@ -496,8 +469,6 @@ class FleetParis:
             usable = capped
         if sizes is None and len(usable) == len(profiled):
             return self.config
-        from dataclasses import replace
-
         return replace(self.config, partition_sizes=usable)
 
     def _lift(self, sub: PartitionPlan, arch_name: str) -> FleetPlan:
@@ -617,7 +588,7 @@ _SHARED_FLEET_LIMIT = 64
 
 
 def shared_fleet_paris(
-    profiles: Mapping[str, ProfileTable], config: Optional[ParisConfig] = None
+    profiles: Mapping[str, ProfileTable], config: Optional[ParisSpec] = None
 ) -> FleetParis:
     """The process-wide memoized :class:`FleetParis` planner for ``profiles``.
 
@@ -629,7 +600,7 @@ def shared_fleet_paris(
         profiles: per-architecture profile tables of the target model.
         config: optional algorithm tunables.
     """
-    config = config or ParisConfig()
+    config = config or ParisSpec()
     sizes = config.partition_sizes
     key = (
         tuple(sorted((name, id(table)) for name, table in profiles.items())),
@@ -649,7 +620,7 @@ def run_fleet_paris(
     profiles: Mapping[str, ProfileTable],
     batch_pdf: Dict[int, float],
     budgets: Mapping[str, int],
-    config: Optional[ParisConfig] = None,
+    config: Optional[ParisSpec] = None,
 ) -> FleetPlan:
     """Convenience wrapper: run fleet-PARIS in one call.
 
@@ -662,14 +633,14 @@ def run_fleet_paris(
     Returns:
         The :class:`~repro.core.plan.FleetPlan` chosen by fleet-PARIS.
     """
-    return FleetParis(profiles, config or ParisConfig()).plan(batch_pdf, budgets)
+    return FleetParis(profiles, config or ParisSpec()).plan(batch_pdf, budgets)
 
 
 def run_paris(
     profile: ProfileTable,
     batch_pdf: Dict[int, float],
     total_gpcs: int,
-    config: Optional[ParisConfig] = None,
+    config: Optional[ParisSpec] = None,
 ) -> PartitionPlan:
     """Convenience wrapper: run PARIS in one call.
 

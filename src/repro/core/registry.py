@@ -381,19 +381,13 @@ def _paris_partitioner(context: PartitionerContext) -> PartitionPlan:
     memoized across repeated (PDF, budget) requests — a rate sweep or a
     trigger loop replans only when the observed distribution changes.
     """
-    from repro.core.paris import ParisConfig, shared_paris
+    from repro.core.paris import shared_paris
     from repro.core.specs import resolve_policy_spec
 
     spec = resolve_policy_spec("partitioner", "paris", context.spec)
-    paris = shared_paris(
-        context.profile,
-        ParisConfig(
-            knee_threshold=spec.knee_threshold,
-            partition_sizes=spec.partition_sizes,
-            min_instances_per_active_segment=spec.min_instances_per_active_segment,
-        ),
+    return shared_paris(context.profile, spec).plan(
+        dict(context.batch_pdf), context.budget
     )
-    return paris.plan(dict(context.batch_pdf), context.budget)
 
 
 @register_partitioner("homogeneous")

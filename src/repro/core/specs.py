@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence
 
 from repro.core.knee import DEFAULT_KNEE_THRESHOLD
-from repro.core.registry import PARTITIONERS, SCHEDULERS
 from repro.gpu.architecture import A100, GPUArchitecture
 
 
@@ -77,14 +76,21 @@ class PolicySpec:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ParisSpec:
-    """Tunables of the PARIS partitioner (Algorithm 1).
+    """Tunables of the PARIS partitioner (Algorithm 1), handed to
+    :class:`~repro.core.paris.Paris` and :class:`~repro.core.paris.FleetParis`.
 
     Attributes:
-        knee_threshold: utilization threshold defining ``MaxBatch_knee``.
-        partition_sizes: candidate partition sizes; defaults to every size in
-            the profile table.
-        min_instances_per_active_segment: lower bound on the instance count of
-            any partition size whose batch segment carries probability mass.
+        knee_threshold: utilization threshold defining ``MaxBatch_knee``
+            (0.8), in ``(0, 1]``.
+        partition_sizes: candidate partition sizes ``GPC[k]``; defaults to
+            every size in the profile table.
+        min_instances_per_active_segment: lower bound on the instance count
+            of any partition size whose batch segment carries probability
+            mass, provided the budget allows it.  The paper's formulation
+            (and the default of 0) lets a low-demand segment round down to
+            zero instances, in which case its batch range is served by the
+            next-smaller partition; set to 1 to force coverage of every
+            active segment.
     """
 
     policy: ClassVar[str] = "paris"
@@ -92,6 +98,13 @@ class ParisSpec:
     knee_threshold: float = DEFAULT_KNEE_THRESHOLD
     partition_sizes: Optional[Sequence[int]] = None
     min_instances_per_active_segment: int = 0
+
+    def __post_init__(self) -> None:
+        # written so NaN fails both checks
+        if not 0.0 < self.knee_threshold <= 1.0:
+            raise ValueError("knee_threshold must be in (0, 1]")
+        if not self.min_instances_per_active_segment >= 0:
+            raise ValueError("min_instances_per_active_segment must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -285,6 +298,10 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
         return spec
     if spec is None:
         return spec_type()
+    # imported here: core.paris imports this module, and the registry's
+    # imports reach back into core through repro.workload
+    from repro.core.registry import PARTITIONERS, SCHEDULERS
+
     registry = PARTITIONERS if kind == "partitioner" else SCHEDULERS
     if isinstance(spec, PolicySpec) and registry.canonical(spec.policy) == policy:
         valid = {f.name for f in dataclasses.fields(spec_type)}  # type: ignore[arg-type]

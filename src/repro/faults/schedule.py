@@ -99,19 +99,23 @@ class FaultSchedule:
             seed: RNG seed — equal seeds give equal schedules.
 
         Raises:
-            ValueError: for a non-positive worker count, a non-positive or
-                NaN horizon, a non-positive or NaN rate, or a negative/NaN
-                mttr.
+            ValueError: for a non-positive worker count, a non-positive,
+                NaN or infinite horizon or rate (the draw loop would never
+                end), or a negative/NaN mttr.
         """
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if math.isnan(horizon) or horizon <= 0:
             raise ValueError("horizon must be positive (and not NaN)")
+        if math.isinf(horizon):
+            raise ValueError(f"horizon must be finite, got {horizon}")
         if math.isnan(rate) or rate <= 0:
             raise ValueError(
                 "rate must be positive (and not NaN); for a fault-free run "
                 "pass FaultSchedule([]) instead of rate=0"
             )
+        if math.isinf(rate):
+            raise ValueError(f"rate must be finite, got {rate}")
         if math.isnan(mttr) or mttr < 0:
             raise ValueError("mttr must be non-negative (and not NaN)")
         rng = np.random.default_rng(seed)

@@ -29,8 +29,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -70,7 +68,6 @@ class ProfileTable:
         self._batches: Dict[int, List[int]] = {
             gpcs: sorted(row) for gpcs, row in self._data.items()
         }
-        self._array_cache: Dict[int, Dict[str, Tuple]] = {}
 
     # ------------------------------------------------------------------ #
     # basic introspection
@@ -146,54 +143,6 @@ class ProfileTable:
             # query lands.
             return max(value, v1 * (b1 / batch))
         return max(0.0, value)
-
-    def interp_array(
-        self, gpcs: int, batches: "np.ndarray", field: str = "latency_s"
-    ) -> "np.ndarray":
-        """Vectorised :meth:`_interp` over an array of batch sizes.
-
-        Elementwise bit-identical to the scalar accessors (same IEEE
-        operations in the same order), so cached/vectorised consumers can be
-        validated against — and mixed freely with — scalar lookups.
-
-        Args:
-            gpcs: partition size to query.
-            batches: integer batch sizes (each >= 1), any shape.
-            field: profiled field to interpolate (``latency_s`` by default).
-
-        Returns:
-            A float array of ``batches``' shape with the estimated values.
-        """
-        self._check_gpcs(gpcs)
-        query = np.asarray(batches, dtype=np.int64)
-        if query.size and int(query.min()) < 1:
-            raise ValueError("batch sizes must be >= 1")
-        xs, vs = self._field_arrays(gpcs, field)
-        if xs.size == 1:
-            return np.full(query.shape, vs[0], dtype=float)
-        pos = np.searchsorted(xs, query)
-        hi = np.clip(pos, 1, xs.size - 1)
-        b0, b1 = xs[hi - 1], xs[hi]
-        v0, v1 = vs[hi - 1], vs[hi]
-        slope = (v1 - v0) / (b1 - b0)
-        value = v0 + slope * (query - b0)
-        extrapolated = pos == xs.size
-        floor = np.where(extrapolated, vs[-1] * (xs[-1] / query), 0.0)
-        value = np.maximum(value, floor)
-        exact = xs[np.minimum(pos, xs.size - 1)] == query
-        value = np.where(exact, vs[np.minimum(pos, xs.size - 1)], value)
-        return np.where(pos == 0, vs[0], value)
-
-    def _field_arrays(self, gpcs: int, field: str) -> Tuple["np.ndarray", "np.ndarray"]:
-        cache = self._array_cache.setdefault(gpcs, {})
-        if field not in cache:
-            batches = self._batches[gpcs]
-            row = self._data[gpcs]
-            cache[field] = (
-                np.asarray(batches, dtype=np.int64),
-                np.asarray([getattr(row[b], field) for b in batches], dtype=float),
-            )
-        return cache[field]
 
     def _check_gpcs(self, gpcs: int) -> None:
         if gpcs not in self._data:
@@ -323,16 +272,6 @@ class CachedEstimator:
         """Estimated steady-state queries/sec (``1 / latency``, memoized)."""
         latency = self(model, batch, gpcs)
         return 1.0 / latency if latency > 0 else 0.0
-
-    def batch_latencies(
-        self, model: Optional[str], gpcs: int, batches: "np.ndarray"
-    ) -> "np.ndarray":
-        """Vectorised latency estimates for an array of batch sizes.
-
-        Elementwise bit-identical to calling the estimator per batch (see
-        :meth:`ProfileTable.interp_array`).
-        """
-        return self.table_for(model).interp_array(gpcs, batches, "latency_s")
 
     def cache_info(self) -> Dict[str, int]:
         """Size of the memo (diagnostics for benchmarks and tests)."""

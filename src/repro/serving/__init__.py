@@ -11,12 +11,10 @@ Glues the substrates together into the inference server of Figure 6:
 * :mod:`repro.serving.deployment` — turns a configuration plus profiled
   models into a concrete deployment: partition plan, MIG layout, scheduler
   (policies resolved through :mod:`repro.core.registry`).
-* :mod:`repro.serving.session` — :class:`ServingSession`, the streaming
-  execution surface: lifecycle events, windowed metrics, scenario runs and
-  live mid-run repartitioning with modeled MIG downtime.
-* :mod:`repro.serving.service` — :class:`InferenceService`, the high-level
-  multi-model facade used by the examples and benchmark harnesses (now a
-  thin one-shot wrapper over a session).
+* :mod:`repro.serving.session` — :class:`ServingSession`, the one execution
+  surface: one-shot runs of a workload or a (multi-model) trace, lifecycle
+  events, windowed metrics, scenario runs and live mid-run repartitioning
+  with modeled MIG downtime.
 """
 
 from repro.serving.config import ServerConfig
@@ -29,7 +27,6 @@ from repro.serving.session import (
     SessionResult,
     TriggerFiring,
 )
-from repro.serving.service import InferenceService, ServiceResult
 
 __all__ = [
     "DEFAULT_RECONFIG_COST",
@@ -42,6 +39,4 @@ __all__ = [
     "Deployment",
     "build_deployment",
     "replan_deployment",
-    "InferenceService",
-    "ServiceResult",
 ]

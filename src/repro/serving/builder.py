@@ -13,7 +13,7 @@ step by step, resolving policy names against the registries of
         .sla(multiplier=1.5, max_batch=32)
         .build()
     )
-    service = ServerBuilder("resnet").serve_models("bert").build_service()
+    session = ServerBuilder("resnet").serve_models("bert").build_session()
 
 Options for a *custom* registered policy are wrapped in a
 :class:`~repro.core.specs.PolicySpec` and handed to the registered factory
@@ -272,16 +272,6 @@ class ServerBuilder:
             extra_models=tuple(self._extra_models),
             **self._overrides,
         )
-
-    def build_service(self, **service_kwargs: Any):
-        """Materialise an :class:`~repro.serving.service.InferenceService`.
-
-        Keyword args (``profiler``, ``batch_pdf``, ``profiles``) are passed
-        through to the service constructor.
-        """
-        from repro.serving.service import InferenceService
-
-        return InferenceService(self.build(), **service_kwargs)
 
     def build_session(self, **session_kwargs: Any):
         """Materialise a :class:`~repro.serving.session.ServingSession`.

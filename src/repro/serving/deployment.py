@@ -206,7 +206,7 @@ def _plan_and_place_fleet(
     with that architecture's own profile table and budget, and the
     per-architecture plans are merged.
     """
-    from repro.core.paris import ParisConfig, shared_fleet_paris
+    from repro.core.paris import shared_fleet_paris
 
     budgets = fleet.budgets_by_architecture()
     if arch_tables is None:
@@ -216,15 +216,8 @@ def _plan_and_place_fleet(
     }
 
     if config.partitioning == "paris":
-        spec = config.partitioner_spec  # a ParisSpec: the config resolved it
-        planner = shared_fleet_paris(
-            primary_tables,
-            ParisConfig(
-                knee_threshold=spec.knee_threshold,
-                partition_sizes=spec.partition_sizes,
-                min_instances_per_active_segment=spec.min_instances_per_active_segment,
-            ),
-        )
+        # a ParisSpec: the config resolved it
+        planner = shared_fleet_paris(primary_tables, config.partitioner_spec)
         # An architecture's pooled budget can exceed what any one of its
         # servers hosts (three 6-GPC servers pool 18 GPCs but cannot place
         # a 7-GPC instance) — cap the candidate sizes so the plan packs.

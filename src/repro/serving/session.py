@@ -2,10 +2,9 @@
 repartitioning.
 
 :class:`ServingSession` is the event-driven execution surface of the
-reproduction.  Where :class:`~repro.serving.service.InferenceService`
-replays a whole trace and hands back one post-hoc result, a session *runs* a
-:class:`~repro.workload.scenario.Scenario` (or a plain trace) through the
-streaming simulator:
+reproduction.  A session *runs* a workload config, a plain (possibly
+multi-model) trace or a :class:`~repro.workload.scenario.Scenario` through
+the streaming simulator:
 
 * typed lifecycle events flow to registered observers
   (:mod:`repro.sim.hooks`), with a :class:`~repro.sim.hooks.WindowedMetrics`
@@ -22,9 +21,14 @@ streaming simulator:
   evaluated on a simulation-time cadence, a firing trigger repartitions the
   session live.
 
-One-shot usage is a strict subset, which is why
-:class:`~repro.serving.service.InferenceService` is now a thin facade over a
-single-run session::
+One-shot serving is a run with ``window=None`` (no windowed metrics, no
+triggers)::
+
+    session = ServerBuilder("resnet").build_session(window=None)
+    result = session.run(WorkloadConfig(model="resnet", rate_qps=2000.0))
+    print(session.deployment.plan.describe(), result.summary())
+
+A streaming run with live repartitioning adds triggers::
 
     session = ServingSession(ServerBuilder("bert").build(),
                              triggers=["pdf-drift"], reconfig_cost=2.0)
@@ -451,13 +455,23 @@ class ServingSession:
         return self._deployment
 
     def deploy(self, batch_pdf: Optional[Dict[int, float]] = None) -> Deployment:
-        """Profile, partition and configure the server (see
-        :meth:`repro.serving.service.InferenceService.deploy`)."""
+        """Profile the served models, run the partitioner and configure the
+        server.
+
+        Args:
+            batch_pdf: batch-size PDF the partitioner plans for; falls back
+                to the PDF given at construction.  An explicitly passed
+                empty PDF is an error, never a silent fallback.
+
+        Returns:
+            The materialised deployment, which also becomes
+            :attr:`deployment`.
+        """
         pdf = batch_pdf if batch_pdf is not None else self._explicit_pdf
         if pdf is None:
             raise ValueError(
                 "a batch-size PDF is required to deploy; pass one here, at "
-                "construction, or serve/run a workload first"
+                "construction, or run a workload first"
             )
         if not pdf:
             raise ValueError(

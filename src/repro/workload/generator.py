@@ -7,6 +7,7 @@ MLPerf-style Poisson arrivals and log-normal query sizes (Section V).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,14 +45,23 @@ class WorkloadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN passes every `<= 0` guard, so each float also gets a finite check
         if self.rate_qps <= 0:
             raise ValueError("rate_qps must be positive")
+        if not math.isfinite(self.rate_qps):
+            raise ValueError(f"rate_qps must be finite, got {self.rate_qps}")
         if self.num_queries < 1:
             raise ValueError("num_queries must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.median_batch):
+            raise ValueError(f"median_batch must be finite, got {self.median_batch}")
         if self.sla_target is not None and self.sla_target <= 0:
             raise ValueError("sla_target must be positive when set")
+        if self.sla_target is not None and not math.isfinite(self.sla_target):
+            raise ValueError(f"sla_target must be finite, got {self.sla_target}")
 
 
 class QueryGenerator:

@@ -77,8 +77,12 @@ class Phase:
             raise ValueError("max_batch must be >= 1")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.median_batch <= 0:
             raise ValueError("median_batch must be positive")
+        if not math.isfinite(self.median_batch):
+            raise ValueError(f"median_batch must be finite, got {self.median_batch}")
         object.__setattr__(self, "model_mix", dict(self.model_mix))
         if any(not name for name in self.model_mix):
             raise ValueError("model_mix keys must be non-empty model names")

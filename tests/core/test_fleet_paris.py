@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.paris import (
     FleetParis,
-    ParisConfig,
     run_fleet_paris,
     shared_fleet_paris,
     shared_paris,
 )
 from repro.core.plan import FleetPlan, PartitionPlan
+from repro.core.specs import ParisSpec
 from repro.gpu.architecture import A30, A100, H100
 from repro.perf.profiler import cached_profile
 
@@ -131,7 +131,7 @@ class TestFleetParis:
             planner.plan(PDF, {A100_NAME: 0, A30_NAME: 8})
 
     def test_candidate_sizes_intersected_per_architecture(self, tables):
-        config = ParisConfig(partition_sizes=(1, 2, 3))
+        config = ParisSpec(partition_sizes=(1, 2, 3))
         plan = FleetParis(
             {A100_NAME: tables[A100_NAME], A30_NAME: tables[A30_NAME]},
             config,
@@ -141,7 +141,7 @@ class TestFleetParis:
         assert set(plan.counts_of(A100_NAME)) <= {1, 2, 3}
 
     def test_disjoint_candidate_sizes_raise(self, tables):
-        config = ParisConfig(partition_sizes=(3,))
+        config = ParisSpec(partition_sizes=(3,))
         planner = FleetParis(
             {A100_NAME: tables[A100_NAME], A30_NAME: tables[A30_NAME]},
             config,

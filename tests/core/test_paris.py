@@ -1,10 +1,15 @@
 """Tests for the PARIS partitioning algorithm (Algorithm 1)."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.paris import Paris, ParisConfig, run_paris
+from repro.core.paris import Paris, run_paris
+from repro.core.specs import ParisSpec
 from repro.perf.lookup import ProfileEntry, ProfileTable
+from repro.serving.config import ServerConfig
 from repro.workload.distributions import LogNormalBatchDistribution
 
 
@@ -54,13 +59,31 @@ class TestInputValidation:
 
     def test_unprofiled_partition_size_rejected(self):
         with pytest.raises(ValueError):
-            Paris(synthetic_profile(), ParisConfig(partition_sizes=(1, 3))).plan(
+            Paris(synthetic_profile(), ParisSpec(partition_sizes=(1, 3))).plan(
                 {1: 1.0}, total_gpcs=14
             )
 
     def test_invalid_knee_threshold_rejected(self):
         with pytest.raises(ValueError):
-            ParisConfig(knee_threshold=0.0)
+            ParisSpec(knee_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("knee_threshold", 0.0, "knee_threshold must be in (0, 1]"),
+            ("knee_threshold", 1.5, "knee_threshold must be in (0, 1]"),
+            ("knee_threshold", math.nan, "knee_threshold must be in (0, 1]"),
+            ("min_instances_per_active_segment", -1,
+             "min_instances_per_active_segment must be >= 0"),
+            ("min_instances_per_active_segment", math.nan,
+             "min_instances_per_active_segment must be >= 0"),
+        ],
+    )
+    def test_invalid_spec_fails_before_a_config_exists(self, field, value, message):
+        # an invalid tunable must fail where the design point is written,
+        # not later inside build_deployment
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ServerConfig("mobilenet", partitioner_spec=ParisSpec(**{field: value}))
 
 
 class TestAlgorithmSteps:
@@ -98,7 +121,7 @@ class TestAlgorithmSteps:
 
     def test_coverage_floor_forces_active_segments(self):
         pdf = {1: 0.98, 16: 0.02}
-        config = ParisConfig(min_instances_per_active_segment=1)
+        config = ParisSpec(min_instances_per_active_segment=1)
         plan = Paris(synthetic_profile(), config).plan(pdf, 28)
         assert plan.instances_of(7) >= 1
 
@@ -132,7 +155,7 @@ class TestShrinkToBudget:
 
     def test_plan_with_floor_keeps_active_segments_when_budget_allows(self):
         pdf = {1: 0.9, 2: 0.05, 16: 0.05}
-        config = ParisConfig(min_instances_per_active_segment=2)
+        config = ParisSpec(min_instances_per_active_segment=2)
         plan = Paris(synthetic_profile(), config).plan(pdf, 28)
         for segment in plan.segments:
             if segment.probability > 0:

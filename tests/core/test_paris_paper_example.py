@@ -13,7 +13,7 @@ The paper walks through a two-partition example:
 import pytest
 
 from repro.analysis.experiments import figure8_example
-from repro.core.paris import Paris, ParisConfig
+from repro.core.paris import Paris
 from repro.perf.lookup import ProfileEntry, ProfileTable
 
 
@@ -48,12 +48,12 @@ PDF = {1: 0.2, 2: 0.2, 3: 0.4, 4: 0.2}
 
 class TestFigure8Example:
     def test_knees_match_paper(self):
-        plan = Paris(paper_profile(), ParisConfig()).plan(PDF, total_gpcs=9)
+        plan = Paris(paper_profile()).plan(PDF, total_gpcs=9)
         assert plan.knees[1] == 2
         assert plan.knees[3] == 4
 
     def test_segments_cover_paper_ranges(self):
-        plan = Paris(paper_profile(), ParisConfig()).plan(PDF, total_gpcs=9)
+        plan = Paris(paper_profile()).plan(PDF, total_gpcs=9)
         segments = {seg.gpcs: seg for seg in plan.segments}
         assert (segments[1].low, segments[1].high) == (1, 2)
         assert (segments[3].low, segments[3].high) == (3, 4)
@@ -62,7 +62,7 @@ class TestFigure8Example:
 
     def test_instance_ratio_matches_paper(self):
         """R_small : R_large must equal the paper's 1.5 : 2.33 (per 100 queries)."""
-        plan = Paris(paper_profile(), ParisConfig()).plan(PDF, total_gpcs=9)
+        plan = Paris(paper_profile()).plan(PDF, total_gpcs=9)
         segments = {seg.gpcs: seg for seg in plan.segments}
         r_small = segments[1].instance_ratio
         r_large = segments[3].instance_ratio
@@ -78,7 +78,7 @@ class TestFigure8Example:
 
     def test_instance_counts_follow_the_ratio(self):
         """With 9 GPCs the 1.5:2.33 ratio lands on ~2 small and ~2 large GPUs."""
-        plan = Paris(paper_profile(), ParisConfig()).plan(PDF, total_gpcs=9)
+        plan = Paris(paper_profile()).plan(PDF, total_gpcs=9)
         assert plan.instances_of(1) >= 1
         assert plan.instances_of(3) >= 1
         # the large partition must receive more GPCs than the small one

@@ -1,0 +1,31 @@
+"""The documented entry points run as written.
+
+The first Python block of the README's Quickstart and of ``docs/index.md``'s
+orientation section are executed verbatim, so renaming or deleting a public
+name they use fails here instead of in a reader's shell.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+
+def first_python_block(path: str, heading: str) -> str:
+    text = (ROOT / path).read_text(encoding="utf-8")
+    match = PYTHON_BLOCK.search(text, text.index(f"\n{heading}\n"))
+    assert match is not None, f"{path} has no Python block after {heading!r}"
+    return match.group(1)
+
+
+@pytest.mark.parametrize(
+    ("path", "heading"),
+    [("README.md", "## Quickstart"), ("docs/index.md", "## One-minute orientation")],
+)
+def test_documented_snippet_runs(path, heading, capsys):
+    code = compile(first_python_block(path, heading), f"{path} ({heading})", "exec")
+    exec(code, {"__name__": "snippet"})
+    assert "'p95_latency_ms'" in capsys.readouterr().out

@@ -1,6 +1,5 @@
 """Tests for the profiled lookup table."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,30 +163,6 @@ class TestExtrapolationFloor:
         assert table.latency(7, 4) == pytest.approx(expected)
 
 
-class TestInterpArray:
-    def test_matches_scalar_lookups_exactly(self):
-        table = make_table()
-        batches = np.array([1, 2, 3, 5, 7, 8, 9, 16, 40])
-        vectorised = table.interp_array(7, batches)
-        scalar = np.array([table.latency(7, int(b)) for b in batches])
-        assert (vectorised == scalar).all()
-
-    def test_matches_scalar_on_negative_slope_extrapolation(self):
-        table = make_negative_slope_table()
-        batches = np.array([1, 4, 8, 10, 16, 64])
-        vectorised = table.interp_array(7, batches)
-        scalar = np.array([table.latency(7, int(b)) for b in batches])
-        assert (vectorised == scalar).all()
-        assert (vectorised > 0).all()
-
-    def test_rejects_invalid_batches(self):
-        table = make_table()
-        with pytest.raises(ValueError):
-            table.interp_array(7, np.array([0, 1]))
-        with pytest.raises(KeyError):
-            table.interp_array(3, np.array([1]))
-
-
 class TestCachedEstimator:
     def test_matches_table_and_memoizes(self):
         table = make_table()
@@ -216,15 +191,6 @@ class TestCachedEstimator:
     def test_requires_some_table(self):
         with pytest.raises(ValueError):
             CachedEstimator({})
-
-    def test_batch_latencies_delegates_to_interp_array(self):
-        table = make_table()
-        estimator = CachedEstimator({"toy": table})
-        batches = np.array([2, 6, 20])
-        assert (
-            estimator.batch_latencies("toy", 7, batches)
-            == table.interp_array(7, batches)
-        ).all()
 
     def test_models_listing(self):
         estimator = CachedEstimator({"toy": make_table()})

@@ -1,9 +1,8 @@
 """Properties pinning the replay core's shortcuts: speed never changes outcomes.
 
-* the memoized / vectorised estimator surfaces of
-  :class:`~repro.perf.lookup.CachedEstimator` agree **exactly** (``==`` on
-  floats, not approx) with uncached :class:`~repro.perf.lookup.ProfileTable`
-  lookups;
+* the memoized :class:`~repro.perf.lookup.CachedEstimator` agrees
+  **exactly** (``==`` on floats, not approx) with uncached
+  :class:`~repro.perf.lookup.ProfileTable` lookups;
 * the columnar :class:`~repro.sim.hooks.WindowedMetrics` digestion agrees
   with a reference that buckets the same run's recorded events;
 * PARIS plans are memoized per (PDF, budget).
@@ -70,18 +69,6 @@ def test_cached_estimator_matches_uncached_lookups(table, batches):
             assert estimator("prop", batch, gpcs) == expected
             # repeat: the memoized answer must stay exact
             assert estimator("prop", batch, gpcs) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(table=profile_tables(), batches=st.lists(st.integers(1, 96), min_size=1, max_size=12))
-def test_vectorised_interpolation_matches_scalar(table, batches):
-    estimator = CachedEstimator({"prop": table})
-    query = np.asarray(batches, dtype=np.int64)
-    for gpcs in table.partition_sizes:
-        vectorised = estimator.batch_latencies("prop", gpcs, query)
-        scalar = np.asarray([table.latency(gpcs, b) for b in batches])
-        assert vectorised.shape == query.shape
-        assert (vectorised == scalar).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -366,11 +366,11 @@ class TestServerBuilder:
         assert deployment.plan.counts == {3: 8}
 
     def test_build_service_serves_end_to_end(self, profiler):
-        service = (
+        session = (
             ServerBuilder("mobilenet")
             .cluster(num_gpus=4, gpc_budget=24)
-            .build_service(profiler=profiler)
+            .build_session(profiler=profiler, window=None)
         )
         workload = WorkloadConfig(model="mobilenet", rate_qps=200.0, num_queries=80)
-        result = service.serve(workload)
+        result = session.run(workload)
         assert result.simulation.statistics.completed_queries == 80

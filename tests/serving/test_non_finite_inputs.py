@@ -1,4 +1,5 @@
-"""Non-finite run controls fail with a pinned message before any state changes.
+"""Non-finite run controls and workload inputs fail with a pinned message
+before any state changes.
 
 NaN compares false with everything, so a bare ``x < 0`` or ``x <= 0`` guard
 lets it through, and infinity passes every "positive" check.  Either one
@@ -7,6 +8,12 @@ slowdown leaves queries that never complete, a NaN noise draws NaN service
 times, a NaN window or step stalls the control loop or drains a run in one
 call, and an infinite retry backoff re-admits a crashed query at t=inf.
 Every guard below rejects both, worded like ``ServerConfig``'s.
+
+On the workload side, an infinite rate puts every query at t=0 and reports
+zero load, a NaN or infinite batch-size parameter draws nonsense batches,
+and the fault and preemption samplers never return for an infinite horizon
+or rate.  Their guards keep the older positivity messages and add a
+separate finite check.
 """
 
 import math
@@ -18,8 +25,10 @@ import pytest
 from repro.core.schedulers import FifsScheduler
 from repro.daemon.jobs import JobManager
 from repro.daemon.tenants import FleetPool, TenantSession
+from repro.autoscale.preemption import PreemptionSchedule
 from repro.faults.events import StragglerStart
 from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.serving.config import ServerConfig
 from repro.serving.session import ServingSession
 from repro.sim.cluster import InferenceServerSimulator
@@ -27,6 +36,7 @@ from repro.sim.columnar import QueryColumns
 from repro.sim.hooks import WindowedMetrics
 from repro.sim.worker import PartitionWorker
 from repro.workload.generator import WorkloadConfig
+from repro.workload.scenario import Phase
 from tests.sim.helpers import MODEL, constant_profile, make_instances, make_trace
 
 CONFIG = ServerConfig(model="mobilenet", gpc_budget=14, num_gpus=2)
@@ -127,13 +137,65 @@ CASES = {
         lambda v: JobManager(FleetPool(SERVERS), CONFIG, Path("artifacts"), chunk=v),
         "chunk must be positive and finite",
     ),
+    "workload.rate_qps": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=v),
+        "rate_qps must be finite",
+    ),
+    "workload.sla_target": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=1.0, sla_target=v),
+        "sla_target must be finite",
+    ),
+    "workload.sigma": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=1.0, sigma=v),
+        "sigma must be finite",
+    ),
+    "workload.median_batch": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=1.0, median_batch=v),
+        "median_batch must be finite",
+    ),
+    "phase.sigma": (
+        lambda v: Phase(duration=1.0, rate_qps=1.0, sigma=v),
+        "sigma must be finite",
+    ),
+    "phase.median_batch": (
+        lambda v: Phase(duration=1.0, rate_qps=1.0, median_batch=v),
+        "median_batch must be finite",
+    ),
+}
+
+#: Infinity only: the samplers' older guards reject NaN with their own
+#: messages (pinned in tests/faults/test_schedule.py).
+INF_ONLY_CASES = {
+    "fault_schedule.horizon": (
+        lambda v: FaultSchedule.sample(4, v, rate=1.0),
+        "horizon must be finite",
+    ),
+    "fault_schedule.rate": (
+        lambda v: FaultSchedule.sample(4, 10.0, rate=v),
+        "rate must be finite",
+    ),
+    "preemption_schedule.horizon": (
+        lambda v: PreemptionSchedule.sample([0, 1], v, rate=1.0),
+        "horizon must be finite",
+    ),
+    "preemption_schedule.rate": (
+        lambda v: PreemptionSchedule.sample([0, 1], 10.0, rate=v),
+        "rate must be finite",
+    ),
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize(
+    ("case", "value"),
+    [
+        pytest.param(case, value, id=f"{case}-{value}")
+        for cases, values in ((CASES, (math.nan, math.inf)), (INF_ONLY_CASES, (math.inf,)))
+        for case in sorted(cases)
+        for value in values
+    ],
+)
 def test_non_finite_input_is_rejected(case, value):
-    call, message = CASES[case]
+    call, message = {**CASES, **INF_ONLY_CASES}[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
         call(value)
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.triggers import TriggerDecision
 from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
-from repro.serving.service import InferenceService
 from repro.serving.session import ServingSession
 from repro.sim.cluster import InferenceServerSimulator
 from repro.sim.hooks import EventLog, QueryCompleted
@@ -73,34 +72,29 @@ class TestConstruction:
         session = ServerBuilder("mobilenet").build_session(profiler=profiler)
         assert isinstance(session, ServingSession)
 
-    def test_service_session_helper(self, deployment):
-        service = InferenceService(
-            deployment.config,
-            profiles=deployment.profiles,
-            batch_pdf={4: 0.5, 8: 0.5},
-        )
-        session = service.session(window=2.0)
-        assert isinstance(session, ServingSession)
-        assert session.deployment.config == deployment.config
-
 
 class TestOneShotFacade:
     def test_service_summary_bit_identical_to_direct_simulator(self, profiler):
-        """The facade pin: InferenceService results must match the raw
+        """A one-shot (``window=None``) session run must match the raw
         simulator replay exactly (not approximately) on a fixed seed."""
-        config = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
-        service = InferenceService(config, profiler=profiler)
         workload = WorkloadConfig(
             model="mobilenet", rate_qps=400.0, num_queries=400, seed=11
         )
-        result = service.serve(workload, seed=7)
+        generator = QueryGenerator(workload)
+        session = ServingSession(
+            ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4),
+            profiler=profiler,
+            window=None,
+        )
+        deployment = session.deploy(generator.batch_pdf())
+        trace = generator.generate()
+        result = session.run(trace, seed=7)
 
-        # reproduce the seed path by hand: same trace, same SLA attachment,
-        # same simulator — byte-for-byte equal summaries expected
-        deployment = service.deployment
-        trace = QueryGenerator(workload).generate()
-        trace = trace.with_sla(deployment.sla_target_for(workload.model))
-        direct = deployment.simulator(seed=7).run(trace)
+        # reproduce the run by hand: same trace, same SLA attachment, same
+        # simulator — byte-for-byte equal summaries expected
+        direct = deployment.simulator(seed=7).run(
+            trace.with_sla(deployment.sla_target_for(workload.model))
+        )
 
         assert result.simulation.statistics == direct.statistics
         assert result.simulation.per_instance_queries == direct.per_instance_queries
@@ -111,24 +105,10 @@ class TestOneShotFacade:
             "sla_violation_rate": direct.statistics.latency.sla_violation_rate,
             "mean_utilization": direct.statistics.utilization.mean,
             "sla_target_ms": deployment.sla_target * 1e3,
+            "reconfigurations": 0.0,
+            "total_downtime_s": 0.0,
         }
         assert result.summary() == expected  # exact float equality, no approx
-
-    def test_session_one_shot_matches_service(self, deployment):
-        workload = WorkloadConfig(
-            model="mobilenet", rate_qps=300.0, num_queries=200, seed=4
-        )
-        generator = QueryGenerator(workload)
-        service = InferenceService(
-            deployment.config,
-            profiles=deployment.profiles,
-            batch_pdf=generator.batch_pdf(),
-        )
-        trace = generator.generate()
-        via_service = service.serve_trace(trace, seed=3)
-        session = ServingSession.from_deployment(deployment, window=None)
-        via_session = session.run(trace, seed=3)
-        assert via_service.simulation.statistics == via_session.simulation.statistics
 
 
 class TestSessionRuns:

@@ -6,7 +6,7 @@ import pytest
 from repro.autoscale import Autoscaler, PreemptionEvent
 from repro.faults import FailedReconfigure, WorkerCrash
 from repro.serving.config import ServerConfig
-from repro.serving.service import InferenceService
+from repro.serving.deployment import Deployment, build_deployment
 from repro.serving.session import ServingSession
 from repro.sim.hooks import (
     ReconfigFailed,
@@ -31,8 +31,8 @@ def bare_trace(workload=WORKLOAD) -> QueryTrace:
     return QueryGenerator(workload).generate()
 
 
-def service() -> InferenceService:
-    return InferenceService(FLEET, batch_pdf={8: 1.0})
+def deployment() -> Deployment:
+    return build_deployment(FLEET, {8: 1.0})
 
 
 class TestPlanningPdfFallback:
@@ -50,7 +50,9 @@ class TestPlanningPdfFallback:
         trace = bare_trace(
             WorkloadConfig(model="mobilenet", rate_qps=20000.0, num_queries=4000, seed=3)
         )
-        session = service().session(window=0.05, reconfig_cost=0.01, autoscaler=scaler)
+        session = ServingSession.from_deployment(
+            deployment(), window=0.05, reconfig_cost=0.01, autoscaler=scaler
+        )
         result = session.run(trace)
         assert session.planned_pdf == trace.batch_pdf()
         assert "scale-out" in [e.kind for e in result.fleet_events]
@@ -58,7 +60,7 @@ class TestPlanningPdfFallback:
     def test_preempted_run_removes_the_server(self):
         trace = bare_trace()
         session = ServingSession.from_deployment(
-            service().deployment,
+            deployment(),
             window=0.05,
             reconfig_cost=0.01,
             preemptions=[PreemptionEvent(time=0.05, server_index=1)],
@@ -69,13 +71,15 @@ class TestPlanningPdfFallback:
         assert result.fleet_windows[-1].servers == 1
 
     def test_plain_run_keeps_no_pdf(self):
-        session = service().session(window=0.05)
+        session = ServingSession.from_deployment(deployment(), window=0.05)
         session.run(bare_trace())
         assert session.planned_pdf is None
 
     def test_empty_trace_still_runs(self):
-        session = service().session(
-            window=0.05, preemptions=[PreemptionEvent(time=0.05, server_index=1)]
+        session = ServingSession.from_deployment(
+            deployment(),
+            window=0.05,
+            preemptions=[PreemptionEvent(time=0.05, server_index=1)],
         )
         result = session.run(QueryTrace(()))
         assert result.simulation.statistics.total_queries == 0
@@ -143,7 +147,7 @@ class TestRefusedMutations:
         ],
     )
     def test_without_a_planning_pdf(self, action, mutate):
-        session = service().session(window=0.05)
+        session = ServingSession.from_deployment(deployment(), window=0.05)
         session.begin(bare_trace())
         session.run_until(0.1)
         before = _state(session)

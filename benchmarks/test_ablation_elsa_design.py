@@ -8,7 +8,7 @@
 
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import latency_bounded_throughput
-from repro.core.specs import ClusterSpec, ElsaSpec
+from repro.core.specs import ElsaSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.workload.generator import WorkloadConfig
@@ -18,14 +18,12 @@ BUDGET = 24
 
 
 def build(settings, **elsa_kwargs):
-    config = ServerConfig.from_specs(
+    config = ServerConfig(
         MODEL,
-        scheduler=ElsaSpec(**elsa_kwargs),
-        cluster=ClusterSpec(
-            num_gpus=8,
-            gpc_budget=BUDGET,
-            frontend_capacity_qps=settings.frontend_qps,
-        ),
+        scheduler_spec=ElsaSpec(**elsa_kwargs),
+        num_gpus=8,
+        gpc_budget=BUDGET,
+        frontend_capacity_qps=settings.frontend_qps,
     )
     return build_deployment(
         config, settings.batch_pdf(), profile=settings.profile(MODEL)

@@ -6,8 +6,8 @@ serving next to cheap A30s and a few expensive H100s.  This example shows the
 whole stack running heterogeneous:
 
 1. build three fleets of (approximately) equal GPC-cost — homogeneous A100,
-   A100+A30 (more, cheaper GPCs) and A100+H100 (fewer, faster GPCs) — with
-   ``ServerBuilder.fleet``,
+   A100+A30 (more, cheaper GPCs) and A100+H100 (fewer, faster GPCs) — as
+   ``ServerConfig(fleet=...)`` design points,
 2. let fleet-PARIS divide each architecture's own GPC budget using that
    architecture's profile table (one global knee segmentation across every
    ``(architecture, size)`` device class),
@@ -23,7 +23,7 @@ Run with::
     python examples/heterogeneous_fleet.py
 """
 
-from repro import ServerBuilder, build_deployment
+from repro import ServerConfig, build_deployment
 from repro.analysis.experiments import ExperimentSettings, heterogeneous_fleet
 
 MODEL = "resnet"
@@ -38,17 +38,11 @@ FLEETS = {
 def check_homogeneous_identity(settings: ExperimentSettings) -> None:
     """A single-architecture fleet must reproduce the classic path exactly."""
     pdf = settings.batch_pdf()
-    flat = (
-        ServerBuilder(MODEL)
-        .cluster(num_gpus=8, gpc_budget=48)
-        .options(frontend_capacity_qps=settings.frontend_qps)
-        .build()
+    flat = ServerConfig(
+        MODEL, num_gpus=8, gpc_budget=48, frontend_capacity_qps=settings.frontend_qps
     )
-    fleet = (
-        ServerBuilder(MODEL)
-        .fleet((8, "a100", 48))
-        .options(frontend_capacity_qps=settings.frontend_qps)
-        .build()
+    fleet = ServerConfig(
+        MODEL, fleet=[(8, "a100", 48)], frontend_capacity_qps=settings.frontend_qps
     )
     d_flat = build_deployment(flat, pdf)
     d_fleet = build_deployment(fleet, pdf)

@@ -4,8 +4,9 @@
 Production inference clusters rarely serve a single model.  This example
 co-locates ResNet-50 and MobileNet on one PARIS-partitioned server:
 
-1. build a multi-model session with ``ServerBuilder.serve_models`` — the
-   partitioning is driven by the primary model (ResNet), while profiles for
+1. build a multi-model session from a ``ServerConfig`` with
+   ``extra_models`` — the partitioning is driven by the primary model
+   (ResNet), while profiles for
    every served model are loaded so the simulator and ELSA's slack
    estimator can predict per-model latencies,
 2. generate one trace per model and merge them into a single mixed arrival
@@ -21,7 +22,8 @@ from collections import defaultdict
 
 from repro import (
     QueryGenerator,
-    ServerBuilder,
+    ServerConfig,
+    ServingSession,
     WorkloadConfig,
     merge_traces,
 )
@@ -31,13 +33,14 @@ SECONDARY = "mobilenet"
 
 
 def main() -> None:
-    session = (
-        ServerBuilder(PRIMARY)
-        .serve_models(SECONDARY)
-        .cluster(num_gpus=8, gpc_budget=48)
-        .scheduler("elsa")
-        .build_session(window=None)
+    config = ServerConfig(
+        PRIMARY,
+        extra_models=(SECONDARY,),
+        num_gpus=8,
+        gpc_budget=48,
+        scheduler="elsa",
     )
+    session = ServingSession(config, window=None)
 
     resnet_load = WorkloadConfig(
         model=PRIMARY, rate_qps=800.0, num_queries=1500, seed=1

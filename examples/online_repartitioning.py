@@ -18,7 +18,7 @@ Run with::
     python examples/online_repartitioning.py
 """
 
-from repro import QueryGenerator, ServerBuilder, WorkloadConfig
+from repro import QueryGenerator, ServerConfig, ServingSession, WorkloadConfig
 from repro.analysis.sweep import latency_bounded_throughput
 from repro.workload.distributions import LogNormalBatchDistribution
 
@@ -29,9 +29,10 @@ BUDGET = 42
 def main() -> None:
     # 1. initial deployment assumes mostly tiny batches (median 2)
     assumed_pdf = LogNormalBatchDistribution(sigma=0.9, median=2, max_batch=32).pdf()
-    session = (
-        ServerBuilder(MODEL).cluster(num_gpus=8, gpc_budget=BUDGET)
-        .build_session(batch_pdf=assumed_pdf, window=None)
+    session = ServingSession(
+        ServerConfig(MODEL, num_gpus=8, gpc_budget=BUDGET),
+        batch_pdf=assumed_pdf,
+        window=None,
     )
     initial = session.deploy()
 

@@ -3,7 +3,7 @@
 
 This is the smallest end-to-end use of the library:
 
-1. describe the server design point with the fluent ``ServerBuilder``
+1. describe the server design point with a ``ServerConfig``
    (PARIS + ELSA are the defaults; any registered policy name works),
 2. describe the workload (``WorkloadConfig``: Poisson arrivals, log-normal
    batch sizes),
@@ -17,18 +17,20 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import ServerBuilder, WorkloadConfig
+from repro import ServerConfig, ServingSession, WorkloadConfig
 
 
 def main() -> None:
-    session = (
-        ServerBuilder("resnet")   # one of: shufflenet, mobilenet, resnet, bert, conformer
-        .cluster(num_gpus=8, gpc_budget=48)  # 48 of the 8x7=56 GPCs (Table I)
-        .partitioner("paris")
-        .scheduler("elsa")
-        .sla(multiplier=1.5, max_batch=32)
-        .build_session(window=None)
+    config = ServerConfig(
+        "resnet",             # one of: shufflenet, mobilenet, resnet, bert, conformer
+        num_gpus=8,
+        gpc_budget=48,        # 48 of the 8x7=56 GPCs (Table I)
+        partitioning="paris",
+        scheduler="elsa",
+        sla_multiplier=1.5,
+        max_batch=32,
     )
+    session = ServingSession(config, window=None)
 
     workload = WorkloadConfig(
         model="resnet",

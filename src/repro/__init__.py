@@ -6,6 +6,9 @@ Multi-GPU Inference Servers* (Kim, Choi, Rhu — DAC 2022, arXiv:2202.13481).
 
 The package is organised bottom-up:
 
+* :mod:`repro.registry` — the name-keyed
+  :class:`~repro.registry.PolicyRegistry` every pluggable policy, trigger
+  and scenario registers in (standard library only).
 * :mod:`repro.gpu` — reconfigurable (MIG) GPU architecture, partitions and
   the multi-GPU server.
 * :mod:`repro.models` — analytical DNN model zoo (ShuffleNet, MobileNet,
@@ -20,8 +23,8 @@ The package is organised bottom-up:
   the FIFS / random / homogeneous baselines, the **policy registries**
   that make partitioners and schedulers pluggable by name, and the
   repartition **triggers** driving the elastic loop.
-* :mod:`repro.serving` — end-to-end deployment, the fluent
-  :class:`~repro.serving.builder.ServerBuilder`, the streaming
+* :mod:`repro.serving` — the :class:`~repro.serving.config.ServerConfig`
+  design point, end-to-end deployment and the
   :class:`~repro.serving.session.ServingSession` (one-shot or streaming
   runs, multi-model traces, live mid-run repartitioning with modeled MIG
   downtime).
@@ -34,16 +37,16 @@ The package is organised bottom-up:
 * :mod:`repro.analysis` — experiment harnesses regenerating every table and
   figure of the paper's evaluation.
 
-Quickstart (fluent builder API)::
+Quickstart::
 
-    from repro import ServerBuilder, WorkloadConfig
+    from repro import ServerConfig, ServingSession, WorkloadConfig
 
-    session = (
-        ServerBuilder("resnet")              # PARIS + ELSA by default
-        .cluster(num_gpus=8, gpc_budget=48)
-        .sla(multiplier=1.5, max_batch=32)
-        .build_session(window=None)
+    config = ServerConfig(
+        "resnet",                            # PARIS + ELSA by default
+        num_gpus=8, gpc_budget=48,
+        sla_multiplier=1.5, max_batch=32,
     )
+    session = ServingSession(config, window=None)   # one-shot run
     workload = WorkloadConfig(model="resnet", rate_qps=200.0, num_queries=2000)
     result = session.run(workload)
     print(session.deployment.plan.describe())
@@ -57,7 +60,7 @@ Writing your own policy is a registry decorator away::
     def build_my_scheduler(context: SchedulerContext):
         return MyScheduler(context.profile)
 
-    ServerBuilder("resnet").scheduler("my-sched").build_session()
+    ServingSession(ServerConfig("resnet", scheduler="my-sched"))
 """
 
 from repro.core.elsa import ElsaScheduler
@@ -66,7 +69,6 @@ from repro.core.plan import FleetPlan, PartitionPlan
 from repro.core.registry import (
     PartitionerContext,
     SchedulerContext,
-    UnknownPolicyError,
     available_partitioners,
     available_schedulers,
     get_partitioner,
@@ -90,7 +92,6 @@ from repro.autoscale import (
     PreemptionSchedule,
 )
 from repro.core.specs import (
-    ClusterSpec,
     ElsaSpec,
     FifsSpec,
     HomogeneousSpec,
@@ -99,7 +100,6 @@ from repro.core.specs import (
     PolicySpec,
     RandomDispatchSpec,
     RandomPartitionSpec,
-    SlaSpec,
 )
 from repro.gpu.architecture import (
     A100,
@@ -115,7 +115,7 @@ from repro.gpu.server import MultiGPUServer, ServerCapacityError
 from repro.models.registry import PAPER_MODELS, get_model, list_models
 from repro.perf.lookup import ProfileTable
 from repro.perf.profiler import Profiler, cached_profile, fleet_profiles, profile_model
-from repro.serving.builder import ServerBuilder
+from repro.registry import UnknownPolicyError
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment
 from repro.serving.session import ServingSession, SessionResult
@@ -146,7 +146,6 @@ __all__ = [
     "H100",
     "Autoscaler",
     "CapacityPlanner",
-    "ClusterSpec",
     "Deployment",
     "Fleet",
     "FleetParis",
@@ -183,14 +182,12 @@ __all__ = [
     "RepartitionTrigger",
     "Scenario",
     "SchedulerContext",
-    "ServerBuilder",
     "ServerConfig",
     "ServerCapacityError",
     "ServingSession",
     "SessionResult",
     "SimulationObserver",
     "SimulationResult",
-    "SlaSpec",
     "TriggerContext",
     "TriggerDecision",
     "UnknownPolicyError",

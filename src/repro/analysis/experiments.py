@@ -32,7 +32,7 @@ from repro.models.registry import PAPER_MODELS, get_model
 from repro.perf.latency_model import LatencyModel
 from repro.perf.lookup import ProfileEntry, ProfileTable
 from repro.perf.profiler import DEFAULT_BATCH_SIZES, Profiler, cached_profile
-from repro.core.registry import normalize_policy_name
+from repro.registry import normalize_policy_name
 from repro.core.specs import HomogeneousSpec, ParisSpec
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import Deployment, build_deployment

@@ -43,10 +43,8 @@ from repro.core.registry import (
     SCHEDULERS,
     Partitioner,
     PartitionerContext,
-    PolicyRegistry,
     SchedulerContext,
     SchedulerFactory,
-    UnknownPolicyError,
     available_partitioners,
     available_schedulers,
     build_plan,
@@ -69,7 +67,6 @@ from repro.core.triggers import (
     register_trigger,
 )
 from repro.core.specs import (
-    ClusterSpec,
     ElsaSpec,
     FifsSpec,
     HomogeneousSpec,
@@ -78,7 +75,6 @@ from repro.core.specs import (
     PolicySpec,
     RandomDispatchSpec,
     RandomPartitionSpec,
-    SlaSpec,
 )
 
 __all__ = [
@@ -86,10 +82,8 @@ __all__ = [
     "SCHEDULERS",
     "Partitioner",
     "PartitionerContext",
-    "PolicyRegistry",
     "SchedulerContext",
     "SchedulerFactory",
-    "UnknownPolicyError",
     "available_partitioners",
     "available_schedulers",
     "build_plan",
@@ -108,7 +102,6 @@ __all__ = [
     "build_trigger",
     "get_trigger",
     "register_trigger",
-    "ClusterSpec",
     "ElsaSpec",
     "FifsSpec",
     "HomogeneousSpec",
@@ -117,7 +110,6 @@ __all__ = [
     "PolicySpec",
     "RandomDispatchSpec",
     "RandomPartitionSpec",
-    "SlaSpec",
     "MaxBatchKnee",
     "find_knee",
     "derive_knees",

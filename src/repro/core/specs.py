@@ -6,10 +6,6 @@ Each policy tunable has one home, the spec object of its policy:
   :class:`RandomPartitionSpec`;
 * schedulers — :class:`ElsaSpec`, :class:`FifsSpec`, :class:`LeastLoadedSpec`,
   :class:`RandomDispatchSpec`;
-* cross-cutting — :class:`SlaSpec` (SLA derivation) and :class:`ClusterSpec`
-  (physical server shape), which group plain
-  :class:`~repro.serving.config.ServerConfig` fields
-  (``flat_overrides()``) and are never stored;
 * third-party policies — :class:`PolicySpec`, an open name + options bag.
 
 A :class:`~repro.serving.config.ServerConfig` stores its partitioner's and
@@ -28,22 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence
 
 from repro.core.knee import DEFAULT_KNEE_THRESHOLD
-from repro.gpu.architecture import A100, GPUArchitecture
-
-
-def spec_policy_name(spec: Any) -> str:
-    """The registry name a spec object selects.
-
-    Works for built-in specs (class-level ``policy``), :class:`PolicySpec`
-    (instance field) and any third-party object exposing ``policy``.
-    """
-    name = getattr(spec, "policy", None)
-    if not name:
-        raise TypeError(
-            f"{type(spec).__name__} does not name a policy; give it a "
-            "'policy' attribute or use PolicySpec(policy=..., options=...)"
-        )
-    return str(name)
+from repro.core.registry import PARTITIONERS, SCHEDULERS
 
 
 # --------------------------------------------------------------------------- #
@@ -193,69 +174,6 @@ class RandomDispatchSpec:
     seed: Optional[int] = None
 
 
-# --------------------------------------------------------------------------- #
-# cross-cutting specs
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SlaSpec:
-    """How the SLA target is derived (Section V).
-
-    Attributes:
-        multiplier: SLA = multiplier x reference latency at the max batch.
-        max_batch: largest batch size of the workload distribution.
-        reference_gpcs: partition size of the reference device (GPU(7)).
-    """
-
-    multiplier: float = 1.5
-    max_batch: int = 32
-    reference_gpcs: int = 7
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        return {
-            "sla_multiplier": self.multiplier,
-            "max_batch": self.max_batch,
-            "sla_reference_gpcs": self.reference_gpcs,
-        }
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """The physical shape of the server (or fleet).
-
-    Attributes:
-        num_gpus: physical GPUs in the server.
-        gpc_budget: GPCs the partitioner may use (``None`` = full server).
-        architecture: reconfigurable GPU architecture.
-        frontend_capacity_qps: dispatch capacity of the serving frontend.
-        fleet: optional mixed-architecture fleet description (a sequence of
-            :class:`~repro.gpu.fleet.FleetServerSpec` or ``(num_gpus,
-            architecture[, gpc_budget])`` tuples).  When set it supersedes
-            ``num_gpus`` / ``gpc_budget`` / ``architecture`` (the flat
-            fields are derived from the fleet by
-            :class:`~repro.serving.config.ServerConfig`).
-    """
-
-    num_gpus: int = 8
-    gpc_budget: Optional[int] = None
-    architecture: GPUArchitecture = A100
-    frontend_capacity_qps: Optional[float] = None
-    fleet: Optional[Sequence[Any]] = None
-
-    def flat_overrides(self) -> Dict[str, Any]:
-        overrides = {
-            "num_gpus": self.num_gpus,
-            "gpc_budget": self.gpc_budget,
-            "architecture": self.architecture,
-            "frontend_capacity_qps": self.frontend_capacity_qps,
-        }
-        if self.fleet is not None:
-            overrides["fleet"] = tuple(self.fleet)
-            # the flat shape fields are derived from the fleet downstream;
-            # emitting them here would collide with that derivation
-            del overrides["num_gpus"], overrides["gpc_budget"], overrides["architecture"]
-        return overrides
-
-
 #: Built-in partitioner specs by registry name (see :func:`resolve_policy_spec`).
 PARTITIONER_SPECS: Dict[str, type] = {
     ParisSpec.policy: ParisSpec,
@@ -276,11 +194,11 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
     """The typed spec of built-in ``policy`` as configured by ``spec``.
 
     The one conversion from a policy selector to a built-in policy's spec,
-    shared by ``ServerConfig``, the fluent builder and the registry
-    factories.  A spec of the policy's own type passes through, ``None``
-    gives its defaults and a :class:`PolicySpec` has its options applied.
-    Policies without a built-in spec type (externally registered ones) get
-    ``spec`` back unchanged.
+    shared by ``ServerConfig`` and the registry factories.  A spec of the
+    policy's own type passes through, ``None`` gives its defaults and a
+    :class:`PolicySpec` has its options applied.  Policies without a
+    built-in spec type (externally registered ones) get ``spec`` back
+    unchanged.
 
     Args:
         kind: ``"partitioner"`` or ``"scheduler"``.
@@ -298,10 +216,6 @@ def resolve_policy_spec(kind: str, policy: str, spec: Any = None) -> Any:
         return spec
     if spec is None:
         return spec_type()
-    # imported here: core.paris imports this module, and the registry's
-    # imports reach back into core through repro.workload
-    from repro.core.registry import PARTITIONERS, SCHEDULERS
-
     registry = PARTITIONERS if kind == "partitioner" else SCHEDULERS
     if isinstance(spec, PolicySpec) and registry.canonical(spec.policy) == policy:
         valid = {f.name for f in dataclasses.fields(spec_type)}  # type: ignore[arg-type]

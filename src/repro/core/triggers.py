@@ -40,7 +40,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, List, Mapping, Optional, Sequence
 
-from repro.core.registry import FactoryT, PolicyRegistry
+from repro.registry import FactoryT, PolicyRegistry
 from repro.sim.hooks import WindowedMetrics
 
 #: The global repartition-trigger registry (name -> factory of trigger objects).

@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, Tuple
 #: zone name -> path prefixes/files relative to the ``repro`` package root.
 ZONES: Dict[str, Tuple[str, ...]] = {
     "determinism": (
+        "registry.py",
         "sim/",
         "core/",
         "workload/",
@@ -48,7 +49,7 @@ ZONES: Dict[str, Tuple[str, ...]] = {
     "asyncio": ("daemon/",),
     "pool": ("analysis/sweep.py", "analysis/experiments.py", "autoscale/planner.py"),
     "hooks": ("sim/hooks.py",),
-    "typed": ("core/", "sim/", "gpu/", "autoscale/", "faults/"),
+    "typed": ("registry.py", "core/", "sim/", "gpu/", "autoscale/", "faults/"),
 }
 
 #: Every declared zone name (checkers validate their declarations against it).

@@ -2,10 +2,9 @@
 
 Glues the substrates together into the inference server of Figure 6:
 
-* :mod:`repro.serving.config` — declarative server configuration
-  (open-string policy names, composable per-policy specs, GPC budget, SLA
-  policy).
-* :mod:`repro.serving.builder` — the fluent :class:`ServerBuilder`.
+* :mod:`repro.serving.config` — :class:`ServerConfig`, the one spelling of
+  a design point (open-string policy names, per-policy specs, GPC budget,
+  SLA policy, optional fleet).
 * :mod:`repro.serving.sla` — SLA target derivation (Section V: N x the
   GPU(7) latency of the distribution's max batch size).
 * :mod:`repro.serving.deployment` — turns a configuration plus profiled
@@ -18,7 +17,6 @@ Glues the substrates together into the inference server of Figure 6:
 """
 
 from repro.serving.config import ServerConfig
-from repro.serving.builder import ServerBuilder
 from repro.serving.sla import derive_sla_target
 from repro.serving.deployment import Deployment, build_deployment, replan_deployment
 from repro.serving.session import (
@@ -31,7 +29,6 @@ from repro.serving.session import (
 __all__ = [
     "DEFAULT_RECONFIG_COST",
     "ServerConfig",
-    "ServerBuilder",
     "ServingSession",
     "SessionResult",
     "TriggerFiring",

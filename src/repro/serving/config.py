@@ -22,24 +22,14 @@ policy registries of :mod:`repro.core.registry`, so any policy registered
 from user code is selectable here by name.
 
 Each policy tunable lives in its policy's spec (:mod:`repro.core.specs`),
-stored as ``partitioner_spec`` / ``scheduler_spec``.  The three construction
-forms give equal configs for one design point:
+stored as ``partitioner_spec`` / ``scheduler_spec``.  The constructor is the
+one way to spell a design point; a typed spec and
+:class:`~repro.core.specs.PolicySpec` options give equal configs::
 
-1. the constructor::
+    ServerConfig("resnet", partitioner_spec=ParisSpec(knee_threshold=0.85))
+    ServerConfig("resnet", partitioner_spec=PolicySpec("paris", {"knee_threshold": 0.85}))
 
-       ServerConfig(model="resnet", partitioner_spec=ParisSpec(knee_threshold=0.85))
-
-2. composed specs::
-
-       ServerConfig.from_specs(
-           "resnet",
-           partitioner=ParisSpec(knee_threshold=0.85),
-           scheduler=ElsaSpec(alpha=1.2),
-           sla=SlaSpec(multiplier=2.0),
-           cluster=ClusterSpec(num_gpus=8, gpc_budget=48),
-       )
-
-3. the fluent :class:`~repro.serving.builder.ServerBuilder`.
+A variant of a design point is ``dataclasses.replace(config, ...)``.
 """
 
 from __future__ import annotations
@@ -47,20 +37,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from repro.core.registry import PARTITIONERS, SCHEDULERS, normalize_policy_name
-from repro.core.specs import ClusterSpec, SlaSpec, resolve_policy_spec, spec_policy_name
+from repro.core.registry import PARTITIONERS, SCHEDULERS
+from repro.core.specs import resolve_policy_spec
 from repro.gpu.architecture import A100, GPUArchitecture
 from repro.gpu.fleet import Fleet, FleetServerSpec
-
-
-def _policy_selection(policy: Any) -> Tuple[str, Any]:
-    """A policy selector — a registry name or a spec object — as
-    ``(name, spec)``; a bare name selects no spec."""
-    if isinstance(policy, str):
-        return policy, None
-    return spec_policy_name(policy), policy
+from repro.registry import normalize_policy_name
+from repro.workload.generator import check_count
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,8 @@ class ServerConfig:
             profiles are loaded so mixed-model traces can be served.
         gpc_budget: GPCs available to the partitioning (e.g. 24/42/48 in
             Table I).  ``None`` uses the full server.
-        num_gpus: physical GPUs in the server (8 in the paper).
+        num_gpus: physical GPUs in the server; ``None`` (the default) is
+            the paper's 8, or the fleet's total when a fleet is set.
         sla_multiplier: SLA target = multiplier x GPU(7) latency at the max
             batch size (1.5 default, 2.0 in the sensitivity study).
         sla_reference_gpcs: partition size of the SLA reference device.  The
@@ -85,7 +70,8 @@ class ServerConfig:
         max_batch: maximum batch size of the workload distribution.
         random_seed: the design's seed, used by every stochastic policy
             whose spec leaves ``seed=None``.
-        architecture: physical GPU architecture.
+        architecture: physical GPU architecture; ``None`` (the default) is
+            A100, or the first fleet server's architecture.
         frontend_capacity_qps: maximum dispatch rate of the server frontend
             in queries/second; ``None`` means the frontend is never the
             bottleneck.
@@ -102,21 +88,22 @@ class ServerConfig:
             mixed-architecture servers into one GPC pool.  When set, the
             flat ``num_gpus`` / ``architecture`` / ``gpc_budget`` fields
             are derived from the fleet (total GPUs, the first server's
-            architecture, the summed per-server budgets); setting
-            ``gpc_budget`` explicitly alongside a fleet is ambiguous and
-            raises.  Single-architecture fleets deploy bit-identically to
-            the equivalent flat configuration.
+            architecture, the summed per-server budgets).  An explicit value
+            that differs from the derived one raises; an equal one is
+            accepted, so a fleet config round-trips through
+            ``dataclasses.replace``.  Single-architecture fleets deploy
+            bit-identically to the equivalent flat configuration.
     """
 
     model: str
     partitioning: str = "paris"
     scheduler: str = "elsa"
     gpc_budget: Optional[int] = None
-    num_gpus: int = 8
+    num_gpus: Optional[int] = None
     sla_multiplier: float = 1.5
     max_batch: int = 32
     random_seed: int = 0
-    architecture: GPUArchitecture = A100
+    architecture: Optional[GPUArchitecture] = None
     frontend_capacity_qps: Optional[float] = None
     extra_models: Tuple[str, ...] = ()
     sla_reference_gpcs: int = 7
@@ -132,24 +119,33 @@ class ServerConfig:
             specs = tuple(FleetServerSpec.coerce(server) for server in raw)
             if not specs:
                 raise ValueError("fleet must name at least one server")
-            if self.gpc_budget is not None:
-                raise ValueError(
-                    "gpc_budget cannot be combined with a fleet; set "
-                    "per-server budgets on the FleetServerSpecs instead"
-                )
             object.__setattr__(self, "fleet", specs)
             # Derive the flat shape fields so downstream consumers that only
             # know the flat surface stay coherent: total GPUs, the primary
             # (first server's) architecture, and the summed budget.
-            object.__setattr__(
-                self, "num_gpus", sum(spec.num_gpus for spec in specs)
+            derived = (
+                ("num_gpus", sum(spec.num_gpus for spec in specs), ""),
+                ("architecture", specs[0].architecture, ""),
+                (
+                    "gpc_budget",
+                    sum(spec.effective_gpc_budget for spec in specs),
+                    "set per-server budgets on the FleetServerSpecs instead; ",
+                ),
             )
-            object.__setattr__(self, "architecture", specs[0].architecture)
-            object.__setattr__(
-                self,
-                "gpc_budget",
-                sum(spec.effective_gpc_budget for spec in specs),
-            )
+            for name, value, hint in derived:
+                given = getattr(self, name)
+                if given is not None and given != value:
+                    raise ValueError(
+                        f"{name} cannot be combined with a fleet; {hint}the "
+                        f"fleet derives {getattr(value, 'name', value)}, got "
+                        f"{getattr(given, 'name', given)}"
+                    )
+                object.__setattr__(self, name, value)
+        else:
+            if self.num_gpus is None:
+                object.__setattr__(self, "num_gpus", 8)
+            if self.architecture is None:
+                object.__setattr__(self, "architecture", A100)
         # normalise AND canonicalise (resolve registry aliases, e.g.
         # scheduler "random" -> "random-dispatch") and resolve each built-in
         # policy's typed spec, so equal design points compare equal and
@@ -182,10 +178,9 @@ class ServerConfig:
             raise ValueError("model must be non-empty")
         if any(not m for m in self.extra_models):
             raise ValueError("extra_models must be non-empty names")
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
-        if self.gpc_budget is not None and self.gpc_budget <= 0:
-            raise ValueError("gpc_budget must be positive when set")
+        check_count(self.num_gpus, "num_gpus must be positive and integral")
+        if self.gpc_budget is not None:
+            check_count(self.gpc_budget, "gpc_budget must be positive when set and integral")
         if self.partitioning == "homogeneous":
             # the homogeneous partitioner runs once per member architecture
             # on a fleet, so its size must be valid on every member (the
@@ -213,8 +208,7 @@ class ServerConfig:
             raise ValueError(
                 f"sla_multiplier must be positive and finite, got {self.sla_multiplier}"
             )
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        check_count(self.max_batch, "max_batch must be >= 1 and integral")
         if self.frontend_capacity_qps is not None and not (
             0 < self.frontend_capacity_qps < math.inf
         ):
@@ -222,82 +216,6 @@ class ServerConfig:
                 "frontend_capacity_qps must be positive and finite when set, "
                 f"got {self.frontend_capacity_qps}"
             )
-
-    # ------------------------------------------------------------------ #
-    # construction from composed specs
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_specs(
-        cls,
-        model: str,
-        partitioner: Any = "paris",
-        scheduler: Any = "elsa",
-        *,
-        sla: Any = None,
-        cluster: Any = None,
-        extra_models: Sequence[str] = (),
-        **overrides: Any,
-    ) -> "ServerConfig":
-        """Compose a config from per-policy spec objects.
-
-        Args:
-            model: primary model name.
-            partitioner: a partitioner spec (e.g. :class:`ParisSpec
-                <repro.core.specs.ParisSpec>`), or a policy name string.
-            scheduler: a scheduler spec (e.g. :class:`ElsaSpec
-                <repro.core.specs.ElsaSpec>`), or a policy name string.
-            sla: optional :class:`~repro.core.specs.SlaSpec`.
-            cluster: optional :class:`~repro.core.specs.ClusterSpec`.
-            extra_models: additional co-located models.
-            overrides: any remaining :class:`ServerConfig` fields; they win
-                over the values of ``sla`` and ``cluster``.
-
-        Returns:
-            The composed (frozen) config.
-
-        Raises:
-            ValueError: for an override of a from_specs parameter.
-            TypeError: for an override that is no config field.
-        """
-        reserved = {
-            "model": "the first positional argument",
-            "partitioning": "the 'partitioner' argument",
-            "scheduler": "the 'scheduler' argument",
-            "extra_models": "the 'extra_models' argument",
-            "partitioner_spec": "the 'partitioner' argument",
-            "scheduler_spec": "the 'scheduler' argument",
-        }
-        clashes = sorted(set(overrides) & set(reserved))
-        if clashes:
-            hints = "; ".join(f"set {k!r} via {reserved[k]}" for k in clashes)
-            raise ValueError(
-                f"override(s) {clashes} collide with from_specs parameters: {hints}"
-            )
-        _check_flat_fields(overrides, reserved)
-        kwargs: Dict[str, Any] = {}
-        for arg_name, spec, expected in (
-            ("sla", sla, SlaSpec),
-            ("cluster", cluster, ClusterSpec),
-        ):
-            if spec is not None:
-                if not isinstance(spec, expected):
-                    raise TypeError(
-                        f"{arg_name}= expects a {expected.__name__}(...), "
-                        f"got {type(spec).__name__}"
-                    )
-                kwargs.update(spec.flat_overrides())
-        kwargs.update(overrides)
-        partitioning, partitioner_spec = _policy_selection(partitioner)
-        scheduler_name, scheduler_spec = _policy_selection(scheduler)
-        return cls(
-            model=model,
-            partitioning=partitioning,
-            scheduler=scheduler_name,
-            extra_models=extra_models,
-            partitioner_spec=partitioner_spec,
-            scheduler_spec=scheduler_spec,
-            **kwargs,
-        )
 
     # ------------------------------------------------------------------ #
     # derived views
@@ -336,10 +254,7 @@ class ServerConfig:
             ValueError: when no fleet was configured.
         """
         if self.fleet is None:
-            raise ValueError(
-                "this config has no fleet; set ServerConfig(fleet=...) or "
-                "use ServerBuilder.fleet()"
-            )
+            raise ValueError("this config has no fleet; set ServerConfig(fleet=...)")
         return Fleet(list(self.fleet))
 
     def label(self) -> str:
@@ -349,22 +264,6 @@ class ServerConfig:
         else:
             left = self.partitioning
         return f"{left}+{self.scheduler}"
-
-
-def _check_flat_fields(names: Iterable[str], reserved: Iterable[str]) -> None:
-    """Reject ``names`` that are not :class:`ServerConfig` fields.
-
-    Raises:
-        TypeError: listing the valid fields (those not in ``reserved``).
-    """
-    fields = {f.name for f in dataclasses.fields(ServerConfig)}
-    unknown = sorted(set(names) - fields)
-    if unknown:
-        raise TypeError(
-            f"unknown ServerConfig field(s) {unknown}; valid fields: "
-            f"{sorted(fields - set(reserved))}.  Policy tunables live in "
-            "their policy's spec, e.g. ParisSpec(knee_threshold=...)"
-        )
 
 
 def config_with_fleet(
@@ -390,4 +289,6 @@ def config_with_fleet(
     specs = tuple(FleetServerSpec.coerce(server) for server in servers)
     if not specs:
         raise ValueError("the new fleet must name at least one server")
-    return dataclasses.replace(template, fleet=specs, gpc_budget=None)
+    return dataclasses.replace(
+        template, fleet=specs, num_gpus=None, gpc_budget=None, architecture=None
+    )

@@ -24,13 +24,13 @@ the streaming simulator:
 One-shot serving is a run with ``window=None`` (no windowed metrics, no
 triggers)::
 
-    session = ServerBuilder("resnet").build_session(window=None)
+    session = ServingSession(ServerConfig("resnet"), window=None)
     result = session.run(WorkloadConfig(model="resnet", rate_qps=2000.0))
     print(session.deployment.plan.describe(), result.summary())
 
 A streaming run with live repartitioning adds triggers::
 
-    session = ServingSession(ServerBuilder("bert").build(),
+    session = ServingSession(ServerConfig("bert"),
                              triggers=["pdf-drift"], reconfig_cost=2.0)
     result = session.run(build_scenario("batch-drift", model="bert"))
     for w in result.windows:
@@ -246,9 +246,7 @@ class ServingSession:
     """An event-driven serving run over one server design point.
 
     Args:
-        config: the design point — a :class:`~repro.serving.config.ServerConfig`
-            or anything with a ``build()`` method returning one (e.g. a
-            :class:`~repro.serving.builder.ServerBuilder`).
+        config: the design point, a :class:`~repro.serving.config.ServerConfig`.
         profiler: optional custom profiler for models lacking a pre-built
             profile; ``None`` (the default) takes their tables from the
             process-wide cache (:func:`~repro.perf.profiler.cached_profile`),
@@ -295,7 +293,7 @@ class ServingSession:
 
     def __init__(
         self,
-        config: Any,
+        config: ServerConfig,
         *,
         profiler: Optional[Profiler] = None,
         batch_pdf: Optional[Dict[int, float]] = None,
@@ -312,13 +310,7 @@ class ServingSession:
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if not isinstance(config, ServerConfig):
-            builder = getattr(config, "build", None)
-            if builder is None:
-                raise TypeError(
-                    "config must be a ServerConfig or expose build() "
-                    f"(e.g. ServerBuilder); got {type(config).__name__}"
-                )
-            config = builder()
+            raise TypeError(f"config must be a ServerConfig, got {type(config).__name__}")
         if batch_pdf is not None and not batch_pdf:
             raise ValueError(
                 "batch_pdf must be non-empty; pass None to derive the PDF "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.workload.distributions import (
     LogNormalBatchDistribution,
@@ -17,6 +17,21 @@ from repro.workload.distributions import (
 )
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
+
+
+def check_count(value: Any, message: str) -> None:
+    """Raise ``ValueError(f"{message}, got {value}")`` unless ``value`` is a
+    whole number >= 1.
+
+    NaN, the infinities and fractions fail; numpy integers and integral
+    floats pass.
+    """
+    try:
+        whole = value == int(value)
+    except (OverflowError, ValueError):  # int() of an infinity or of NaN
+        whole = False
+    if not whole or value < 1:
+        raise ValueError(f"{message}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +65,8 @@ class WorkloadConfig:
             raise ValueError("rate_qps must be positive")
         if not math.isfinite(self.rate_qps):
             raise ValueError(f"rate_qps must be finite, got {self.rate_qps}")
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        check_count(self.num_queries, "num_queries must be >= 1 and integral")
+        check_count(self.max_batch, "max_batch must be >= 1 and integral")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if not math.isfinite(self.median_batch):

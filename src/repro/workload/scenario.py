@@ -33,8 +33,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.registry import PolicyRegistry
+from repro.registry import PolicyRegistry
 from repro.workload.distributions import LogNormalBatchDistribution
+from repro.workload.generator import check_count
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
 
@@ -73,8 +74,7 @@ class Phase:
             raise ValueError(
                 f"phase rate_qps must be positive and finite, got {self.rate_qps}"
             )
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        check_count(self.max_batch, "max_batch must be >= 1 and integral")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if not math.isfinite(self.sigma):

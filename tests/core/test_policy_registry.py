@@ -14,9 +14,7 @@ from repro.core.registry import (
     PARTITIONERS,
     SCHEDULERS,
     PartitionerContext,
-    PolicyRegistry,
     SchedulerContext,
-    UnknownPolicyError,
     available_partitioners,
     available_schedulers,
     get_partitioner,
@@ -26,6 +24,7 @@ from repro.core.registry import (
 )
 from repro.core.schedulers import FifsScheduler
 from repro.core.specs import FifsSpec, PolicySpec
+from repro.registry import PolicyRegistry, UnknownPolicyError
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 from repro.sim.scheduler_api import Scheduler
@@ -257,21 +256,6 @@ class TestCustomPolicyRoundTrip:
         )
         deployment = build_deployment(config, pdf, profile=mobilenet_profile)
         assert deployment.scheduler.stride == 3
-
-    def test_builder_routes_custom_options_through_policy_spec(
-        self, pdf, mobilenet_profile
-    ):
-        from repro.serving.builder import ServerBuilder
-
-        config = (
-            ServerBuilder("mobilenet")
-            .cluster(num_gpus=4, gpc_budget=24)
-            .partitioner("my-policy")
-            .scheduler("my-sched", stride=2)
-            .build()
-        )
-        deployment = build_deployment(config, pdf, profile=mobilenet_profile)
-        assert deployment.scheduler.stride == 2
 
 
 class TestFactoryResultValidation:

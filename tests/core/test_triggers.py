@@ -14,7 +14,7 @@ from repro.core.triggers import (
     resolve_triggers,
     total_variation_distance,
 )
-from repro.core.registry import UnknownPolicyError
+from repro.registry import UnknownPolicyError
 from repro.sim.hooks import WindowedMetrics
 from repro.workload.query import Query
 from tests.sim.helpers import bound_metrics

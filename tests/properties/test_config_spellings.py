@@ -1,10 +1,11 @@
 """One design point, one config.
 
-Every policy tunable lives in its policy's spec, so the four ways of
-spelling a built-in partitioner x scheduler pair — the constructor with
-typed specs, ``ServerConfig.from_specs``, the fluent ``ServerBuilder`` and
-``PolicySpec`` options — must build equal configs with one label, and the
-deployment must run with exactly the spec's values.
+``ServerConfig`` is the only way to spell a design point, and every policy
+tunable lives in its policy's spec.  So for a built-in partitioner x
+scheduler pair, the constructor with typed specs, the constructor with
+``PolicySpec`` options and ``dataclasses.replace`` of another design point
+must build equal configs with one label, and the deployment must run with
+exactly the spec's values.
 """
 
 import dataclasses
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.elsa import ElsaScheduler
 from repro.core.knee import derive_knees
 from repro.core.specs import (
-    ClusterSpec,
     ElsaSpec,
     FifsSpec,
     HomogeneousSpec,
@@ -24,7 +24,6 @@ from repro.core.specs import (
     RandomDispatchSpec,
     RandomPartitionSpec,
 )
-from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
 from repro.serving.deployment import build_deployment
 
@@ -68,16 +67,6 @@ def test_every_spelling_gives_one_config_deployed_with_its_tunables(
         scheduler_spec=scheduler,
         **SHAPE,
     )
-    composed = ServerConfig.from_specs(
-        "mobilenet", partitioner, scheduler, cluster=ClusterSpec(**SHAPE)
-    )
-    built = (
-        ServerBuilder("mobilenet")
-        .cluster(**SHAPE)
-        .partitioner(partitioner.policy, **dataclasses.asdict(partitioner))
-        .scheduler(scheduler.policy, **dataclasses.asdict(scheduler))
-        .build()
-    )
     optioned = ServerConfig(
         "mobilenet",
         partitioning=partitioner.policy,
@@ -86,8 +75,17 @@ def test_every_spelling_gives_one_config_deployed_with_its_tunables(
         scheduler_spec=PolicySpec(scheduler.policy, dataclasses.asdict(scheduler)),
         **SHAPE,
     )
-    assert typed == composed == built == optioned
-    assert len({c.label() for c in (typed, composed, built, optioned)}) == 1
+    # a variant of the default design point, re-pointed at this one
+    replaced = dataclasses.replace(
+        ServerConfig("mobilenet", **SHAPE),
+        partitioning=partitioner.policy,
+        scheduler=scheduler.policy,
+        partitioner_spec=partitioner,
+        scheduler_spec=scheduler,
+    )
+    assert typed == optioned == replaced
+    assert len({c.label() for c in (typed, optioned, replaced)}) == 1
+    assert dataclasses.replace(typed) == typed
     assert typed.partitioner_spec == partitioner
     assert typed.scheduler_spec == scheduler
 

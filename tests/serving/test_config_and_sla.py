@@ -1,9 +1,17 @@
 """Tests for the server configuration and SLA target derivation."""
 
+import numpy as np
 import pytest
 
-from repro.core.specs import HomogeneousSpec
+from repro.core.specs import (
+    ElsaSpec,
+    FifsSpec,
+    HomogeneousSpec,
+    ParisSpec,
+    PolicySpec,
+)
 from repro.serving.config import ServerConfig
+from repro.serving.deployment import build_deployment
 from repro.serving.sla import derive_sla_target
 from tests.sim.helpers import constant_profile, linear_profile
 
@@ -30,8 +38,6 @@ class TestServerConfig:
         # tuple("bert") would silently splat into per-character model names
         with pytest.raises(TypeError, match="bare"):
             ServerConfig(model="resnet", extra_models="bert")
-        with pytest.raises(TypeError, match="bare"):
-            ServerConfig.from_specs("resnet", extra_models="bert")
 
     def test_models_puts_primary_first_and_dedupes(self):
         config = ServerConfig(
@@ -111,11 +117,124 @@ class TestServerConfig:
         assert via_alias.scheduler == "random-dispatch"
         assert via_alias.label() == "paris+random-dispatch"
 
-    def test_from_specs_rejects_non_spec_sla_and_cluster(self):
-        with pytest.raises(TypeError, match="SlaSpec"):
-            ServerConfig.from_specs("resnet", sla=2.0)
-        with pytest.raises(TypeError, match="ClusterSpec"):
-            ServerConfig.from_specs("resnet", cluster=8)
+    def test_policy_tunables_live_only_in_the_specs(self):
+        config = ServerConfig(
+            "resnet",
+            partitioner_spec=ParisSpec(knee_threshold=0.85),
+            scheduler_spec=ElsaSpec(alpha=1.2, beta=0.8),
+            sla_multiplier=2.0,
+            max_batch=64,
+            gpc_budget=48,
+        )
+        assert config.label() == "paris+elsa"
+        assert config.partitioner_spec == ParisSpec(knee_threshold=0.85)
+        assert config.scheduler_spec == ElsaSpec(alpha=1.2, beta=0.8)
+        for removed in ("alpha", "beta", "knee_threshold", "homogeneous_gpcs"):
+            assert not hasattr(config, removed)
+
+    def test_bare_policy_names_select_the_default_specs(self):
+        config = ServerConfig("resnet", partitioning="homogeneous", scheduler="fifs")
+        assert config.label() == "gpu(7)+fifs"
+        assert config.partitioner_spec == HomogeneousSpec()
+        assert config.scheduler_spec == FifsSpec()
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("num_gpus", 2.5, r"^num_gpus must be positive and integral, got 2.5$"),
+            ("num_gpus", 0, r"^num_gpus must be positive and integral, got 0$"),
+            ("gpc_budget", 24.5,
+             r"^gpc_budget must be positive when set and integral, got 24.5$"),
+            ("max_batch", 16.5, r"^max_batch must be >= 1 and integral, got 16.5$"),
+        ],
+        ids=["num_gpus-fraction", "num_gpus-zero", "gpc_budget-fraction", "max_batch-fraction"],
+    )
+    def test_non_integral_counts_rejected(self, field, value, message):
+        # a fractional GPU count or budget cannot be deployed: it fails here
+        # with a pinned message, not later in build_deployment
+        with pytest.raises(ValueError, match=message):
+            ServerConfig(model="resnet", **{field: value})
+
+    def test_numpy_and_integral_float_counts_accepted(self):
+        config = ServerConfig(
+            model="resnet", num_gpus=np.int64(4), gpc_budget=24.0, max_batch=np.int32(16)
+        )
+        assert (config.num_gpus, config.gpc_budget, config.max_batch) == (4, 24, 16)
+        assert config.effective_gpc_budget == 24
+
+
+class TestPolicySpecs:
+    def test_policy_spec_options_reach_builtin_factories(self, mobilenet_profile):
+        # a generic PolicySpec naming a built-in policy must not have its
+        # options silently dropped in favour of the config defaults
+        pdf = {1: 0.4, 4: 0.3, 8: 0.2, 32: 0.1}
+        config = ServerConfig(
+            model="mobilenet",
+            partitioner_spec=PolicySpec("paris", {"knee_threshold": 0.5}),
+            gpc_budget=24,
+            num_gpus=4,
+        )
+        # the PolicySpec is converted into the typed built-in spec
+        assert config.partitioner_spec == ParisSpec(knee_threshold=0.5)
+        deployment = build_deployment(config, pdf, profile=mobilenet_profile)
+        reference = build_deployment(
+            ServerConfig(
+                model="mobilenet",
+                partitioner_spec=ParisSpec(knee_threshold=0.5),
+                gpc_budget=24,
+                num_gpus=4,
+            ),
+            pdf,
+            profile=mobilenet_profile,
+        )
+        assert deployment.plan.knees == reference.plan.knees
+
+    def test_policy_spec_with_unknown_builtin_option_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown option\(s\) \['knee_treshold'\] for built-in partitioner 'paris'",
+        ):
+            ServerConfig(
+                model="mobilenet",
+                partitioner_spec=PolicySpec("paris", {"knee_treshold": 0.5}),  # typo
+            )
+
+    def test_mismatched_spec_type_rejected_at_construction(self):
+        # an ElsaSpec paired with the fifs scheduler must raise, not be
+        # silently replaced by defaults
+        with pytest.raises(TypeError, match="FifsSpec"):
+            ServerConfig(
+                model="mobilenet",
+                scheduler="fifs",
+                scheduler_spec=ElsaSpec(alpha=9.0),
+                gpc_budget=24,
+                num_gpus=4,
+            )
+        with pytest.raises(TypeError, match="HomogeneousSpec"):
+            ServerConfig(
+                model="mobilenet",
+                partitioning="homogeneous",
+                partitioner_spec=ParisSpec(),
+            )
+        # an object that is no spec at all raises the same way
+        with pytest.raises(TypeError, match="ParisSpec"):
+            ServerConfig(model="mobilenet", partitioner_spec=object())
+
+    def test_policy_spec_naming_another_policy_rejected(self):
+        # the options of a PolicySpec for fifs must not be applied to elsa
+        with pytest.raises(TypeError, match="does not match the selected policy"):
+            ServerConfig(
+                model="mobilenet",
+                scheduler="elsa",
+                scheduler_spec=PolicySpec("fifs", {"alpha": 2.0}),
+            )
+        # an alias of the selected policy still names it
+        config = ServerConfig(
+            model="mobilenet",
+            scheduler="random-dispatch",
+            scheduler_spec=PolicySpec("random", {"seed": 3}),
+        )
+        assert config.scheduler_spec.seed == 3
 
 
 class TestSlaTarget:

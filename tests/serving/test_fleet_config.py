@@ -1,12 +1,13 @@
-"""Fleet plumbing through ServerConfig / ServerBuilder / Deployment / Session."""
+"""Fleet plumbing through ServerConfig / Deployment / Session."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.specs import HomogeneousSpec
 from repro.gpu.architecture import A30, A100, H100
 from repro.gpu.fleet import FleetServerSpec
-from repro.serving.builder import ServerBuilder
-from repro.serving.config import ServerConfig
+from repro.serving.config import ServerConfig, config_with_fleet
 from repro.serving.deployment import build_deployment, replan_deployment
 from repro.serving.session import ServingSession
 from repro.workload.generator import QueryGenerator, WorkloadConfig
@@ -36,6 +37,55 @@ class TestFleetConfig:
     def test_explicit_gpc_budget_with_fleet_rejected(self):
         with pytest.raises(ValueError, match="per-server budgets"):
             ServerConfig(model="resnet", fleet=MIXED, gpc_budget=48)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("num_gpus", 4,
+             r"^num_gpus cannot be combined with a fleet; the fleet derives 8, got 4$"),
+            ("architecture", A30,
+             r"^architecture cannot be combined with a fleet; the fleet derives "
+             r"A100-SXM4-40GB, got A30$"),
+            ("gpc_budget", 24,
+             r"^gpc_budget cannot be combined with a fleet; set per-server budgets on "
+             r"the FleetServerSpecs instead; the fleet derives 48, got 24$"),
+        ],
+        ids=["num_gpus", "architecture", "gpc_budget"],
+    )
+    def test_explicit_shape_differing_from_the_fleet_rejected(self, field, value, message):
+        # a shape field the fleet contradicts is ambiguous: overwriting it
+        # silently would deploy another server than the one asked for
+        with pytest.raises(ValueError, match=message):
+            ServerConfig(model="resnet", fleet=[(8, "a100", 48)], **{field: value})
+
+    def test_shape_equal_to_the_fleet_accepted_and_replace_round_trips(self):
+        config = ServerConfig(model="resnet", fleet=[(8, "a100", 48)])
+        assert config == ServerConfig(
+            model="resnet", num_gpus=8, architecture=A100, gpc_budget=48,
+            fleet=[(8, "a100", 48)],
+        )
+        varied = dataclasses.replace(config, frontend_capacity_qps=5000.0)
+        assert varied.fleet == config.fleet
+        assert varied.frontend_capacity_qps == 5000.0
+        assert (varied.num_gpus, varied.architecture, varied.gpc_budget) == (8, A100, 48)
+        # re-targeting at another fleet re-derives every shape field
+        moved = config_with_fleet(varied, [(2, "a30")])
+        assert (moved.num_gpus, moved.architecture, moved.gpc_budget) == (2, A30, 8)
+        assert moved.frontend_capacity_qps == 5000.0
+        flat = config_with_fleet(ServerConfig(model="resnet", num_gpus=4), [(2, "a30")])
+        assert (flat.num_gpus, flat.architecture) == (2, A30)
+
+    def test_fleet_composes_with_runtime_knobs(self):
+        config = ServerConfig(
+            model="resnet", fleet=((2, "a100"), (2, "a30")), frontend_capacity_qps=500.0
+        )
+        assert config.fleet is not None
+        assert config.frontend_capacity_qps == 500.0
+        assert config.num_gpus == 4
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError, match="^fleet must name at least one server$"):
+            ServerConfig(model="resnet", fleet=())
 
     def test_sla_reference_defaults_to_largest_primary_partition(self):
         # A30-primary fleet: GPU(7) does not exist, the default reference
@@ -67,12 +117,8 @@ class TestFleetConfig:
     def test_single_a30_server_with_defaults_deploys_like_an_a30_fleet(self):
         # the default SLA reference GPU(7) falls back to the largest A30
         # size on a single server exactly as on a fleet
-        single = build_deployment(
-            ServerBuilder("resnet").cluster(architecture=A30).build(), PDF
-        )
-        fleet = build_deployment(
-            ServerBuilder("resnet").fleet((8, "a30")).build(), PDF
-        )
+        single = build_deployment(ServerConfig(model="resnet", architecture=A30), PDF)
+        fleet = build_deployment(ServerConfig(model="resnet", fleet=[(8, "a30")]), PDF)
         assert single.config.sla_reference_gpcs == 4
         assert single.plan.counts == fleet.plan.counts_of(A30.name)
         assert single.sla_target == fleet.sla_target == pytest.approx(5.72e-3, abs=5e-6)
@@ -87,34 +133,7 @@ class TestFleetConfig:
         assert on_single.statistics.latency.p95 == on_fleet.statistics.latency.p95
         assert on_single.per_instance_queries == on_fleet.per_instance_queries
         with pytest.raises(ValueError, match=r"^sla_reference_gpcs=3 is not a valid"):
-            ServerBuilder("resnet").cluster(architecture=A30).sla(reference_gpcs=3).build()
-
-
-class TestFleetBuilder:
-    def test_builder_fleet_step(self):
-        config = ServerBuilder("resnet").fleet((2, "a100", 14), "a30").build()
-        assert config.is_fleet
-        assert config.fleet[1].architecture is A30
-        assert config.fleet[1].num_gpus == 8  # bare name = one full server
-
-    def test_fleet_clashes_with_cluster_shape(self):
-        builder = ServerBuilder("resnet").cluster(num_gpus=4)
-        with pytest.raises(ValueError, match="set by both"):
-            builder.fleet((2, "a100"))
-
-    def test_fleet_composes_with_cluster_runtime_knobs(self):
-        config = (
-            ServerBuilder("resnet")
-            .fleet((2, "a100"), (2, "a30"))
-            .cluster(frontend_capacity_qps=500.0)
-            .build()
-        )
-        assert config.fleet is not None
-        assert config.frontend_capacity_qps == 500.0
-
-    def test_empty_fleet_step_rejected(self):
-        with pytest.raises(ValueError, match="at least one server"):
-            ServerBuilder("resnet").fleet()
+            ServerConfig(model="resnet", architecture=A30, sla_reference_gpcs=3)
 
 
 class TestFleetDeployment:
@@ -204,7 +223,7 @@ class TestFleetProfileArguments:
 class TestFleetSession:
     def test_session_runs_and_repartitions_mixed_fleet(self):
         session = ServingSession(
-            ServerBuilder("resnet").fleet((2, "a100", 14), (2, "a30")),
+            ServerConfig(model="resnet", fleet=((2, "a100", 14), (2, "a30"))),
             batch_pdf={1: 0.8, 2: 0.2},  # deliberately stale prior
             window=0.05,
             triggers=[("pdf-drift", {"threshold": 0.1, "min_queries": 50})],

@@ -14,6 +14,13 @@ zero load, a NaN or infinite batch-size parameter draws nonsense batches,
 and the fault and preemption samplers never return for an infinite horizon
 or rate.  Their guards keep the older positivity messages and add a
 separate finite check.
+
+The counts (``num_gpus``, ``gpc_budget``, ``max_batch``, ``num_queries``)
+must be whole numbers.  Unchecked, an infinite ``max_batch`` draws batches
+past the cap and gives ``ServerConfig`` an infinite SLA target that every
+query meets, a NaN one fails late in ``generate()``, and a NaN or infinite
+GPU count fails late in ``build_deployment``.  Their guards keep the older
+message as a prefix, extended to "... and integral".
 """
 
 import math
@@ -136,6 +143,30 @@ CASES = {
     "job_manager.chunk": (
         lambda v: JobManager(FleetPool(SERVERS), CONFIG, Path("artifacts"), chunk=v),
         "chunk must be positive and finite",
+    ),
+    "server_config.num_gpus": (
+        lambda v: ServerConfig(model="mobilenet", num_gpus=v),
+        "num_gpus must be positive and integral",
+    ),
+    "server_config.gpc_budget": (
+        lambda v: ServerConfig(model="mobilenet", gpc_budget=v),
+        "gpc_budget must be positive when set and integral",
+    ),
+    "server_config.max_batch": (
+        lambda v: ServerConfig(model="mobilenet", max_batch=v),
+        "max_batch must be >= 1 and integral",
+    ),
+    "workload.num_queries": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=1.0, num_queries=v),
+        "num_queries must be >= 1 and integral",
+    ),
+    "workload.max_batch": (
+        lambda v: WorkloadConfig(model="mobilenet", rate_qps=1.0, max_batch=v),
+        "max_batch must be >= 1 and integral",
+    ),
+    "phase.max_batch": (
+        lambda v: Phase(duration=1.0, rate_qps=1.0, max_batch=v),
+        "max_batch must be >= 1 and integral",
     ),
     "workload.rate_qps": (
         lambda v: WorkloadConfig(model="mobilenet", rate_qps=v),

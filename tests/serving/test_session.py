@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.triggers import TriggerDecision
-from repro.serving.builder import ServerBuilder
 from repro.serving.config import ServerConfig
 from repro.serving.session import ServingSession
 from repro.sim.cluster import InferenceServerSimulator
@@ -40,15 +39,21 @@ def small_scenario(median_a=2.0, median_b=12.0, rate=300.0, duration=6.0, seed=5
 
 
 class TestConstruction:
-    def test_accepts_config_and_builder(self, profiler):
-        assert ServingSession(
-            ServerConfig(model="mobilenet"), profiler=profiler
-        ).config.model == "mobilenet"
-        session = ServingSession(
-            ServerBuilder("mobilenet").cluster(gpc_budget=24, num_gpus=4),
-            profiler=profiler,
-        )
-        assert session.config.gpc_budget == 24
+    def test_accepts_only_a_server_config(self, profiler):
+        config = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
+        assert ServingSession(config, profiler=profiler).config is config
+
+        class Buildable:
+            """Anything with a build() method is still no design point."""
+
+            def build(self):
+                return config
+
+        for other in (Buildable(), {"model": "mobilenet"}):
+            with pytest.raises(
+                TypeError, match=f"^config must be a ServerConfig, got {type(other).__name__}$"
+            ):
+                ServingSession(other, profiler=profiler)
 
     def test_rejects_garbage_config(self):
         with pytest.raises(TypeError):
@@ -67,10 +72,6 @@ class TestConstruction:
             ServingSession(
                 config, profiler=profiler, window=None, triggers=["pdf-drift"]
             )
-
-    def test_builder_terminal_step(self, profiler):
-        session = ServerBuilder("mobilenet").build_session(profiler=profiler)
-        assert isinstance(session, ServingSession)
 
 
 class TestOneShotFacade:

@@ -1,5 +1,6 @@
 """Tests for the workload generator."""
 
+import numpy as np
 import pytest
 
 from repro.workload.generator import QueryGenerator, WorkloadConfig
@@ -23,6 +24,27 @@ class TestWorkloadConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             WorkloadConfig(model="resnet", **kwargs)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("num_queries", 10.5, r"^num_queries must be >= 1 and integral, got 10.5$"),
+            ("num_queries", 0, r"^num_queries must be >= 1 and integral, got 0$"),
+            ("max_batch", 8.5, r"^max_batch must be >= 1 and integral, got 8.5$"),
+        ],
+        ids=["num_queries-fraction", "num_queries-zero", "max_batch-fraction"],
+    )
+    def test_non_integral_counts_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            WorkloadConfig(model="resnet", rate_qps=100.0, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = WorkloadConfig(
+            model="resnet", rate_qps=100.0, num_queries=np.int64(50), max_batch=np.int32(16)
+        )
+        trace = QueryGenerator(config).generate()
+        assert len(trace) == 50
+        assert max(q.batch for q in trace) <= 16
 
 
 class TestQueryGenerator:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.registry import UnknownPolicyError
+from repro.registry import UnknownPolicyError
 from repro.workload.scenario import (
     SCENARIOS,
     Phase,

@@ -24,7 +24,7 @@ Steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.knee import derive_knees
 from repro.core.plan import BatchSegment, FleetPlan, PartitionPlan
@@ -345,10 +345,11 @@ class FleetParis:
       probability mass falls back to a plain per-architecture PARIS plan
       over the full PDF, so budget is never silently stranded.
 
-    A **single-architecture** fleet delegates to the memoized
-    :func:`shared_paris` planner outright, so its plan is the *identical
-    object* the classic path produces — the anchor of the fleet
-    bit-identity tests.
+    On **one architecture** it delegates to the memoized
+    :func:`shared_paris` planner outright and returns that planner's
+    :class:`~repro.core.plan.PartitionPlan` itself: for the same tunables,
+    the *identical object* :func:`run_paris` and the registry's ``"paris"``
+    partitioner return.
 
     Args:
         profiles: per-architecture profile tables of the target model,
@@ -370,7 +371,7 @@ class FleetParis:
             raise ValueError(
                 f"all profiles must target one model, got {sorted(names)}"
             )
-        self._plan_cache: Dict[Tuple, FleetPlan] = {}
+        self._plan_cache: Dict[Tuple, Union[PartitionPlan, FleetPlan]] = {}
 
     @property
     def model_name(self) -> str:
@@ -385,7 +386,7 @@ class FleetParis:
         batch_pdf: Dict[int, float],
         budgets: Mapping[str, int],
         size_caps: Optional[Mapping[str, int]] = None,
-    ) -> FleetPlan:
+    ) -> Union[PartitionPlan, FleetPlan]:
         """Divide the per-architecture budgets for ``batch_pdf``.
 
         Args:
@@ -401,7 +402,10 @@ class FleetParis:
                 caps to keep the plan placeable.
 
         Returns:
-            The fleet-wide :class:`~repro.core.plan.FleetPlan`.
+            One architecture's :class:`~repro.core.plan.PartitionPlan` (the
+            :func:`shared_paris` plan object) when ``budgets`` names one
+            architecture, else the fleet-wide
+            :class:`~repro.core.plan.FleetPlan`.
 
         Raises:
             ValueError: for empty/invalid inputs, unknown architectures, or
@@ -425,12 +429,12 @@ class FleetParis:
         if cached is not None:
             return cached
 
+        plan: Union[PartitionPlan, FleetPlan]
         if len(budgets) == 1:
             (name, budget), = budgets.items()
-            sub = shared_paris(
+            plan = shared_paris(
                 self.profiles[name], self._config_for(name, caps.get(name))
             ).plan(dict(batch_pdf), int(budget))
-            plan = self._lift(sub, name)
         else:
             plan = self._plan_hetero(batch_pdf, budgets, caps)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
@@ -470,16 +474,6 @@ class FleetParis:
         if sizes is None and len(usable) == len(profiled):
             return self.config
         return replace(self.config, partition_sizes=usable)
-
-    def _lift(self, sub: PartitionPlan, arch_name: str) -> FleetPlan:
-        """Wrap one architecture's plan as a fleet plan."""
-        return FleetPlan(
-            model=sub.model,
-            counts={(arch_name, size): count for size, count in sub.counts.items()},
-            budgets={arch_name: sub.total_gpcs},
-            strategy="fleet-paris",
-            per_architecture={arch_name: sub},
-        )
 
     def _plan_hetero(
         self,
@@ -621,7 +615,7 @@ def run_fleet_paris(
     batch_pdf: Dict[int, float],
     budgets: Mapping[str, int],
     config: Optional[ParisSpec] = None,
-) -> FleetPlan:
+) -> Union[PartitionPlan, FleetPlan]:
     """Convenience wrapper: run fleet-PARIS in one call.
 
     Args:
@@ -631,7 +625,7 @@ def run_fleet_paris(
         config: optional algorithm tunables.
 
     Returns:
-        The :class:`~repro.core.plan.FleetPlan` chosen by fleet-PARIS.
+        The plan chosen by fleet-PARIS (see :meth:`FleetParis.plan`).
     """
     return FleetParis(profiles, config or ParisSpec()).plan(batch_pdf, budgets)
 

@@ -65,9 +65,9 @@ class PartitionerContext:
         spec: per-policy spec object (:mod:`repro.core.specs`), the
             config's ``partitioner_spec``; built-in factories use their
             spec type's defaults when it is ``None``.
-        target_architecture: explicit target architecture override.  Fleet
-            deployments invoke a partitioner once per member architecture
-            with that architecture's own profile/budget; this field carries
+        target_architecture: explicit target architecture override.  A
+            deployment invokes a partitioner once per member architecture of
+            its fleet with that architecture's own profile/budget; this field carries
             the architecture so :attr:`architecture` resolves correctly even
             though the config names only the fleet's primary one.
     """
@@ -106,7 +106,7 @@ class SchedulerContext:
         spec: per-policy spec object, when one was configured.
         arch_profiles: per-architecture per-model tables (``architecture
             name -> model name -> table``) on mixed-architecture fleet
-            deployments; ``None`` on single-architecture servers.
+            deployments; ``None`` when the design has one architecture.
             Architecture-aware schedulers (ELSA) use these to estimate each
             instance through its own architecture's profile.
     """

@@ -15,9 +15,10 @@ budget) into **one** schedulable pool:
   *its own server's* architecture, so the perf layer can resolve the right
   per-architecture profile table per instance;
 * a fleet of **one** server delegates configuration to that server verbatim
-  — same packing, same instance ids, same placement — which is what makes a
-  single-architecture fleet bit-identical to the classic
-  ``MultiGPUServer`` path (pinned by the fleet-identity property tests).
+  — its :class:`~repro.gpu.server.MultiGPUServer` packing, instance ids and
+  placement.  The paper's single server is such a fleet: a flat
+  ``ServerConfig(num_gpus=, architecture=, gpc_budget=)`` deploys onto the
+  one-server fleet it spells (pinned by the fleet-identity property tests).
 
 Fleet-level partition *plans* are keyed by ``(architecture name, size)``;
 see :class:`~repro.core.plan.FleetPlan` and
@@ -34,6 +35,7 @@ from repro.gpu.architecture import A100, GPUArchitecture, get_architecture
 from repro.gpu.mig import MIGConfiguration
 from repro.gpu.partition import GPUPartition, PartitionInstance
 from repro.gpu.server import MultiGPUServer, ServerCapacityError
+from repro.registry import check_count
 
 #: Fleet-plan counts: ``(architecture name, partition size) -> instances``.
 FleetCounts = Mapping[Tuple[str, int], int]
@@ -59,14 +61,16 @@ class FleetServerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "architecture", get_architecture(self.architecture))
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
-        physical = self.num_gpus * self.architecture.gpc_count
-        if self.gpc_budget is not None and not 0 < self.gpc_budget <= physical:
-            raise ValueError(
-                f"gpc_budget {self.gpc_budget} must be in (0, {physical}] for "
+        check_count(self.num_gpus, "num_gpus must be positive and integral")
+        if self.gpc_budget is not None:
+            physical = self.num_gpus * self.architecture.gpc_count
+            message = (
+                f"gpc_budget must be in (0, {physical}] and integral for "
                 f"{self.num_gpus}x{self.architecture.name}"
             )
+            check_count(self.gpc_budget, message)
+            if self.gpc_budget > physical:
+                raise ValueError(f"{message}, got {self.gpc_budget}")
 
     @property
     def effective_gpc_budget(self) -> int:
@@ -239,8 +243,8 @@ class Fleet:
         """
         per_arch = self._normalise_counts(counts)
 
-        # A single-server fleet delegates verbatim: identical packing,
-        # identical instance ids — the bit-identity anchor.
+        # A single-server fleet (the paper's one server) delegates verbatim:
+        # that server's own packing and instance ids.
         if len(self.servers) == 1:
             only = self.servers[0]
             flat = per_arch.get(only.architecture.name, {})

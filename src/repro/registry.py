@@ -7,14 +7,31 @@ registries (:mod:`repro.core.registry`), the repartition triggers
 (:mod:`repro.core.triggers`) and the scenario workloads
 (:mod:`repro.workload.scenario`) are instances of it.  The module imports
 only the standard library, so the bottom layers can hold a registry without
-importing the policies above them.
+importing the policies above them; for the same reason it holds
+:func:`check_count`, the whole-number guard shared by ``WorkloadConfig``,
+``FleetServerSpec`` and ``ServerConfig``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union, overload
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar, Union, overload
 
 FactoryT = TypeVar("FactoryT", bound=Callable)
+
+
+def check_count(value: Any, message: str) -> None:
+    """Raise ``ValueError(f"{message}, got {value}")`` unless ``value`` is a
+    whole number >= 1.
+
+    NaN, the infinities and fractions fail; numpy integers and integral
+    floats pass.
+    """
+    try:
+        whole = value == int(value)
+    except (OverflowError, ValueError):  # int() of an infinity or of NaN
+        whole = False
+    if not whole or value < 1:
+        raise ValueError(f"{message}, got {value}")
 
 
 class UnknownPolicyError(ValueError):

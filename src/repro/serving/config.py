@@ -41,10 +41,9 @@ from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.registry import PARTITIONERS, SCHEDULERS
 from repro.core.specs import resolve_policy_spec
-from repro.gpu.architecture import A100, GPUArchitecture
+from repro.gpu.architecture import A100, GPUArchitecture, get_architecture
 from repro.gpu.fleet import Fleet, FleetServerSpec
-from repro.registry import normalize_policy_name
-from repro.workload.generator import check_count
+from repro.registry import check_count, normalize_policy_name
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,11 @@ class ServerConfig:
         max_batch: maximum batch size of the workload distribution.
         random_seed: the design's seed, used by every stochastic policy
             whose spec leaves ``seed=None``.
-        architecture: physical GPU architecture; ``None`` (the default) is
-            A100, or the first fleet server's architecture.
+        architecture: physical GPU architecture, a
+            :class:`~repro.gpu.architecture.GPUArchitecture` or a preset name
+            (``"a30"``) resolved by
+            :func:`~repro.gpu.architecture.get_architecture`; ``None`` (the
+            default) is A100, or the first fleet server's architecture.
         frontend_capacity_qps: maximum dispatch rate of the server frontend
             in queries/second; ``None`` means the frontend is never the
             bottleneck.
@@ -91,8 +93,12 @@ class ServerConfig:
             architecture, the summed per-server budgets).  An explicit value
             that differs from the derived one raises; an equal one is
             accepted, so a fleet config round-trips through
-            ``dataclasses.replace``.  Single-architecture fleets deploy
-            bit-identically to the equivalent flat configuration.
+            ``dataclasses.replace``.  Without a fleet the design is a fleet
+            of one server, ``(num_gpus, architecture, gpc_budget)``: both
+            spellings deploy through one path (:meth:`build_fleet`), so
+            ``ServerConfig(m, num_gpus=n, gpc_budget=b)`` and
+            ``ServerConfig(m, fleet=[(n, "a100", b)])`` plan, place and
+            replay identically.
     """
 
     model: str
@@ -112,6 +118,8 @@ class ServerConfig:
     fleet: Optional[Tuple[FleetServerSpec, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.architecture is not None:
+            object.__setattr__(self, "architecture", get_architecture(self.architecture))
         if self.fleet is not None:
             raw = self.fleet
             if isinstance(raw, (FleetServerSpec,)):
@@ -236,11 +244,6 @@ class ServerConfig:
         return self.num_gpus * self.architecture.gpc_count
 
     @property
-    def is_fleet(self) -> bool:
-        """True when this design deploys onto an explicit fleet."""
-        return self.fleet is not None
-
-    @property
     def is_heterogeneous_fleet(self) -> bool:
         """True when the fleet mixes two or more GPU architectures."""
         if self.fleet is None:
@@ -248,14 +251,11 @@ class ServerConfig:
         return len({spec.architecture.name for spec in self.fleet}) > 1
 
     def build_fleet(self) -> Fleet:
-        """Materialise the configured :class:`~repro.gpu.fleet.Fleet`.
-
-        Raises:
-            ValueError: when no fleet was configured.
-        """
-        if self.fleet is None:
-            raise ValueError("this config has no fleet; set ServerConfig(fleet=...)")
-        return Fleet(list(self.fleet))
+        """Materialise the :class:`~repro.gpu.fleet.Fleet` this design
+        deploys onto: the configured fleet, or a fleet of one server with
+        the flat ``num_gpus`` / ``architecture`` / ``gpc_budget``."""
+        servers = self.fleet or ((self.num_gpus, self.architecture, self.gpc_budget),)
+        return Fleet(list(servers))
 
     def label(self) -> str:
         """Readable design-point label, e.g. ``paris+elsa`` or ``gpu(3)+fifs``."""
@@ -273,7 +273,9 @@ def config_with_fleet(
 
     Every policy knob (model, partitioning, scheduler, SLA derivation, …)
     carries over; only the fleet — and the shape fields ``num_gpus`` /
-    ``architecture`` / ``gpc_budget`` derived from it — changes.  This is
+    ``architecture`` / ``gpc_budget`` derived from it — changes.  A
+    reference size equal to the template's largest partition (the resolved
+    default) becomes the new primary architecture's largest partition.  This is
     the one sanctioned way the control plane (autoscaler, preemptions,
     capacity planner) and the daemon's quota carving mutate a design's
     fleet: going through the constructor re-runs every validation.
@@ -289,6 +291,16 @@ def config_with_fleet(
     specs = tuple(FleetServerSpec.coerce(server) for server in servers)
     if not specs:
         raise ValueError("the new fleet must name at least one server")
+    reference = template.sla_reference_gpcs
+    if reference == max(template.architecture.valid_partition_sizes):
+        # the template's largest partition, resolved again for the new
+        # primary; an explicitly chosen smaller reference carries over
+        reference = max(specs[0].architecture.valid_partition_sizes)
     return dataclasses.replace(
-        template, fleet=specs, num_gpus=None, gpc_budget=None, architecture=None
+        template,
+        fleet=specs,
+        num_gpus=None,
+        gpc_budget=None,
+        architecture=None,
+        sla_reference_gpcs=reference,
     )

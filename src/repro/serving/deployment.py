@@ -6,7 +6,10 @@ configured partitioner and scheduler up in the policy registries of
 :mod:`repro.core.registry`, packs the resulting instances onto the physical
 GPUs and instantiates the scheduler — everything needed to hand a
 ready-to-run :class:`~repro.sim.cluster.InferenceServerSimulator` to the
-caller.
+caller.  Every design deploys onto the fleet
+:meth:`~repro.serving.config.ServerConfig.build_fleet` returns; a flat
+``num_gpus`` / ``architecture`` / ``gpc_budget`` design is a fleet of one
+server.
 
 Because policies are resolved by name, any partitioner or scheduler
 registered from user code participates here with zero changes to this
@@ -27,7 +30,6 @@ from repro.core.registry import (
     build_scheduler,
 )
 from repro.gpu.partition import PartitionInstance
-from repro.gpu.server import MultiGPUServer
 from repro.perf.lookup import ProfileTable
 from repro.perf.profiler import Profiler, cached_profile, fleet_profiles
 from repro.serving.config import ServerConfig
@@ -43,11 +45,13 @@ class Deployment:
     Attributes:
         config: the design point this deployment realises.
         profiles: profiled lookup tables of every served model, keyed by
-            model name (the primary model is always present).  On fleet
-            deployments these are the *primary architecture's* tables.
+            model name (the primary model is always present).  On
+            mixed-architecture fleets these are the *primary architecture's*
+            tables.
         plan: the partitioning plan produced by the configured partitioner —
-            a :class:`~repro.core.plan.PartitionPlan` on single servers, a
-            :class:`~repro.core.plan.FleetPlan` on fleet deployments.
+            a :class:`~repro.core.plan.PartitionPlan` when the design has one
+            architecture (in either spelling, on any number of servers), a
+            :class:`~repro.core.plan.FleetPlan` on mixed-architecture fleets.
         instances: partition instances placed on the physical GPUs.
         scheduler: the instantiated scheduling policy.
         sla_target: the primary model's derived SLA target in seconds.
@@ -110,7 +114,7 @@ class Deployment:
     def profile_for_architecture(self, model: str, architecture: str) -> ProfileTable:
         """The profiled table of ``model`` on a member architecture.
 
-        Falls back to the primary architecture's table on single-server
+        Falls back to the primary architecture's table on one-architecture
         deployments (where no per-architecture tables exist).
 
         Raises:
@@ -155,72 +159,35 @@ class Deployment:
 
 def _plan_and_place(
     config: ServerConfig,
-    profile: ProfileTable,
+    arch_tables: Mapping[str, Mapping[str, ProfileTable]],
     batch_pdf: Dict[int, float],
-    arch_tables: Optional[Mapping[str, Mapping[str, ProfileTable]]] = None,
-):
-    """Run the configured partitioner and pack the plan onto the server.
+) -> Tuple[Union[PartitionPlan, FleetPlan], Tuple[PartitionInstance, ...]]:
+    """Run the configured partitioner over the design's fleet and pack the
+    plan onto its servers.
 
     The one plan-construction path shared by :func:`build_deployment` and
-    :func:`replan_deployment`.  Fleet configs route through
-    :func:`_plan_and_place_fleet`.
-    """
-    if config.fleet is not None:
-        return _plan_and_place_fleet(config.build_fleet(), config, batch_pdf, arch_tables)
-    plan = build_plan(
-        config.partitioning,
-        PartitionerContext(
-            profile=profile,
-            batch_pdf=batch_pdf,
-            budget=config.effective_gpc_budget,
-            config=config,
-            spec=config.partitioner_spec,
-        ),
-    )
-    server = MultiGPUServer(
-        num_gpus=config.num_gpus,
-        architecture=config.architecture,
-        gpc_budget=config.gpc_budget,
-    )
-    instances = server.configure(plan.counts)
-    return plan, tuple(instances)
-
-
-def _fleet_tables(fleet, models) -> Dict[str, Dict[str, ProfileTable]]:
-    """Per-architecture per-model tables of a fleet (process-cached)."""
-    return fleet_profiles(list(models), list(fleet.architectures))
-
-
-def _plan_and_place_fleet(
-    fleet,
-    config: ServerConfig,
-    batch_pdf: Dict[int, float],
-    arch_tables: Optional[Mapping[str, Mapping[str, ProfileTable]]] = None,
-) -> Tuple[FleetPlan, Tuple[PartitionInstance, ...]]:
-    """Plan the fleet's per-architecture budgets and pack the instances.
-
-    ``"paris"`` partitioning runs the heterogeneous
-    :class:`~repro.core.paris.FleetParis` generalisation (one global
-    knee-segmentation across every ``(architecture, size)`` class); every
-    other registered partitioner is invoked once per member architecture
-    with that architecture's own profile table and budget, and the
-    per-architecture plans are merged.
+    :func:`replan_deployment`; ``arch_tables`` maps each member
+    architecture's name to its per-model tables.  ``"paris"`` partitioning
+    runs :class:`~repro.core.paris.FleetParis`, which on one architecture is
+    the memoized :func:`~repro.core.paris.shared_paris` planner and on
+    several the heterogeneous generalisation (one global knee-segmentation
+    across every ``(architecture, size)`` class).  Every other registered
+    partitioner is invoked once per member architecture with that
+    architecture's own profile table and budget; two or more
+    per-architecture plans merge into a :class:`~repro.core.plan.FleetPlan`.
     """
     from repro.core.paris import shared_fleet_paris
 
+    fleet = config.build_fleet()
     budgets = fleet.budgets_by_architecture()
-    if arch_tables is None:
-        arch_tables = _fleet_tables(fleet, config.models)
-    primary_tables = {
-        name: tables[config.model] for name, tables in arch_tables.items()
-    }
+    primary_tables = {name: arch_tables[name][config.model] for name in budgets}
 
     if config.partitioning == "paris":
         # a ParisSpec: the config resolved it
         planner = shared_fleet_paris(primary_tables, config.partitioner_spec)
-        # An architecture's pooled budget can exceed what any one of its
-        # servers hosts (three 6-GPC servers pool 18 GPCs but cannot place
-        # a 7-GPC instance) — cap the candidate sizes so the plan packs.
+        # A pooled budget can exceed what any one server hosts (three 6-GPC
+        # servers pool 18 GPCs but cannot place a 7-GPC instance, nor can
+        # one 4-GPC server) — cap the candidate sizes so the plan packs.
         size_caps: Dict[str, int] = {}
         for member in fleet.specs:
             arch = member.architecture
@@ -228,10 +195,8 @@ def _plan_and_place_fleet(
             size_caps[arch.name] = max(size_caps.get(arch.name, 0), cap)
         plan = planner.plan(dict(batch_pdf), budgets, size_caps=size_caps)
     else:
-        counts: Dict[Tuple[str, int], int] = {}
-        sub_plans: Dict[str, PartitionPlan] = {}
-        for name, budget in budgets.items():
-            sub = build_plan(
+        sub_plans = {
+            name: build_plan(
                 config.partitioning,
                 PartitionerContext(
                     profile=primary_tables[name],
@@ -242,24 +207,32 @@ def _plan_and_place_fleet(
                     target_architecture=fleet.architecture_named(name),
                 ),
             )
-            sub_plans[name] = sub
-            for size, count in sub.counts.items():
-                if count > 0:
-                    counts[(name, size)] = count
-        plan = FleetPlan(
-            model=config.model,
-            counts=counts,
-            budgets=dict(budgets),
-            strategy=f"fleet-{config.partitioning}",
-            per_architecture=sub_plans,
-        )
+            for name, budget in budgets.items()
+        }
+        if len(sub_plans) == 1:
+            (plan,) = sub_plans.values()
+        else:
+            plan = FleetPlan(
+                model=config.model,
+                counts={
+                    (name, size): count
+                    for name, sub in sub_plans.items()
+                    for size, count in sub.counts.items()
+                    if count > 0
+                },
+                budgets=dict(budgets),
+                strategy=f"fleet-{config.partitioning}",
+                per_architecture=sub_plans,
+            )
 
     instances = fleet.configure(plan.counts)
     return plan, tuple(instances)
 
 
 def replan_deployment(
-    deployment: Deployment, batch_pdf: Dict[int, float]
+    deployment: Deployment,
+    batch_pdf: Dict[int, float],
+    config: Optional[ServerConfig] = None,
 ) -> Deployment:
     """Re-run an existing deployment's partitioner against a new batch PDF.
 
@@ -267,66 +240,34 @@ def replan_deployment(
     and the MIG layout change, which is exactly the paper's online
     re-partitioning step.  Used by
     :meth:`repro.serving.session.ServingSession.repartition` both mid-run
-    and between runs.  Fleet deployments replan across their
-    per-architecture budgets (per-architecture tables come from the
-    process-wide profile cache, so no re-profiling happens).
+    and between runs.
+
+    ``config`` re-targets the deployment at another fleet composition (built
+    via :func:`repro.serving.config.config_with_fleet`): the control plane
+    (:mod:`repro.autoscale`) added or removed whole servers and the
+    partitioner re-cuts the new pool.  The SLA is a property of the
+    *service*, derived once at build time, not of whatever pool happens to
+    serve it right now, so only ``config``, ``plan`` and ``instances``
+    change, and ``arch_profiles`` once a second architecture joins.  Tables
+    of architectures the deployment already serves are reused; a new
+    architecture's come from the process-wide profile cache.
+    (The live simulator can only *execute* architectures present at its
+    construction — the session enforces that for mid-run mutations.)
 
     Raises:
         ValueError: for an empty ``batch_pdf``.
     """
     if not batch_pdf:
         raise ValueError("batch_pdf must be non-empty")
-    plan, instances = _plan_and_place(
-        deployment.config,
-        deployment.profile,
-        dict(batch_pdf),
-        arch_tables=deployment.arch_profiles,
-    )
-    return dataclasses.replace(deployment, plan=plan, instances=instances)
-
-
-def refleet_deployment(
-    deployment: Deployment,
-    config: ServerConfig,
-    batch_pdf: Dict[int, float],
-) -> Deployment:
-    """Re-plan an existing fleet deployment onto a mutated fleet.
-
-    The fleet-elasticity counterpart of :func:`replan_deployment`: the
-    control plane (:mod:`repro.autoscale`) added or removed whole servers,
-    producing ``config`` (built via
-    :func:`repro.serving.config.config_with_fleet`), and the partitioner
-    must re-cut the new pool.  Scheduler, profiles and SLA targets are
-    reused untouched — the SLA is a property of the *service*, derived
-    once at build time, not of whatever pool happens to serve it right
-    now — so only ``config``, ``plan`` and ``instances`` change.
-
-    Per-architecture tables are reused when the mutated fleet's
-    architectures are already covered; a genuinely new architecture fetches
-    through the process-wide profile cache.  (Note the live simulator can
-    only *execute* architectures present at its construction — the session
-    enforces that for mid-run mutations.)
-
-    Raises:
-        ValueError: for an empty ``batch_pdf`` or a non-fleet ``config``.
-    """
-    if not batch_pdf:
-        raise ValueError("batch_pdf must be non-empty")
-    if config.fleet is None:
-        raise ValueError("refleet_deployment requires a fleet config")
-    fleet = config.build_fleet()
-    names = {spec.architecture.name for spec in config.fleet}
-    if deployment.arch_profiles is not None and names <= set(
-        deployment.arch_profiles
-    ):
-        arch_tables: Mapping[str, Mapping[str, ProfileTable]] = (
-            deployment.arch_profiles
-        )
-    else:
-        arch_tables = _fleet_tables(fleet, config.models)
-    plan, instances = _plan_and_place_fleet(fleet, config, dict(batch_pdf), arch_tables)
+    config = config or deployment.config
+    known = deployment.arch_profiles or {
+        deployment.config.architecture.name: deployment.profiles
+    }
+    new = [arch for arch in config.build_fleet().architectures if arch.name not in known]
+    arch_tables = {**known, **fleet_profiles(list(config.models), new)}
+    plan, instances = _plan_and_place(config, arch_tables, dict(batch_pdf))
     arch_profiles = deployment.arch_profiles
-    if arch_profiles is None and len(names) > 1:
+    if arch_profiles is None and len(arch_tables) > 1:
         arch_profiles = arch_tables
     return dataclasses.replace(
         deployment,
@@ -372,33 +313,33 @@ def build_deployment(
             message lists the available policies).
 
     Note:
-        On **fleet** configs every served model is profiled once per member
-        architecture through the process-wide cache
+        On a **mixed-architecture** fleet every served model is profiled
+        once per member architecture through the process-wide cache
         (:func:`repro.perf.profiler.cached_profile`); explicit ``profile`` /
         ``profiles`` / ``profiler`` arguments are rejected there, because a
         single-architecture table cannot answer for the whole fleet.  The
         deployment's ``profiles`` mapping then holds the *primary*
         architecture's tables and ``arch_profiles`` the full per-architecture
-        set.
+        set.  A design with one architecture, in either spelling, takes them.
     """
     if not batch_pdf:
         raise ValueError("batch_pdf must be non-empty")
 
-    arch_tables: Optional[Dict[str, Dict[str, ProfileTable]]] = None
-    fleet = None
-    if config.fleet is not None:
+    # per-architecture tables participate only on genuinely mixed fleets
+    hetero_tables: Optional[Dict[str, Dict[str, ProfileTable]]] = None
+    if config.is_heterogeneous_fleet:
         if profile is not None or profiles or profiler is not None:
             raise ValueError(
-                "fleet configs profile every (model, architecture) pair "
-                "through the per-architecture cache; explicit profile/"
-                "profiles/profiler arguments would be silently wrong — "
-                "drop them (custom sweeps go through "
+                "mixed-architecture fleets profile every (model, "
+                "architecture) pair through the per-architecture cache; "
+                "explicit profile/profiles/profiler arguments would be "
+                "silently wrong — drop them (custom sweeps go through "
                 "repro.perf.profiler.cached_profile parameters)"
             )
-        fleet = config.build_fleet()
-        arch_tables = _fleet_tables(fleet, config.models)
-        primary_arch = config.architecture.name
-        tables = dict(arch_tables[primary_arch])
+        hetero_tables = fleet_profiles(
+            list(config.models), list(config.build_fleet().architectures)
+        )
+        tables = dict(hetero_tables[config.architecture.name])
     else:
         tables = dict(profiles or {})
         if profile is not None:
@@ -424,15 +365,8 @@ def build_deployment(
     # with ServerConfig.models regardless of the caller's mapping order
     tables = {config.model: primary, **tables}
 
-    if fleet is not None:
-        plan, instances = _plan_and_place_fleet(fleet, config, batch_pdf, arch_tables)
-    else:
-        plan, instances = _plan_and_place(config, primary, batch_pdf)
-
-    # per-architecture tables participate only on genuinely mixed fleets;
-    # a single-architecture fleet behaves (bit-for-bit) like a flat server
-    hetero_tables = (
-        arch_tables if arch_tables is not None and len(arch_tables) > 1 else None
+    plan, instances = _plan_and_place(
+        config, hetero_tables or {config.architecture.name: tables}, batch_pdf
     )
     scheduler = build_scheduler(
         config.scheduler,

@@ -54,12 +54,7 @@ from repro.gpu.fleet import FleetRoster, FleetServerSpec
 from repro.perf.lookup import ProfileTable
 from repro.perf.profiler import Profiler
 from repro.serving.config import ServerConfig, config_with_fleet
-from repro.serving.deployment import (
-    Deployment,
-    build_deployment,
-    refleet_deployment,
-    replan_deployment,
-)
+from repro.serving.deployment import Deployment, build_deployment, replan_deployment
 from repro.faults.events import (
     FailedReconfigure,
     FaultEvent,
@@ -255,7 +250,9 @@ class ServingSession:
             for (over a :meth:`from_deployment` deployment: the PDF it was
             planned for), which drift triggers compare against; when omitted
             the workload's own planning PDF is used.
-        profiles: pre-built profile tables keyed by model name.
+        profiles: pre-built profile tables keyed by model name.  A design
+            with one architecture, in either spelling, takes them and a
+            custom ``profiler``; a mixed fleet rejects both.
         reconfig_cost: modeled MIG reconfiguration downtime in seconds paid
             by every live repartition.
         triggers: repartition triggers — registry names, ``(name, options)``
@@ -272,13 +269,12 @@ class ServingSession:
         autoscaler: optional :class:`~repro.autoscale.autoscaler.Autoscaler`
             (or any object with the same ``reset``/``next_due``/``take_due``/
             ``evaluate`` surface) driving whole-server scale-out/scale-in on
-            the trigger checkpoint grid.  Requires a fleet config and a
-            metrics window.
+            the trigger checkpoint grid.  Requires a metrics window.
         preemptions: optional
             :class:`~repro.autoscale.preemption.PreemptionSchedule` (or a
             sequence of :class:`~repro.autoscale.preemption.PreemptionEvent`)
             of spot reclaims executed deterministically during the run.
-            Requires a fleet config and a metrics window.
+            Requires a metrics window.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule` (or a
             sequence of :class:`~repro.faults.events.FaultEvent`) of worker
             crashes/restarts, stragglers and failed reconfigurations,
@@ -335,18 +331,12 @@ class ServingSession:
                 "execution_noise_std must be non-negative and finite, "
                 f"got {execution_noise_std}"
             )
-        if config.is_fleet and (profiler is not None or profiles):
+        if config.is_heterogeneous_fleet and (profiler is not None or profiles):
             raise ValueError(
-                "fleet configs profile every (model, architecture) pair "
-                "through the per-architecture cache; a custom profiler or "
-                "pre-built single-architecture profiles would be silently "
-                "wrong — drop them"
-            )
-        if (autoscaler is not None or preemptions) and not config.is_fleet:
-            raise ValueError(
-                "the fleet control plane (autoscaler/preemptions) scales "
-                "whole servers; pass a fleet config "
-                "(ServerConfig(fleet=[...]))"
+                "mixed-architecture fleets profile every (model, "
+                "architecture) pair through the per-architecture cache; a "
+                "custom profiler or pre-built single-architecture profiles "
+                "would be silently wrong — drop them"
             )
         if (autoscaler is not None or preemptions) and window is None:
             raise ValueError(
@@ -406,7 +396,7 @@ class ServingSession:
         self._roster: Optional[FleetRoster] = None
         self._fleet_events: List[Any] = []
         self._fleet_log: List[Tuple[float, Tuple[FleetServerSpec, ...]]] = []
-        self._sim_archs: Optional[set] = None
+        self._sim_archs: set = set()
         #: per run: the control timeline (see begin() and _apply_due_control)
         self._timeline: Tuple[List[Any], List[Any], List[Any]] = ([], [], [])
         # fault injection (PR 9)
@@ -425,14 +415,7 @@ class ServingSession:
     @classmethod
     def from_deployment(cls, deployment: Deployment, **kwargs: Any) -> "ServingSession":
         """Open a session over an already-materialised deployment."""
-        if deployment.config.is_fleet:
-            # fleet redeploys resolve tables through the per-architecture
-            # cache; seeding single-architecture profiles would be rejected
-            session = cls(deployment.config, **kwargs)
-        else:
-            session = cls(
-                deployment.config, profiles=dict(deployment.profiles), **kwargs
-            )
+        session = cls(deployment.config, **kwargs)
         session._deployment = deployment
         return session
 
@@ -470,15 +453,18 @@ class ServingSession:
                 "batch_pdf must be non-empty: an empty PDF gives the "
                 "partitioner nothing to work with"
             )
-        if self.config.is_fleet:
-            # per-architecture tables come from the process-wide cache; the
-            # session's profile stash only serves flat configs
-            self._deployment = build_deployment(self.config, pdf)
-        else:
-            self._deployment = build_deployment(
-                self.config, pdf, profiler=self.profiler, profiles=self._profiles
-            )
-        self._profiles.update(self._deployment.profiles)
+        # A deployment without per-architecture tables served this design's
+        # one architecture, so its tables serve the next deploy too (a custom
+        # profiler profiles each model once); a mixed fleet's come from the
+        # per-architecture cache, which refuses explicit tables.
+        current = self._deployment
+        reuse = current is not None and current.arch_profiles is None
+        self._deployment = build_deployment(
+            self.config,
+            pdf,
+            profiler=self.profiler,
+            profiles=self.profiles if reuse else self._profiles,
+        )
         self._planned_pdf = dict(pdf)
         return self._deployment
 
@@ -495,7 +481,8 @@ class ServingSession:
     @property
     def profiles(self) -> Dict[str, ProfileTable]:
         """Profile tables known to the session (pre-supplied + deployed)."""
-        return dict(self._profiles)
+        deployed = self._deployment.profiles if self._deployment is not None else {}
+        return {**self._profiles, **deployed}
 
     @property
     def running(self) -> bool:
@@ -635,29 +622,22 @@ class ServingSession:
             ]
         else:
             self._capacity_log = []
-        if self.config.is_fleet:
-            # The simulator's per-architecture latency oracles are fixed at
-            # construction: only these architectures are servable mid-run.
-            self._sim_archs = (
-                set(deployment.arch_profiles)
-                if deployment.arch_profiles
-                else {self.config.architecture.name}
-            )
-        else:
-            self._sim_archs = None
+        # The simulator's per-architecture latency oracles are fixed at
+        # construction: only these architectures are servable mid-run.
+        self._sim_archs = set(deployment.arch_profiles or (self.config.architecture.name,))
         if self._has_control:
-            self._roster = FleetRoster(self.config.fleet)
+            self._roster = FleetRoster(self.config.build_fleet().specs)
             self._fleet_log = [(0.0, self._roster.specs)]
             if self.autoscaler is not None:
                 self.autoscaler.reset(self._roster)
                 unit = self.autoscaler.scale_unit
-                if unit.architecture.name not in (self._sim_archs or ()):
+                if unit.architecture.name not in self._sim_archs:
                     raise ValueError(
                         f"the autoscaler's scale unit {unit.describe()} uses "
                         f"architecture {unit.architecture.name}, which the "
                         "running simulator cannot execute; mid-run additions "
                         "are limited to architectures present in the fleet "
-                        f"at begin() ({sorted(self._sim_archs or ())})"
+                        f"at begin() ({sorted(self._sim_archs)})"
                     )
 
         simulator.begin()
@@ -940,18 +920,11 @@ class ServingSession:
         """The fleet membership ledger (stable server ids).
 
         Created at :meth:`begin` when the control plane is active, or
-        lazily from the configured fleet for manual between-run mutations.
-
-        Raises:
-            ValueError: on a non-fleet config.
+        lazily from the configured fleet for manual between-run mutations;
+        a flat design is a roster of one server.
         """
         if self._roster is None:
-            if not self.config.is_fleet:
-                raise ValueError(
-                    "fleet elasticity requires a fleet config "
-                    "(ServerConfig(fleet=[...]))"
-                )
-            self._roster = FleetRoster(self.config.fleet)
+            self._roster = FleetRoster(self.config.build_fleet().specs)
         return self._roster
 
     def fleet_events(self) -> Tuple[Any, ...]:
@@ -976,11 +949,7 @@ class ServingSession:
         """
         spec = FleetServerSpec.coerce(server)
         self._check_replannable("scale out")
-        if (
-            self.running
-            and self._sim_archs is not None
-            and spec.architecture.name not in self._sim_archs
-        ):
+        if self.running and spec.architecture.name not in self._sim_archs:
             raise ValueError(
                 f"cannot scale out {spec.describe()} mid-run: architecture "
                 f"{spec.architecture.name} was not in the fleet at begin() "
@@ -1186,7 +1155,9 @@ class ServingSession:
         # with nothing deployed yet, the next deploy() picks the new fleet up
         if self._deployment is not None:
             assert self._planned_pdf is not None
-            replanned = refleet_deployment(self._deployment, new_config, self._planned_pdf)
+            replanned = replan_deployment(
+                self._deployment, self._planned_pdf, config=new_config
+            )
             if self.running:
                 replanned = self._swap(replanned, self.reconfig_cost)
                 # Billing follows the *serving* composition: the mutation's

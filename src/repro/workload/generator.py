@@ -9,29 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
+from repro.registry import check_count
 from repro.workload.distributions import (
     LogNormalBatchDistribution,
     PoissonArrivalProcess,
 )
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
-
-
-def check_count(value: Any, message: str) -> None:
-    """Raise ``ValueError(f"{message}, got {value}")`` unless ``value`` is a
-    whole number >= 1.
-
-    NaN, the infinities and fractions fail; numpy integers and integral
-    floats pass.
-    """
-    try:
-        whole = value == int(value)
-    except (OverflowError, ValueError):  # int() of an infinity or of NaN
-        whole = False
-    if not whole or value < 1:
-        raise ValueError(f"{message}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.registry import PolicyRegistry
+from repro.registry import PolicyRegistry, check_count
 from repro.workload.distributions import LogNormalBatchDistribution
-from repro.workload.generator import check_count
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
 

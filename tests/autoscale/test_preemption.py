@@ -157,12 +157,27 @@ class TestSessionExecution:
         )
         assert isinstance(session.preemptions, PreemptionSchedule)
 
-    def test_control_plane_requires_a_fleet_config(self):
-        with pytest.raises(ValueError, match="fleet config"):
-            ServingSession(
-                ServerConfig(model="mobilenet", num_gpus=4, gpc_budget=24),
-                preemptions=self.SCHEDULE,
+    def test_flat_config_is_preempted_like_its_fleet_spelling(self):
+        # a flat design is a fleet of one server: it scales out and is
+        # preempted exactly as the one-server fleet it spells
+        runs = []
+        for config in (
+            ServerConfig(model="mobilenet", num_gpus=4, gpc_budget=24),
+            ServerConfig(model="mobilenet", fleet=[(4, "a100", 24)]),
+        ):
+            session = ServingSession(
+                config, window=0.25, reconfig_cost=0.05, preemptions=self.SCHEDULE
             )
+            session.scale_out((4, "a100", 24), reason="pre-provision")
+            runs.append(session.run(workload()))
+        flat, fleet = runs
+        assert "preempted" in [e.kind for e in flat.fleet_events]
+        assert [e.to_dict() for e in flat.fleet_events] == [
+            e.to_dict() for e in fleet.fleet_events
+        ]
+        assert flat.fleet_windows == fleet.fleet_windows
+        assert flat.windows == fleet.windows
+        assert query_signature(flat) == query_signature(fleet)
 
     def test_control_plane_requires_a_metrics_window(self):
         with pytest.raises(ValueError, match="window"):

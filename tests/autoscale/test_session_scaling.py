@@ -70,12 +70,12 @@ class TestManualElasticity:
             session.scale_out((1, "a30"), reason="nope")
         session.abort()
 
-    def test_roster_requires_a_fleet_config(self):
+    def test_flat_config_roster_is_its_one_server(self):
         session = ServingSession(
             ServerConfig(model="mobilenet", num_gpus=4, gpc_budget=24)
         )
-        with pytest.raises(ValueError, match="fleet config"):
-            session.roster
+        assert session.roster.ids == (0,)
+        assert [s.describe() for s in session.roster.specs] == ["4xA100-SXM4-40GB(24)"]
 
 
 class TestAutoscaledRun:
@@ -141,12 +141,26 @@ class TestAutoscaledRun:
         assert first.fleet_windows == second.fleet_windows
         assert first.summary() == second.summary()
 
-    def test_autoscaler_requires_fleet_and_window(self):
-        with pytest.raises(ValueError, match="fleet config"):
-            ServingSession(
-                ServerConfig(model="mobilenet", num_gpus=4, gpc_budget=24),
-                autoscaler=self.make_scaler(),
+    def test_flat_config_autoscales_like_its_fleet_spelling(self):
+        runs = []
+        for config in (
+            ServerConfig(model="mobilenet", num_gpus=4, gpc_budget=24),
+            ServerConfig(model="mobilenet", fleet=[(4, "a100", 24)]),
+        ):
+            session = ServingSession(
+                config, window=0.25, reconfig_cost=0.02, autoscaler=self.make_scaler()
             )
+            runs.append(session.run(overload()))
+        flat, fleet = runs
+        assert "scale-out" in [e.kind for e in flat.fleet_events]
+        assert [e.to_dict() for e in flat.fleet_events] == [
+            e.to_dict() for e in fleet.fleet_events
+        ]
+        assert flat.fleet_windows == fleet.fleet_windows
+        assert flat.windows == fleet.windows
+        assert flat.summary() == fleet.summary()
+
+    def test_autoscaler_requires_a_window(self):
         with pytest.raises(ValueError, match="window"):
             ServingSession(
                 ServerConfig(model="mobilenet", fleet=(UNIT,)),

@@ -61,6 +61,23 @@ class TestFleetShape:
         with pytest.raises(ValueError, match="gpc_budget"):
             FleetServerSpec(num_gpus=1, architecture="a30", gpc_budget=5)
 
+    def test_spec_counts_are_whole_numbers(self):
+        # a fractional server would pool fractional GPCs (2.5 A100s: 17.5)
+        with pytest.raises(ValueError, match=r"^num_gpus must be positive and integral, got 2.5$"):
+            FleetServerSpec(2.5, "a100")
+        with pytest.raises(ValueError, match=r"^num_gpus must be positive and integral, got 0$"):
+            FleetServerSpec(0, "a100")
+        with pytest.raises(
+            ValueError,
+            match=r"^gpc_budget must be in \(0, 14\] and integral for 2xA100-SXM4-40GB, got 10.5$",
+        ):
+            FleetServerSpec(2, "a100", 10.5)
+        with pytest.raises(ValueError, match=r"^gpc_budget must be in \(0, 14\]"):
+            FleetServerSpec(2, "a100", 15)
+        with pytest.raises(ValueError, match="^num_gpus must be positive"):
+            Fleet([(2.5, "a100")])
+        assert FleetServerSpec(2.0, "a100", 14.0).effective_gpc_budget == 14
+
     def test_fleet_accepts_tuples_specs_and_servers(self):
         fleet = Fleet(
             [

@@ -3,7 +3,8 @@
 The first Python block of each section below is executed verbatim, so
 renaming or deleting a public name it uses fails here instead of in a
 reader's shell: the README's Quickstart, fleet and session sections,
-``docs/index.md``'s orientation and ``docs/fleets.md``'s fleet session.
+``docs/index.md``'s orientation, ``docs/fleets.md``'s fleet session and
+fleet of one, and ``docs/autoscaling.md``'s fleet elasticity.
 Each block is self-contained and prints what it ran.
 """
 
@@ -31,6 +32,8 @@ def first_python_block(path: str, heading: str) -> str:
         ("README.md", "## Heterogeneous fleets"),
         ("README.md", "## Sessions, scenarios, live repartitioning"),
         ("docs/fleets.md", "## Serving on a fleet"),
+        ("docs/fleets.md", "## A server is a fleet of one"),
+        ("docs/autoscaling.md", "## Fleet elasticity on `ServingSession`"),
     ],
 )
 def test_documented_snippet_runs(path, heading, capsys):

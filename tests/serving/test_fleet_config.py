@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.specs import HomogeneousSpec
+from repro.daemon.tenants import FleetPool
 from repro.gpu.architecture import A30, A100, H100
 from repro.gpu.fleet import FleetServerSpec
 from repro.serving.config import ServerConfig, config_with_fleet
@@ -19,7 +20,6 @@ MIXED = ((2, "a100", 14), (2, "a30"), (1, "h100", 7))
 class TestFleetConfig:
     def test_flat_fields_derived_from_fleet(self):
         config = ServerConfig(model="resnet", fleet=MIXED)
-        assert config.is_fleet
         assert config.is_heterogeneous_fleet
         assert config.num_gpus == 5
         assert config.architecture is A100  # the first server's
@@ -120,7 +120,8 @@ class TestFleetConfig:
         single = build_deployment(ServerConfig(model="resnet", architecture=A30), PDF)
         fleet = build_deployment(ServerConfig(model="resnet", fleet=[(8, "a30")]), PDF)
         assert single.config.sla_reference_gpcs == 4
-        assert single.plan.counts == fleet.plan.counts_of(A30.name)
+        assert single.plan == fleet.plan
+        assert list(single.instances) == list(fleet.instances)
         assert single.sla_target == fleet.sla_target == pytest.approx(5.72e-3, abs=5e-6)
         trace = QueryGenerator(
             WorkloadConfig(
@@ -134,6 +135,41 @@ class TestFleetConfig:
         assert on_single.per_instance_queries == on_fleet.per_instance_queries
         with pytest.raises(ValueError, match=r"^sla_reference_gpcs=3 is not a valid"):
             ServerConfig(model="resnet", architecture=A30, sla_reference_gpcs=3)
+
+    def test_architecture_preset_name_resolves(self):
+        # the flat spelling resolves a preset name as the fleet spelling does
+        assert ServerConfig("mobilenet", architecture="a30") == ServerConfig(
+            "mobilenet", architecture=A30
+        )
+        assert ServerConfig("mobilenet", architecture="a30").build_fleet().specs == (
+            ServerConfig("mobilenet", fleet=[(8, "a30")]).build_fleet().specs
+        )
+        with pytest.raises(KeyError, match="unknown GPU architecture 'a31'"):
+            ServerConfig("mobilenet", architecture="a31")
+
+    def test_resolved_default_reference_follows_the_new_primary(self):
+        # the A30-primary template resolves the default GPU(7) reference to
+        # GPU(4); a grant that lands on the A100 server alone references
+        # GPU(7) again, as the same fleet spelled directly does
+        pool = FleetPool([(2, "a30"), (2, "a100")])
+        template = ServerConfig("resnet", fleet=pool.specs)
+        assert template.sla_reference_gpcs == 4
+        pool.acquire("t0", 8)
+        grant = pool.acquire("t1", 14)
+        carved = pool.config_for(grant, template)
+        direct = ServerConfig("resnet", fleet=grant.specs)
+        assert carved == direct
+        assert carved.sla_reference_gpcs == 7
+        assert (
+            build_deployment(carved, PDF).sla_target
+            == build_deployment(direct, PDF).sla_target
+        )
+        # an explicitly chosen smaller reference carries over
+        kept = ServerConfig("resnet", fleet=[(2, "a30")], sla_reference_gpcs=2)
+        assert config_with_fleet(kept, [(2, "a100")]).sla_reference_gpcs == 2
+        assert config_with_fleet(
+            ServerConfig("resnet", sla_reference_gpcs=4), [(2, "a30")]
+        ).sla_reference_gpcs == 4
 
 
 class TestFleetDeployment:
@@ -194,6 +230,47 @@ class TestFleetDeployment:
 
 
 class TestFleetProfileArguments:
+    def test_one_architecture_fleet_takes_an_explicit_profile(self):
+        # one architecture: one table per model answers for every server,
+        # in either spelling
+        from repro.models.registry import get_model
+        from repro.perf.profiler import Profiler
+
+        table = Profiler(architecture=A30, batch_sizes=(1, 2, 4, 8, 16, 32)).profile(
+            get_model("resnet")
+        )
+        fleet = build_deployment(
+            ServerConfig(model="resnet", fleet=[(4, "a30"), (4, "a30")]), PDF, profile=table
+        )
+        flat = build_deployment(ServerConfig(model="resnet", architecture=A30), PDF, profile=table)
+        assert fleet.profile is flat.profile is table
+        assert fleet.arch_profiles is None
+        assert fleet.plan == flat.plan
+        assert fleet.sla_targets == flat.sla_targets
+
+    def test_session_reuses_tables_only_on_their_architecture(self):
+        from repro.perf.profiler import Profiler, cached_profile
+
+        calls = []
+
+        class CountingProfiler(Profiler):
+            def profile(self, model):
+                calls.append(model.name)
+                return super().profile(model)
+
+        config = ServerConfig(model="resnet", num_gpus=8, gpc_budget=48)
+        session = ServingSession(config, profiler=CountingProfiler(), window=None)
+        first = session.deploy(PDF)
+        assert session.deploy({4: 0.5, 32: 0.5}).profile is first.profile
+        assert calls == ["resnet"]  # profiled once, reused by the redeploy
+        # a design that moved onto another architecture deploys with that
+        # architecture's tables, not the ones it deployed before
+        session = ServingSession(ServerConfig(model="resnet", num_gpus=2, gpc_budget=14))
+        session.deploy(PDF)
+        session.scale_out((2, "a30"))
+        session.scale_in(0)
+        assert session.deploy(PDF).profile is cached_profile("resnet", architecture=A30)
+
     def test_explicit_profile_rejected_on_fleet_configs(self):
         # a single-architecture table cannot answer for the whole fleet;
         # silently ignoring it would compute results from the wrong model

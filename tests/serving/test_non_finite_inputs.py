@@ -19,8 +19,9 @@ The counts (``num_gpus``, ``gpc_budget``, ``max_batch``, ``num_queries``)
 must be whole numbers.  Unchecked, an infinite ``max_batch`` draws batches
 past the cap and gives ``ServerConfig`` an infinite SLA target that every
 query meets, a NaN one fails late in ``generate()``, and a NaN or infinite
-GPU count fails late in ``build_deployment``.  Their guards keep the older
-message as a prefix, extended to "... and integral".
+GPU count fails late in ``build_deployment``, and a fleet server of NaN or
+infinite GPUs reports that many GPCs.  Their guards keep the older message
+as a prefix, extended to "... and integral".
 """
 
 import math
@@ -36,6 +37,7 @@ from repro.autoscale.preemption import PreemptionSchedule
 from repro.faults.events import StragglerStart
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
+from repro.gpu.fleet import FleetServerSpec
 from repro.serving.config import ServerConfig
 from repro.serving.session import ServingSession
 from repro.sim.cluster import InferenceServerSimulator
@@ -151,6 +153,18 @@ CASES = {
     "server_config.gpc_budget": (
         lambda v: ServerConfig(model="mobilenet", gpc_budget=v),
         "gpc_budget must be positive when set and integral",
+    ),
+    "fleet_server_spec.num_gpus": (
+        lambda v: FleetServerSpec(v, "a100"),
+        "num_gpus must be positive and integral",
+    ),
+    "fleet_server_spec.gpc_budget": (
+        lambda v: FleetServerSpec(2, "a100", v),
+        "gpc_budget must be in (0, 14] and integral for 2xA100-SXM4-40GB",
+    ),
+    "fleet_pool.num_gpus": (
+        lambda v: FleetPool([(v, "a100")]),
+        "num_gpus must be positive and integral",
     ),
     "server_config.max_batch": (
         lambda v: ServerConfig(model="mobilenet", max_batch=v),

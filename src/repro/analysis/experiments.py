@@ -118,6 +118,13 @@ class ExperimentSettings:
         n_jobs: worker processes the experiment runners may fan independent
             design-point replays across (``1`` = serial, ``None``/``0`` =
             every core).  Results are identical for any value.
+
+    A settings object is the unit of shared work: it builds each distinct
+    design once (:meth:`build`) and runs each distinct latency-bounded
+    search once (:meth:`measure`, :func:`measure_designs`) for as long as
+    it lives, which for a pipeline suite is one ``run_suite`` call.  The
+    memos belong to this object alone: ``dataclasses.replace`` and pickling
+    start them empty.
     """
 
     num_queries: int = 800
@@ -130,6 +137,15 @@ class ExperimentSettings:
     seed: int = 0
     n_jobs: Optional[int] = 1
     _runner: Optional[ParallelRunner] = field(default=None, repr=False, compare=False)
+    # (config, sorted PDF items, profile table) -> deployment
+    _builds: Dict[Tuple, Deployment] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # (id(deployment), workload, iterations, seed) -> (deployment, result);
+    # holding the deployment keeps its id from being reused
+    _searches: Dict[Tuple, Tuple[Deployment, DesignPointResult]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # shared building blocks
@@ -185,6 +201,12 @@ class ExperimentSettings:
         workload PDF handed to the partitioner — e.g. a scenario's
         ``initial_pdf()`` when the deployment should be planned for the
         scenario's opening phase.
+
+        Returns one :class:`Deployment` per distinct ``(ServerConfig,
+        planning PDF, profile table)`` — exactly what it hands
+        :func:`~repro.serving.deployment.build_deployment` — for the life of
+        the settings, so experiments that share a design share its
+        deployment (and, through :meth:`measure`, its search).
         """
         partitioning = normalize_policy_name(partitioning, "partitioning")
         budget = PAPER_GPC_BUDGETS.get(model, 48)
@@ -216,7 +238,11 @@ class ExperimentSettings:
             if batch_pdf is not None
             else self.batch_pdf(max_batch=max_batch, sigma=sigma)
         )
-        return build_deployment(config, pdf, profile=self.profile(model, max_batch))
+        profile = self.profile(model, max_batch)
+        key = (config, tuple(sorted(pdf.items())), profile)
+        if key not in self._builds:
+            self._builds[key] = build_deployment(config, pdf, profile=profile)
+        return self._builds[key]
 
     def measure(
         self,
@@ -224,16 +250,13 @@ class ExperimentSettings:
         max_batch: Optional[int] = None,
         sigma: Optional[float] = None,
     ) -> DesignPointResult:
-        """Latency-bounded throughput of one deployment (the headline metric)."""
-        workload = self.workload(
-            deployment.config.model, max_batch=max_batch, sigma=sigma
-        )
-        return latency_bounded_throughput(
-            deployment,
-            workload,
-            iterations=self.search_iterations,
-            seed=self.seed,
-        )
+        """Latency-bounded throughput of one deployment (the headline metric).
+
+        The search runs once per distinct ``(deployment, workload,
+        search_iterations, seed)`` for the life of the settings; a repeat
+        returns the first result (see :func:`measure_designs`).
+        """
+        return measure_designs(self, {"": deployment}, max_batch, sigma)[""]
 
     def build_fleet_design(
         self,
@@ -280,10 +303,11 @@ class ExperimentSettings:
         return build_deployment(config, pdf)
 
     def __getstate__(self):
-        # Shipping settings into pool workers must not drag the (unpicklable)
-        # warm process pool along; workers run their share inline anyway.
+        # A pickled copy (e.g. shipped into pool workers) must not drag the
+        # (unpicklable) warm process pool along, nor this object's memos:
+        # it starts empty, and workers run their share inline anyway.
         state = self.__dict__.copy()
-        state["_runner"] = None
+        state.update(_runner=None, _builds={}, _searches={})
         return state
 
     def runner(self) -> ParallelRunner:
@@ -298,10 +322,14 @@ class ExperimentSettings:
         return self._runner
 
 
-def _measure_deployment_shared(shared, deployment: Deployment) -> DesignPointResult:
-    """Picklable shared-state worker: settings ship once per pool worker."""
-    settings, max_batch, sigma = shared
-    return settings.measure(deployment, max_batch=max_batch, sigma=sigma)
+def _search_shared(
+    shared: Tuple[int, int], item: Tuple[Deployment, WorkloadConfig]
+) -> DesignPointResult:
+    """Picklable shared-state worker: one latency-bounded search, the
+    bisection depth and seed shipped once per pool worker."""
+    iterations, seed = shared
+    deployment, workload = item
+    return latency_bounded_throughput(deployment, workload, iterations=iterations, seed=seed)
 
 
 def measure_designs(
@@ -312,22 +340,39 @@ def measure_designs(
 ) -> Dict[str, DesignPointResult]:
     """Latency-bounded throughput of several independent design points.
 
-    Each design's bisection search is sequential, but different designs are
-    independent full-replay pipelines, so they fan out across
-    ``settings.n_jobs`` processes (the settings ship once per pool worker);
-    the result mapping (insertion order included) is identical to measuring
-    each design serially.
+    Every design is first looked up in the settings' search memo, keyed by
+    ``(deployment identity, workload, search_iterations, seed)``: a search
+    runs once per settings object, however many experiments (or names in
+    ``deployments``) share it.  Each search is sequential, but the misses
+    are independent full-replay pipelines, so only they fan out across
+    ``settings.n_jobs`` processes.  The result mapping (insertion order
+    included) is identical to measuring each design serially.
     """
-    names = list(deployments)
+    keys = {
+        name: (
+            id(deployment),
+            settings.workload(deployment.config.model, max_batch=max_batch, sigma=sigma),
+            settings.search_iterations,
+            settings.seed,
+        )
+        for name, deployment in deployments.items()
+    }
+    misses = {  # key -> (deployment, workload), each distinct search once
+        key: (deployments[name], key[1])
+        for name, key in keys.items()
+        if key not in settings._searches
+    }
     # per point: the bracket probes + bisection steps each replay a trace
     work_hint = settings.num_queries * (settings.search_iterations + 2)
     results = settings.runner().map_shared(
-        _measure_deployment_shared,
-        (settings, max_batch, sigma),
-        [deployments[name] for name in names],
+        _search_shared,
+        (settings.search_iterations, settings.seed),
+        list(misses.values()),
         work_hint=work_hint,
     )
-    return dict(zip(names, results))
+    for (key, (deployment, _)), result in zip(misses.items(), results):
+        settings._searches[key] = (deployment, result)
+    return {name: settings._searches[key][1] for name, key in keys.items()}
 
 
 # --------------------------------------------------------------------------- #

@@ -189,6 +189,10 @@ class ServerConfig:
         check_count(self.num_gpus, "num_gpus must be positive and integral")
         if self.gpc_budget is not None:
             check_count(self.gpc_budget, "gpc_budget must be positive when set and integral")
+            if self.fleet is None:
+                # the one-server fleet this design deploys onto refuses a
+                # budget above its physical capacity
+                FleetServerSpec(self.num_gpus, self.architecture, self.gpc_budget)
         if self.partitioning == "homogeneous":
             # the homogeneous partitioner runs once per member architecture
             # on a fleet, so its size must be valid on every member (the

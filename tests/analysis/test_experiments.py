@@ -6,11 +6,13 @@ qualitative claims.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.analysis import experiments
 from repro.analysis.experiments import ExperimentSettings
+from repro.analysis.sweep import ParallelRunner
 from repro.perf.profiler import cached_profile
 
 
@@ -111,22 +113,106 @@ class TestSettingsProfiles:
         assert overridden.sla_target == wider.sla_target
 
 
+def _count_searches(monkeypatch):
+    """Record ``(design label, workload)`` per latency-bounded search."""
+    searched = []
+    real = experiments.latency_bounded_throughput
+
+    def counting(deployment, workload, **kwargs):
+        searched.append((deployment.config.label(), workload))
+        return real(deployment, workload, **kwargs)
+
+    monkeypatch.setattr(experiments, "latency_bounded_throughput", counting)
+    return searched
+
+
 class TestSlaSensitivity:
     def test_gpu7_is_searched_once_per_point(self, settings, monkeypatch):
         # GPU(max)'s homogeneous field already measures GPU(7): four
-        # homogeneous searches plus PARIS+ELSA per (model, multiplier)
-        searched = []
-        real = experiments.latency_bounded_throughput
-
-        def counting(deployment, *args, **kwargs):
-            searched.append(deployment.config.label())
-            return real(deployment, *args, **kwargs)
-
-        monkeypatch.setattr(experiments, "latency_bounded_throughput", counting)
+        # homogeneous searches plus PARIS+ELSA per (model, multiplier).  A
+        # copy of the settings starts with empty memos, so the count does
+        # not depend on what other tests searched first.
+        searched = _count_searches(monkeypatch)
         rows = experiments.sla_sensitivity(
-            models=("mobilenet",), multipliers=(1.5,), settings=settings
+            models=("mobilenet",), multipliers=(1.5,), settings=dataclasses.replace(settings)
         )
         assert len(rows) == 1
-        assert sorted(searched) == sorted(
+        assert sorted(label for label, _ in searched) == sorted(
             ["gpu(1)+fifs", "gpu(2)+fifs", "gpu(3)+fifs", "gpu(7)+fifs", "paris+elsa"]
         )
+
+
+class TestSharedWork:
+    """One settings object builds each design and runs each search once."""
+
+    def test_figure12_then_sla_sensitivity_searches_no_design_twice(
+        self, settings, monkeypatch
+    ):
+        fresh = dataclasses.replace(settings)
+        searched = _count_searches(monkeypatch)
+        experiments.figure12(models=("mobilenet",), settings=fresh, include_random=False)
+        figure12_searches = len(searched)
+        experiments.sla_sensitivity(models=("mobilenet",), multipliers=(1.5,), settings=fresh)
+        assert figure12_searches == 6
+        # every design sla_sensitivity needs at x1.5 was searched by figure12
+        assert len(searched) == figure12_searches
+        assert len(set(searched)) == len(searched)
+
+    @pytest.mark.parametrize(
+        ("knob", "value"), [("sla_multiplier", 2.0), ("sigma", 0.3), ("max_batch", 16)]
+    )
+    def test_a_changed_knob_searches_anew(self, settings, monkeypatch, knob, value):
+        fresh = dataclasses.replace(settings)
+        searched = _count_searches(monkeypatch)
+        override = {knob: value}
+        workload_knobs = {} if knob == "sla_multiplier" else override
+        base = fresh.build("mobilenet", "paris", "elsa")
+        varied = fresh.build("mobilenet", "paris", "elsa", **override)
+        assert varied is not base
+        assert fresh.build("mobilenet", "paris", "elsa", **override) is varied
+        fresh.measure(base)
+        first = fresh.measure(varied, **workload_knobs)
+        assert len(searched) == 2
+        assert fresh.measure(varied, **workload_knobs) is first
+        assert len(searched) == 2
+
+    def test_copies_start_with_empty_memos(self, settings):
+        fresh = dataclasses.replace(settings)
+        deployment = fresh.build("mobilenet", "homogeneous", "fifs")
+        fresh.measure(deployment)
+        for copy in (dataclasses.replace(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert copy == fresh
+            assert copy._builds == {} and copy._searches == {}
+            assert copy.build("mobilenet", "homogeneous", "fifs") is not deployment
+        assert len(fresh._builds) == 1 and len(fresh._searches) == 1
+
+    def test_parallel_measure_designs_dispatches_only_misses(self, monkeypatch):
+        serial = ExperimentSettings(num_queries=100, search_iterations=2)
+        names = ("gpu(7)+fifs", "gpu(3)+fifs", "paris+fifs", "paris+elsa")
+        expected = experiments.measure_designs(
+            serial, experiments.named_designs("mobilenet", serial, names)
+        )
+
+        with ParallelRunner(n_jobs=2, force_spawn=True) as runner:
+            parallel = ExperimentSettings(
+                num_queries=100, search_iterations=2, n_jobs=2, _runner=runner
+            )
+            deployments = experiments.named_designs("mobilenet", parallel, names)
+            deployments["alias"] = deployments["paris+elsa"]
+            parallel.measure(deployments["gpu(7)+fifs"])
+            dispatched = []
+            real_map = runner.map_shared
+
+            def recording(fn, shared, items, work_hint=None):
+                items = list(items)
+                dispatched.append([deployment.config.label() for deployment, _ in items])
+                return real_map(fn, shared, items, work_hint=work_hint)
+
+            monkeypatch.setattr(runner, "map_shared", recording)
+            results = experiments.measure_designs(parallel, deployments)
+            assert runner.warm
+
+        assert dispatched == [["gpu(3)+fifs", "paris+fifs", "paris+elsa"]]
+        assert list(results) == [*names, "alias"]
+        assert {name: results[name] for name in names} == expected
+        assert results["alias"] is results["paris+elsa"]

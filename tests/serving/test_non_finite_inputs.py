@@ -229,18 +229,32 @@ INF_ONLY_CASES = {
     ),
 }
 
+#: Finite but past physical capacity: a flat design is a one-server fleet,
+#: so its budget is refused at construction with the fleet server's message
+#: (reported as the effective budget, it would fail only at deploy time).
+OVER_CAPACITY_CASES = {
+    "server_config.flat_gpc_budget": (
+        lambda v: ServerConfig(model="mobilenet", num_gpus=1, gpc_budget=v),
+        "gpc_budget must be in (0, 7] and integral for 1xA100-SXM4-40GB",
+    ),
+}
+
 
 @pytest.mark.parametrize(
     ("case", "value"),
     [
         pytest.param(case, value, id=f"{case}-{value}")
-        for cases, values in ((CASES, (math.nan, math.inf)), (INF_ONLY_CASES, (math.inf,)))
+        for cases, values in (
+            (CASES, (math.nan, math.inf)),
+            (INF_ONLY_CASES, (math.inf,)),
+            (OVER_CAPACITY_CASES, (10,)),
+        )
         for case in sorted(cases)
         for value in values
     ],
 )
 def test_non_finite_input_is_rejected(case, value):
-    call, message = {**CASES, **INF_ONLY_CASES}[case]
+    call, message = {**CASES, **INF_ONLY_CASES, **OVER_CAPACITY_CASES}[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {value}$"):
         call(value)
 
